@@ -19,7 +19,6 @@ from .optimize import (
     bisect_boundary,
     central_diff,
     golden_section_min,
-    grid_refine_max,
     quadratic_vertex,
 )
 from .oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
@@ -32,6 +31,7 @@ from .problems import (
     InfeasibleError,
     RectangleSolution,
     SemicircleRectSolution,
+    containment_max,
     ellipse_fits,
     equivalence_ratio,
     fence_area_curve,

@@ -220,14 +220,13 @@ def _solve_report(args) -> tuple[dict[str, Any], dict[str, float]]:
             "area": sol.area,
             "contacts": [_point_doc(p) for p in sol.contacts],
         }
-        r_sq = args.radius * args.radius
+        # The solution is the unit one rescaled, so the residuals are taken
+        # on the unit solution: scale-free, and safe from under/overflow.
+        unit = problems.solve_ellipse_semicircle(1.0)
         residuals = {
-            "tangency_gap": abs(
-                problems._max_point_radius_sq(sol.a / args.radius, sol.b / args.radius,
-                                              grid_n=2048, tol=1e-12) - 1.0
-            ),
+            "tangency_gap": abs(problems.containment_max(unit.a, unit.b) - 1.0),
             "contact_circle_gap": max(
-                (abs(p.x * p.x + p.y * p.y - r_sq) / r_sq for p in sol.contacts),
+                (abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts),
                 default=math.inf,
             ),
         }

@@ -5,6 +5,9 @@ a single shape-dependent coefficient ``c`` (``pi`` for the circle,
 ``n * tan(pi/n)`` for the regular n-gon), where ``r`` is the inradius, i.e.
 the apothem of the polygon.  That shared structure is what makes the prism
 and can problems interchangeable.
+
+Also home to ``linspace``, the evenly spaced sample grid shared by the fence
+curve and the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -130,3 +133,24 @@ def shoelace_area(pts: Sequence[Point2]) -> float:
         q = pts[(i + 1) % len(pts)]
         acc += p.x * q.y - q.x * p.y
     return abs(acc) / 2.0
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced points from ``lo`` to ``hi``, both included.
+
+    Point ``i`` is ``lo + i*step`` and the last one is pinned to ``hi``, so
+    the values match ``numpy.linspace`` bit for bit.  When ``step``
+    underflows to zero (subnormal spans), the points are ``lo + i/(n-1)*span``
+    instead, again as numpy does, so tiny spans keep their interior points.
+    """
+    if n < 2:
+        raise ValueError(f"need at least 2 points, got {n}")
+    div = n - 1
+    span = hi - lo
+    step = span / div
+    if step == 0.0:
+        xs = [lo + i / div * span for i in range(n)]
+    else:
+        xs = [lo + i * step for i in range(n)]
+    xs[-1] = hi
+    return xs

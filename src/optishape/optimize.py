@@ -1,10 +1,9 @@
 """Scalar minimization and bracketing utilities.
 
 Golden-section search for unimodal objectives, boundary bisection for
-monotone predicates, a grid-then-refine maximizer for possibly multi-bump
-functions, central differences, and the closed-form vertex of a downward
-parabola.  Everything is deterministic: identical inputs produce the same
-Solution1D, bit for bit.
+monotone predicates, central differences, and the closed-form vertex of a
+downward parabola.  Everything is deterministic: identical inputs produce
+the same Solution1D, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 # 1/phi, the bracket shrink factor per golden-section iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -26,7 +23,6 @@ DEFAULT_MAX_ITER = 500
 class Method(enum.Enum):
     GOLDEN_SECTION = "golden_section"
     CLOSED_FORM = "closed_form"
-    GRID_REFINE = "grid_refine"
     BISECTION = "bisection"
 
 
@@ -149,49 +145,3 @@ def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def grid_refine_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid_n: int = 2048,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    vectorized: bool = False,
-) -> Solution1D:
-    """Maximize f on [lo, hi]: dense grid scan, then golden-section refine.
-
-    Robust against multiple local maxima as long as the grid resolves the
-    global one; the refinement runs in the one-cell bracket around the best
-    grid point.  With ``vectorized=True`` the grid pass calls ``f`` once with
-    a numpy array (``f`` must then accept arrays as well as scalars).
-
-    Returns a Solution1D whose ``argmin`` field holds the maximizer and
-    ``value`` the maximum (the field names come from the shared result type).
-    """
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be at least 3, got {grid_n}")
-    xs = np.linspace(lo, hi, grid_n)
-    if vectorized:
-        ys = np.asarray(f(xs), dtype=float)
-    else:
-        ys = np.array([f(x) for x in xs], dtype=float)
-    best = int(np.argmax(ys))
-    bracket_lo = float(xs[max(best - 1, 0)])
-    bracket_hi = float(xs[min(best + 1, grid_n - 1)])
-    refined = golden_section_min(
-        lambda x: -f(x), bracket_lo, bracket_hi, tol=tol, max_iter=max_iter
-    )
-    argmax, value = refined.argmin, -refined.value
-    if ys[best] > value:  # refinement fell onto a lesser bump; keep the grid point
-        argmax, value = float(xs[best]), float(ys[best])
-    return Solution1D(
-        argmin=argmax,
-        value=value,
-        evaluations=grid_n + refined.evaluations,
-        achieved_interval=refined.achieved_interval,
-        method=Method.GRID_REFINE,
-    )

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-import numpy as np
+from .geometry import linspace
 
 
 class EvaluationError(ValueError):
@@ -48,13 +48,12 @@ class GridSpec:
         return (self.hi - self.lo) / ((self.points - 1) * self.points**self.refine_rounds)
 
 
-def _scan(f: Callable[[float], float], xs: np.ndarray) -> tuple[float, float]:
+def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, float]:
     """Best (x, f(x)) over the nodes; first minimum wins, so ties break to
     the smallest argument."""
     best_x = 0.0
     best_y = math.inf
     for x in xs:
-        x = float(x)
         y = float(f(x))
         if not math.isfinite(y):
             raise EvaluationError(f"objective returned {y!r} at x={x!r}")
@@ -69,13 +68,13 @@ def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float
     Returns (argmin, value).  The argmin is accurate to ``grid.resolution``
     for any function whose global minimum the initial grid resolves.
     """
-    xs = np.linspace(grid.lo, grid.hi, grid.points)
+    xs = linspace(grid.lo, grid.hi, grid.points)
     best_x, best_y = _scan(f, xs)
     cell = (grid.hi - grid.lo) / (grid.points - 1)
     for _ in range(grid.refine_rounds):
         window_lo = max(grid.lo, best_x - cell)
         window_hi = min(grid.hi, best_x + cell)
-        x, y = _scan(f, np.linspace(window_lo, window_hi, 2 * grid.points + 1))
+        x, y = _scan(f, linspace(window_lo, window_hi, 2 * grid.points + 1))
         if y < best_y or (y == best_y and x < best_x):
             best_x, best_y = x, y
         cell = (window_hi - window_lo) / (2 * grid.points)
@@ -91,12 +90,10 @@ def brute_min_2d(
 
     Returns (x, y, value); ties break to the smallest x, then smallest y.
     """
-    def scan(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    def scan(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
         best = (0.0, 0.0, math.inf)
         for x in xs:
-            x = float(x)
             for y in ys:
-                y = float(y)
                 v = float(f(x, y))
                 if not math.isfinite(v):
                     raise EvaluationError(f"objective returned {v!r} at ({x!r}, {y!r})")
@@ -104,8 +101,8 @@ def brute_min_2d(
                     best = (x, y, v)
         return best
 
-    xs = np.linspace(grid_x.lo, grid_x.hi, grid_x.points)
-    ys = np.linspace(grid_y.lo, grid_y.hi, grid_y.points)
+    xs = linspace(grid_x.lo, grid_x.hi, grid_x.points)
+    ys = linspace(grid_y.lo, grid_y.hi, grid_y.points)
     best_x, best_y, best_v = scan(xs, ys)
     cell_x = (grid_x.hi - grid_x.lo) / (grid_x.points - 1)
     cell_y = (grid_y.hi - grid_y.lo) / (grid_y.points - 1)
@@ -116,8 +113,8 @@ def brute_min_2d(
         wy_lo = max(grid_y.lo, best_y - cell_y)
         wy_hi = min(grid_y.hi, best_y + cell_y)
         x, y, v = scan(
-            np.linspace(wx_lo, wx_hi, 2 * grid_x.points + 1),
-            np.linspace(wy_lo, wy_hi, 2 * grid_y.points + 1),
+            linspace(wx_lo, wx_hi, 2 * grid_x.points + 1),
+            linspace(wy_lo, wy_hi, 2 * grid_y.points + 1),
         )
         if v < best_v or (v == best_v and (x, y) < (best_x, best_y)):
             best_x, best_y, best_v = x, y, v

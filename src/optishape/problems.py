@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
-from .geometry import Point2, Shape, area_coefficient
-from .optimize import (
-    BracketError,
-    bisect_boundary,
-    golden_section_min,
-    grid_refine_max,
-    quadratic_vertex,
-)
+from .geometry import Point2, Shape, area_coefficient, linspace
+from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
 
 
 class InfeasibleError(ValueError):
@@ -33,10 +25,10 @@ class InfeasibleError(ValueError):
 
 # Default tolerances.  Outer numeric searches resolve arguments to ~1e-8
 # relative, an order tighter than the 1e-6 the cross-checks claim.  The
-# inner loops (containment maximum, frontier bisection) run much tighter
-# still: frontier errors of size e perturb the outer objective like noise
-# and drag its argmin by ~sqrt(e/curvature), so e must stay below ~1e-13
-# for the b search to stay inside 1e-7.
+# frontier bisection runs much tighter still: where it stops within its
+# bracket jumps from one b to the next, so its error e perturbs the outer
+# objective like noise and drags the argmin by ~sqrt(e/curvature); e must
+# stay below ~1e-13 for the b search to stay inside 1e-7.
 INNER_TOL = 5e-14
 OUTER_REL_TOL = 1e-10
 ELLIPSE_B_TOL = 1e-8
@@ -128,8 +120,7 @@ def fence_area_curve(
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
     rows = []
-    for L in np.linspace(0.0, total_fence, n_points):
-        L = float(L)
+    for L in linspace(0.0, total_fence, n_points):
         area = (L / layout.v_segments) * ((total_fence - L) / layout.h_segments)
         rows.append((L, area))
     return rows
@@ -330,7 +321,7 @@ def solve_rect_semicircle_numeric(
 
 
 # Slack on the squared-radius containment test: tangent ellipses must count
-# as inscribed despite rounding in the theta maximum.
+# as inscribed despite rounding in the containment maximum.
 CONTAINMENT_SLACK = 1e-12
 
 # The family of candidate ellipses is x^2/a^2 + (y-b)^2/b^2 = 1: centered at
@@ -338,31 +329,37 @@ CONTAINMENT_SLACK = 1e-12
 # constraint (all points inside the unit circle) has to be tested.
 
 
-def _max_point_radius_sq(a: float, b: float, grid_n: int, tol: float) -> float:
-    def radius_sq(theta):
-        return (a * np.cos(theta)) ** 2 + (b * (1.0 + np.sin(theta))) ** 2
+def containment_max(a: float, b: float) -> float:
+    """Largest squared distance from the disk center over the ellipse
+    x^2/a^2 + (y-b)^2/b^2 = 1.
 
-    sol = grid_refine_max(
-        radius_sq, -math.pi / 2.0, 3.0 * math.pi / 2.0, grid_n=grid_n, tol=tol,
-        vectorized=True,
-    )
-    return sol.value
+    The point (a*cos(theta), b + b*sin(theta)) lies at squared distance
+    (b^2 - a^2)*s^2 + 2*b^2*s + (a^2 + b^2) with s = sin(theta), a quadratic
+    in s; its maximum over [-1, 1] sits at an end or, when the quadratic is
+    concave, at its vertex.
+    """
+    qa = b * b - a * a
+    qb = 2.0 * b * b
+    qc = a * a + b * b
+    candidates = [-1.0, 1.0]
+    if qa < 0.0:
+        s = -qb / (2.0 * qa)
+        if -1.0 < s < 1.0:
+            candidates.append(s)
+    return max(qa * s * s + qb * s + qc for s in candidates)
 
 
-def ellipse_fits(a: float, b: float, grid_n: int = 2048, tol: float = INNER_TOL) -> bool:
+def ellipse_fits(a: float, b: float) -> bool:
     """True if the ellipse x^2/a^2 + (y-b)^2/b^2 = 1 fits in the closed unit
     half-disk y >= 0.
 
     The candidate family touches the diameter at the origin by construction,
-    so only containment in the unit disk is checked: the maximum over theta
-    of the squared distance of (a*cos(theta), b + b*sin(theta)) from the
-    center must not exceed 1.  The maximum is found with the grid-then-refine
-    maximizer; the squared distance is quadratic in sin(theta), so a 2048
-    grid localizes its peaks with a wide margin.
+    so only containment in the unit disk is checked: containment_max(a, b)
+    must not exceed 1.
     """
     _check_positive(a, "semi-axis a")
     _check_positive(b, "semi-axis b")
-    return _max_point_radius_sq(a, b, grid_n, tol) <= 1.0 + CONTAINMENT_SLACK
+    return containment_max(a, b) <= 1.0 + CONTAINMENT_SLACK
 
 
 _MIN_SEMI_AXIS = 1e-9

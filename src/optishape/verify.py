@@ -14,8 +14,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-import numpy as np
-
 from . import geometry, oracle, problems
 from .geometry import Shape
 from .optimize import central_diff
@@ -61,10 +59,9 @@ def _suite_derivative(tol_override: float | None) -> list[CheckResult]:
     checks = []
 
     worst = 0.0
-    radii = np.logspace(-3, 3, 25)
+    radii = [10.0**e for e in geometry.linspace(-3.0, 3.0, 25)]
     for shape in VERIFY_BASES:
         for r in radii:
-            r = float(r)
             est = central_diff(lambda x: geometry.area(shape, x), r, r * 1e-6)
             p = geometry.perimeter(shape, r)
             worst = max(worst, abs(est - p) / p)
@@ -74,7 +71,6 @@ def _suite_derivative(tol_override: float | None) -> list[CheckResult]:
     worst = 0.0
     for shape in VERIFY_BASES:
         for r in radii:
-            r = float(r)
             ratio = geometry.area(shape, r) / geometry.perimeter(shape, r)
             worst = max(worst, abs(ratio - r / 2.0) / math.ulp(r / 2.0))
     checks.append(CheckResult("derivative", "area_over_perimeter_is_half_r_ulps",
@@ -268,6 +264,21 @@ def frontier_a_analytic(b: float) -> float:
     return math.sqrt(b * b + u)
 
 
+def containment_max_theta_scan(a: float, b: float) -> float:
+    """Brute-force counterpart of problems.containment_max.
+
+    Scans the squared center distance of (a*cos(theta), b + b*sin(theta))
+    over one full turn of theta with the oracle; independent of the closed
+    form in sin(theta), hence usable as its oracle.  Falls short of the true
+    maximum by at most the curvature times the squared final cell, ~1e-11.
+    """
+    _, neg_max = oracle.brute_min(
+        lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
+        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049, refine_rounds=1),
+    )
+    return -neg_max
+
+
 def _oracle_check(
     name: str,
     expected: float,
@@ -323,6 +334,10 @@ def _suite_oracle(tol_override: float | None) -> list[CheckResult]:
         "ellipse_frontier_vs_brute_force", ellipse.b,
         lambda b: -math.pi * b * frontier_a_analytic(b),
         oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)))
+
+    gap = abs(problems.containment_max(ellipse.a, ellipse.b)
+              - containment_max_theta_scan(ellipse.a, ellipse.b))
+    checks.append(CheckResult("oracle", "ellipse_containment_vs_theta_scan", gap, 1e-9))
 
     # Box: 2D scan with z eliminated by the volume constraint.
     box = problems.solve_box(1000.0)

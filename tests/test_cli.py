@@ -1,10 +1,23 @@
+import gzip
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from optishape import cli
 from optishape.problems import InfeasibleError
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity tokens json.loads allows."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 def run_cli(capsys, *args):
@@ -87,6 +100,14 @@ class TestSolve:
         assert contacts[1]["x"] == pytest.approx(0.7071068, abs=1e-6)
         assert all(v <= 1e-6 for v in doc["residuals"].values())
 
+    @pytest.mark.parametrize("radius", ["1e-200", "1e-320"])
+    def test_ellipse_at_tiny_radius(self, capsys, radius):
+        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle", "--radius", radius)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["solution"]["a"] == pytest.approx(0.8164966 * float(radius), rel=1e-6)
+        assert all(v <= 1e-6 for v in doc["residuals"].values())
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "fence", "--fence", "2400",
@@ -146,6 +167,23 @@ class TestCurve:
         rows = out.splitlines()[1:]
         assert rows[0].endswith(",0")
         assert rows[-1].endswith(",0")
+
+    # Golden CSVs saved from the numpy.linspace implementation; the second
+    # case has a step that underflows to zero.
+    @pytest.mark.parametrize(
+        "fence, points, golden",
+        [
+            ("2400", "101", "curve_fence_2400_points_101.csv"),
+            ("1e-320", "10001", "curve_fence_1e-320_points_10001.csv.gz"),
+        ],
+    )
+    def test_matches_golden_csv(self, capsys, fence, points, golden):
+        code, out, _ = run_cli(capsys, "curve", "fence", "--fence", fence, "--points", points)
+        assert code == 0
+        path = DATA / golden
+        expected = gzip.open(path, "rt") if path.suffix == ".gz" else open(path)
+        with expected:
+            assert out == expected.read()
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
@@ -210,3 +248,29 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle")
         assert code == 3
         assert "diagnostic" in json.loads(out)
+
+
+class TestRuntimeDependencies:
+    PROBE = (
+        "import runpy, sys\n"
+        "sys.argv = ['optishape', *sys.argv[1:]]\n"
+        "try:\n"
+        "    runpy.run_module('optishape', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    def probe(self, *code_and_args):
+        proc = subprocess.run(
+            [sys.executable, "-c", *code_and_args],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_import_does_not_load_numpy(self):
+        assert self.probe("import sys, optishape; print('numpy' in sys.modules)") == "False"
+
+    def test_ellipse_solve_does_not_load_numpy(self):
+        assert self.probe(self.PROBE, "solve", "ellipse-semicircle") == "False"

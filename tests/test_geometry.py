@@ -8,6 +8,7 @@ from optishape.geometry import (
     Shape,
     area,
     area_coefficient,
+    linspace,
     perimeter,
     polygon_vertices,
     shoelace_area,
@@ -161,6 +162,41 @@ class TestShoelace:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             shoelace_area([Point2(0, 0), Point2(1, 0)])
+
+
+class TestLinspace:
+    def test_endpoints_and_spacing(self):
+        assert linspace(0.0, 2400.0, 5) == [0.0, 600.0, 1200.0, 1800.0, 2400.0]
+
+    def test_last_point_pinned_to_hi(self):
+        xs = linspace(0.1, 0.7, 7)
+        assert len(xs) == 7
+        assert xs[0] == 0.1
+        assert xs[-1] == 0.7
+
+    def test_underflowing_step_keeps_interior_points(self):
+        # 1e-320 / 10000 underflows to zero; the points are scaled after
+        # dividing, so the interior does not collapse onto lo
+        xs = linspace(0.0, 1e-320, 10001)
+        assert xs[5000] == 5e-321
+        assert xs == sorted(xs)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError):
+            linspace(0.0, 1.0, 1)
+
+    @given(
+        lo=st.floats(min_value=-1e300, max_value=1e300),
+        span=st.floats(min_value=5e-324, max_value=1e300),
+        n=st.integers(min_value=2, max_value=500),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_bit_for_bit(self, lo, span, n):
+        np = pytest.importorskip("numpy")
+        hi = lo + span
+        if not lo < hi:
+            return
+        assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
 
 
 class TestInvariants:

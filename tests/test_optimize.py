@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +11,6 @@ from optishape.optimize import (
     bisect_boundary,
     central_diff,
     golden_section_min,
-    grid_refine_max,
     quadratic_vertex,
 )
 
@@ -134,39 +132,3 @@ class TestCentralDiff:
         true = 2.0 * a * x + b
         assert est == pytest.approx(true, rel=1e-9)
 
-
-class TestGridRefineMax:
-    def test_sine_peak(self):
-        # the peak is flat to ~2e-8 in double precision, hence the tolerance
-        sol = grid_refine_max(math.sin, 0.0, math.pi, grid_n=64)
-        assert sol.argmin == pytest.approx(math.pi / 2.0, abs=1e-7)
-        assert sol.value == pytest.approx(1.0, abs=1e-12)
-        assert sol.method is Method.GRID_REFINE
-
-    def test_containment_quadratic(self):
-        # hand-maximized: vertex at s = 1/2 with value exactly 1
-        f = lambda s: 8.0 / 9.0 + 4.0 * s / 9.0 - 4.0 * s * s / 9.0
-        sol = grid_refine_max(f, -1.0, 1.0)
-        assert sol.argmin == pytest.approx(0.5, abs=1e-7)
-        assert sol.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_constant_function(self):
-        sol = grid_refine_max(lambda _: 3.25, 0.0, 1.0, grid_n=16)
-        assert sol.value == 3.25
-        assert 0.0 <= sol.argmin <= 1.0
-
-    def test_two_equal_bumps_finds_peak_value(self):
-        # symmetric double peak; either argmax is acceptable, value must be right
-        f = lambda x: math.sin(x) ** 2
-        sol = grid_refine_max(f, 0.0, 2.0 * math.pi, grid_n=512)
-        assert sol.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_vectorized_matches_scalar(self):
-        f = lambda x: np.sin(x) * np.exp(-0.1 * x)
-        plain = grid_refine_max(f, 0.0, 10.0, grid_n=256)
-        fast = grid_refine_max(f, 0.0, 10.0, grid_n=256, vectorized=True)
-        assert plain == fast
-
-    def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_refine_max(lambda x: x, 0.0, 1.0, grid_n=2)

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import optishape.oracle
 from optishape.oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
-
-from conftest import ellipse_fits_analytic
+from optishape.problems import ellipse_fits
 
 SQRT6_3 = math.sqrt(6.0) / 3.0
 SQRT2_3 = math.sqrt(2.0) / 3.0
@@ -100,7 +99,7 @@ class TestBruteMin2D:
         # the incumbent within a few cells of the optimum, so the tolerances
         # here are a couple orders looser than the grid cell
         def objective(a, b):
-            if not ellipse_fits_analytic(a, b):
+            if not ellipse_fits(a, b):
                 return 1.0
             return -math.pi * a * b
         a, b, value = brute_min_2d(

@@ -8,6 +8,7 @@ from optishape.geometry import Shape, area_coefficient
 from optishape.problems import (
     FenceLayout,
     InfeasibleError,
+    containment_max,
     ellipse_fits,
     equivalence_ratio,
     fence_area_curve,
@@ -27,8 +28,7 @@ from optishape.problems import (
     solve_rectangle,
     solve_rectangle_numeric,
 )
-
-from conftest import containment_max, ellipse_fits_analytic, frontier_a_analytic
+from optishape.verify import containment_max_theta_scan, frontier_a_analytic
 
 CIRCLE = Shape.circle()
 SQUARE = Shape.regular_polygon(4)
@@ -327,6 +327,27 @@ class TestRectSemicircle:
             solve_rect_semicircle(0.0)
 
 
+class TestContainmentMax:
+    def test_optimal_ellipse_touches_at_the_vertex(self):
+        # vertex at s = 1/2, value exactly one up to rounding
+        assert containment_max(SQRT6_3, SQRT2_3) == pytest.approx(1.0, abs=1e-15)
+
+    def test_circle_peaks_at_the_top(self):
+        # a == b: the quadratic is linear in s, so the top point s = 1 wins
+        assert containment_max(0.25, 0.25) == 0.25
+
+    def test_tall_ellipse_peaks_at_the_top(self):
+        # a < b: convex in s, so an end point wins; the top is (0, 2b)
+        assert containment_max(0.2, 0.4) == pytest.approx(0.64, rel=1e-15)
+
+    def test_wide_flat_ellipse_peaks_near_the_diameter(self):
+        a, b = 0.9, 0.1
+        s = b * b / (a * a - b * b)
+        expected = (b * b - a * a) * s * s + 2.0 * b * b * s + a * a + b * b
+        assert containment_max(a, b) == pytest.approx(expected, rel=1e-15)
+        assert containment_max(a, b) > a * a
+
+
 class TestEllipseFits:
     def test_optimal_ellipse_is_tangent(self):
         assert ellipse_fits(SQRT6_3, SQRT2_3)
@@ -349,11 +370,13 @@ class TestEllipseFits:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_analytic_containment(self, a, b):
-        # skip the knife edge where the 1e-12 acceptance band makes the
-        # two routes legitimately disagree
-        margin = containment_max(a, b) - 1.0
-        if abs(margin) > 1e-9:
-            assert ellipse_fits(a, b) == ellipse_fits_analytic(a, b)
+        # the oracle's theta scan is the independent reference; skip the
+        # knife edge where the 1e-12 acceptance band and the scan's ~1e-11
+        # shortfall make the two routes legitimately disagree
+        scanned = containment_max_theta_scan(a, b)
+        assert containment_max(a, b) == pytest.approx(scanned, abs=1e-9)
+        if abs(scanned - 1.0) > 1e-9:
+            assert ellipse_fits(a, b) == (scanned <= 1.0)
 
 
 class TestMaxAForB:
