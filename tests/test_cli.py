@@ -11,6 +11,9 @@ from optishape import cli
 from optishape.problems import InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
+# solve, verify and help output saved before the problem catalog became one
+# table; the table must reproduce it byte for byte.
+SOLVE_GOLDEN = json.loads((DATA / "solve_golden.json").read_text())
 
 
 def strict_json(text):
@@ -18,6 +21,19 @@ def strict_json(text):
     def reject(token):
         raise ValueError(f"non-finite JSON token {token}")
     return json.loads(text, parse_constant=reject)
+
+
+def strip_elapsed(out):
+    """Drop the timing line, the only nondeterministic part of a solve
+    report, from JSON or text output."""
+    lines = out.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith(('  "elapsed_seconds": ', "elapsed_seconds = ")):
+            del lines[i]
+            if lines[i:] == ["}\n"]:  # it was the last key
+                lines[i - 1] = lines[i - 1].replace(",\n", "\n")
+            break
+    return "".join(lines)
 
 
 def run_cli(capsys, *args):
@@ -116,6 +132,17 @@ class TestSolve:
         assert code == 0
         assert "solution.x = 300" in out
         assert "problem = fence" in out
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "case", SOLVE_GOLDEN, ids=lambda case: " ".join(case["argv"])
+    )
+    def test_output_matches_golden(self, capsys, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
+        code, out, _ = run_cli(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert strip_elapsed(out) == case["stdout"]
 
 
 class TestJsonContract:
@@ -241,11 +268,21 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
-    def test_infeasible_maps_to_3(self, capsys, monkeypatch):
-        def raiser(radius=1.0):
-            raise InfeasibleError("no ellipse fits")
-        monkeypatch.setattr("optishape.problems.solve_ellipse_semicircle", raiser)
-        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle")
+    # The CLI looks solvers up on the problems module at call time, so a
+    # patched (or traced) module attribute is the one that runs.
+    @pytest.mark.parametrize(
+        "solver, argv",
+        [
+            ("solve_ellipse_semicircle", ("solve", "ellipse-semicircle")),
+            ("solve_rectangle", ("solve", "rectangle", "--fence", "40")),
+        ],
+        ids=["ellipse-semicircle", "rectangle"],
+    )
+    def test_infeasible_maps_to_3(self, capsys, monkeypatch, solver, argv):
+        def raiser(*args):
+            raise InfeasibleError("no solution fits")
+        monkeypatch.setattr(f"optishape.problems.{solver}", raiser)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         assert "diagnostic" in json.loads(out)
 
