@@ -8,6 +8,7 @@ problem, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -126,118 +127,40 @@ def _base_tag(shape: Shape) -> Any:
     return "circle" if shape.sides is None else shape.sides
 
 
+def _add_inputs(parser: argparse.ArgumentParser, inputs) -> None:
+    """Add one flag per problems.Input, parsed by the type's checker."""
+    # Built per call, like any global lookup, so patched checkers are used.
+    checkers = {float: positive_float, int: segment_count, Shape: base_shape}
+    for spec in inputs:
+        parser.add_argument(
+            spec.flag, dest=spec.key, metavar=spec.flag[2:].upper().replace("-", "_"),
+            type=checkers[spec.type], required=spec.default is None,
+            default=spec.default, help=spec.help,
+        )
+
+
 # --------------------------------------------------------------------------
 # solve
 
 
-def _point_doc(p) -> dict[str, float]:
-    return {"x": p.x, "y": p.y}
-
-
 def _solve_report(args) -> tuple[dict[str, Any], dict[str, float]]:
     """Returns (report skeleton, residuals) for the requested problem."""
-    problem = args.problem
-    if problem == "rectangle":
-        sol = problems.solve_rectangle(args.fence)
-        numeric = problems.solve_rectangle_numeric(args.fence)
-        inputs = {"perimeter": args.fence}
-        solution = {"x": sol.x, "y": sol.y, "area": sol.area}
-        residuals = {
-            "square_gap": abs(sol.x - sol.y) / sol.x,
-            "closed_numeric_gap": abs(sol.x - numeric.x) / sol.x,
-        }
-        method = "closed_form"
-    elif problem == "box":
-        sol = problems.solve_box(args.volume)
-        numeric = problems.solve_box_numeric(args.volume)
-        inputs = {"volume": args.volume}
-        solution = {"x": sol.x, "y": sol.y, "z": sol.z, "surface_area": sol.surface_area}
-        residuals = {
-            "cube_gap": max(abs(sol.x - sol.y), abs(sol.y - sol.z)) / sol.x,
-            "closed_numeric_gap": max(
-                abs(sol.x - numeric.x), abs(sol.y - numeric.y), abs(sol.z - numeric.z)
-            ) / sol.x,
-        }
-        method = "closed_form"
-    elif problem == "fence":
-        layout = FenceLayout(args.v_segments, args.h_segments)
-        sol = problems.solve_fence(args.fence, layout)
-        numeric = problems.solve_fence_numeric(args.fence, layout)
-        inputs = {
-            "fence": args.fence,
-            "v_segments": args.v_segments,
-            "h_segments": args.h_segments,
-        }
-        solution = {
-            "x": sol.x,
-            "y": sol.y,
-            "vertical_total": sol.vertical_total,
-            "horizontal_total": sol.horizontal_total,
-            "area": sol.area,
-        }
-        residuals = {
-            "half_split_deficit": abs(sol.vertical_total - args.fence / 2.0) / args.fence,
-            "closed_numeric_gap": max(abs(sol.x - numeric.x), abs(sol.y - numeric.y))
-            / max(sol.x, sol.y),
-        }
-        method = "closed_form"
-    elif problem in ("can", "can-dual"):
-        if problem == "can":
-            sol = problems.solve_can(args.volume, args.base)
-            numeric = problems.solve_can_numeric(args.volume, args.base)
-            inputs = {"volume": args.volume, "base": _base_tag(args.base)}
-        else:
-            sol = problems.solve_can_dual(args.surface_area, args.base)
-            numeric = problems.solve_can_dual_numeric(args.surface_area, args.base)
-            inputs = {"surface_area": args.surface_area, "base": _base_tag(args.base)}
-        solution = {
-            "r": sol.r,
-            "h": sol.h,
-            "surface_area": sol.surface_area,
-            "volume": sol.volume,
-        }
-        residuals = {
-            "h_over_r_gap": abs(sol.h / sol.r - 2.0),
-            "closed_numeric_gap": abs(sol.r - numeric.r) / sol.r,
-        }
-        method = "closed_form"
-    elif problem == "rect-semicircle":
-        sol = problems.solve_rect_semicircle(args.radius)
-        numeric = problems.solve_rect_semicircle_numeric(args.radius)
-        inputs = {"radius": args.radius}
-        solution = {"x": sol.x, "y": sol.y, "area": sol.area}
-        residuals = {
-            "xy_gap": abs(sol.x - sol.y) / args.radius,
-            "closed_numeric_gap": abs(sol.x - numeric.x) / args.radius,
-        }
-        method = "closed_form"
-    elif problem == "ellipse-semicircle":
-        sol = problems.solve_ellipse_semicircle(args.radius)
-        inputs = {"radius": args.radius}
-        solution = {
-            "a": sol.a,
-            "b": sol.b,
-            "area": sol.area,
-            "contacts": [_point_doc(p) for p in sol.contacts],
-        }
-        # The solution is the unit one rescaled, so the residuals are taken
-        # on the unit solution: scale-free, and safe from under/overflow.
-        unit = problems.solve_ellipse_semicircle(1.0)
-        residuals = {
-            "tangency_gap": abs(problems.containment_max(unit.a, unit.b) - 1.0),
-            "contact_circle_gap": max(
-                (abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts),
-                default=math.inf,
-            ),
-        }
-        method = "golden_section"
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown problem {problem!r}")
+    problem = problems.PROBLEMS[args.problem]
+    values = [getattr(args, spec.key) for spec in problem.inputs]
+    solver_args = problem.solver_args(*values)
+    # Looked up at call time, so patched or traced solvers are the ones run.
+    sol = getattr(problems, problem.stem)(*solver_args)
+    numeric_solver = getattr(problems, problem.stem + "_numeric", None)
+    numeric = numeric_solver(*solver_args) if numeric_solver else None
+    residuals = problem.residuals(sol, numeric, *solver_args)
     report = {
-        "problem": problem,
-        "inputs": inputs,
-        "solution": solution,
-        "method": method,
+        "problem": problem.name,
+        "inputs": {
+            spec.key: _base_tag(v) if isinstance(v, Shape) else v
+            for spec, v in zip(problem.inputs, values)
+        },
+        "solution": dataclasses.asdict(sol) if dataclasses.is_dataclass(sol) else sol._asdict(),
+        "method": problem.method.value,
         "residuals": residuals,
     }
     return report, residuals
@@ -337,39 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="solve a catalog problem")
     solve_sub = solve.add_subparsers(dest="problem", required=True)
 
-    p = solve_sub.add_parser("rectangle", parents=[common],
-                             help="largest rectangle with a given perimeter")
-    p.add_argument("--fence", type=positive_float, required=True,
-                   help="total boundary length (the perimeter)")
-
-    p = solve_sub.add_parser("box", parents=[common],
-                             help="smallest-surface box with a given volume")
-    p.add_argument("--volume", type=positive_float, required=True)
-
-    p = solve_sub.add_parser("fence", parents=[common],
-                             help="partitioned rectangular field of maximal area")
-    p.add_argument("--fence", type=positive_float, required=True)
-    p.add_argument("--v-segments", type=segment_count, default=4)
-    p.add_argument("--h-segments", type=segment_count, default=2)
-
-    p = solve_sub.add_parser("can", parents=[common],
-                             help="smallest-surface can/prism with a given volume")
-    p.add_argument("--volume", type=positive_float, required=True)
-    p.add_argument("--base", type=base_shape, default=Shape.circle(),
-                   help="'circle' or a polygon side count (default circle)")
-
-    p = solve_sub.add_parser("can-dual", parents=[common],
-                             help="largest-volume can/prism with a given surface area")
-    p.add_argument("--surface-area", type=positive_float, required=True)
-    p.add_argument("--base", type=base_shape, default=Shape.circle())
-
-    p = solve_sub.add_parser("rect-semicircle", parents=[common],
-                             help="largest rectangle inscribed in a semicircle")
-    p.add_argument("--radius", type=positive_float, default=1.0)
-
-    p = solve_sub.add_parser("ellipse-semicircle", parents=[common],
-                             help="largest ellipse inscribed in a semicircle")
-    p.add_argument("--radius", type=positive_float, default=1.0)
+    for problem in problems.PROBLEMS.values():
+        p = solve_sub.add_parser(problem.name, parents=[common], help=problem.help)
+        _add_inputs(p, problem.inputs)
 
     ver = commands.add_parser("verify", parents=[common],
                               help="run the invariant verification suites")
@@ -378,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve = commands.add_parser("curve", help="emit curve data as CSV")
     curve_sub = curve.add_subparsers(dest="curve_kind", required=True)
     p = curve_sub.add_parser("fence", help="fence area as a function of the vertical total")
-    p.add_argument("--fence", type=positive_float, required=True)
-    p.add_argument("--v-segments", type=segment_count, default=4)
-    p.add_argument("--h-segments", type=segment_count, default=2)
+    _add_inputs(p, problems.PROBLEMS["fence"].inputs)
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--out", default=None)
 

@@ -6,6 +6,10 @@ Each problem has a closed-form solver (the default entry point) and an
 independent numeric path built on golden-section search (the ``*_numeric``
 variants), so every answer can be cross-checked at runtime.  The ellipse
 problem has no closed form here and is solved numerically end to end.
+
+``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
+residuals, method tag and objective drive the ``solve`` command and the
+``verify`` oracle suite.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .geometry import Point2, Shape, area_coefficient, linspace
-from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
+from .optimize import BracketError, Method, bisect_boundary, golden_section_min, quadratic_vertex
 
 
 class InfeasibleError(ValueError):
@@ -96,6 +100,13 @@ def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
     return _fence_solution(total_fence, layout, vertical_total)
 
 
+def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float], float]:
+    """Negated field area as a function of the vertical total L."""
+    # Float counts: float/int division is much slower than float/float.
+    v, h = float(layout.v_segments), float(layout.h_segments)
+    return lambda L: -(L / v) * ((total_fence - L) / h)
+
+
 def solve_fence_numeric(
     total_fence: float, layout: FenceLayout, tol: float | None = None
 ) -> FenceSolution:
@@ -103,12 +114,7 @@ def solve_fence_numeric(
     _check_positive(total_fence, "total fence length")
     if tol is None:
         tol = total_fence * OUTER_REL_TOL
-    sol = golden_section_min(
-        lambda L: -(L / layout.v_segments) * ((total_fence - L) / layout.h_segments),
-        0.0,
-        total_fence,
-        tol=tol,
-    )
+    sol = golden_section_min(_fence_objective(total_fence, layout), 0.0, total_fence, tol=tol)
     return _fence_solution(total_fence, layout, sol.argmin)
 
 
@@ -119,11 +125,8 @@ def fence_area_curve(
     _check_positive(total_fence, "total fence length")
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
-    rows = []
-    for L in linspace(0.0, total_fence, n_points):
-        area = (L / layout.v_segments) * ((total_fence - L) / layout.h_segments)
-        rows.append((L, area))
-    return rows
+    neg_area = _fence_objective(total_fence, layout)
+    return [(L, -neg_area(L)) for L in linspace(0.0, total_fence, n_points)]
 
 
 # --------------------------------------------------------------------------
@@ -143,13 +146,19 @@ def solve_rectangle(perimeter: float) -> RectangleSolution:
     return RectangleSolution(x=side, y=side, area=side * side)
 
 
+def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
+    """Negated area as a function of the side x."""
+    half = perimeter / 2.0
+    return lambda x: -x * (half - x)
+
+
 def solve_rectangle_numeric(perimeter: float, tol: float | None = None) -> RectangleSolution:
     """Golden-section counterpart of solve_rectangle."""
     _check_positive(perimeter, "perimeter")
     half = perimeter / 2.0
     if tol is None:
         tol = perimeter * OUTER_REL_TOL
-    sol = golden_section_min(lambda x: -x * (half - x), 0.0, half, tol=tol)
+    sol = golden_section_min(_rectangle_objective(perimeter), 0.0, half, tol=tol)
     x = sol.argmin
     return RectangleSolution(x=x, y=half - x, area=x * (half - x))
 
@@ -168,15 +177,17 @@ def solve_box(volume: float) -> BoxSolution:
     return BoxSolution(x=edge, y=edge, z=edge, surface_area=6.0 * edge * edge)
 
 
+def _box_objective(volume: float) -> Callable[[float, float], float]:
+    """Surface area 2*(x*y + x*z + y*z) with z = volume/(x*y) eliminated."""
+    return lambda x, y: 2.0 * (x * y + volume / y + volume / x)
+
+
 def solve_box_numeric(volume: float, tol: float = 1e-8) -> BoxSolution:
     """Nested golden-section over (x, y) with z pinned by the volume."""
     _check_positive(volume, "volume")
     scale = volume ** (1.0 / 3.0)
     lo, hi = 0.05 * scale, 20.0 * scale
-
-    def sa_for(x: float, y: float) -> float:
-        # 2*(x*y + x*z + y*z) with z = volume/(x*y)
-        return 2.0 * (x * y + volume / y + volume / x)
+    sa_for = _box_objective(volume)
 
     def best_y(x: float):
         return golden_section_min(lambda y: sa_for(x, y), lo, hi, tol=scale * tol * 1e-2)
@@ -226,6 +237,13 @@ def solve_can(volume: float, base: Shape) -> CanSolution:
     return _can_solution(c, r, h)
 
 
+def _can_objective(volume: float, c: float) -> Callable[[float], float]:
+    """Surface area 2*c*r^2 + 2*volume/r at base coefficient c, with the
+    height eliminated."""
+    two_c, two_v = 2.0 * c, 2.0 * volume  # hoisted; same rounding as inline
+    return lambda r: two_c * r * r + two_v / r
+
+
 def solve_can_numeric(volume: float, base: Shape, tol: float | None = None) -> CanSolution:
     """Golden-section counterpart of solve_can (search over the inradius)."""
     _check_positive(volume, "volume")
@@ -233,9 +251,7 @@ def solve_can_numeric(volume: float, base: Shape, tol: float | None = None) -> C
     scale = (volume / (2.0 * c)) ** (1.0 / 3.0)
     if tol is None:
         tol = scale * OUTER_REL_TOL
-    sol = golden_section_min(
-        lambda r: 2.0 * c * r * r + 2.0 * volume / r, 0.05 * scale, 20.0 * scale, tol=tol
-    )
+    sol = golden_section_min(_can_objective(volume, c), 0.05 * scale, 20.0 * scale, tol=tol)
     r = sol.argmin
     h = volume / (c * r * r)
     return _can_solution(c, r, h)
@@ -253,6 +269,13 @@ def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
     return _can_solution(c, r, h)
 
 
+def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], float]:
+    """Negated volume r*(SA - 2*c*r^2)/2 at base coefficient c, as a
+    function of r alone."""
+    two_c = 2.0 * c  # hoisted; same rounding as inline
+    return lambda r: -r * (surface_area - two_c * r * r) / 2.0
+
+
 def solve_can_dual_numeric(
     surface_area: float, base: Shape, tol: float | None = None
 ) -> CanSolution:
@@ -262,12 +285,8 @@ def solve_can_dual_numeric(
     r_max = math.sqrt(surface_area / (2.0 * c))
     if tol is None:
         tol = r_max * OUTER_REL_TOL
-    # volume as a function of r alone: V(r) = r*(SA - 2*c*r^2)/2
     sol = golden_section_min(
-        lambda r: -r * (surface_area - 2.0 * c * r * r) / 2.0,
-        r_max * 1e-6,
-        r_max,
-        tol=tol,
+        _can_dual_objective(surface_area, c), r_max * 1e-6, r_max, tol=tol
     )
     r = sol.argmin
     h = (surface_area - 2.0 * c * r * r) / (2.0 * c * r)
@@ -305,6 +324,12 @@ def solve_rect_semicircle(radius: float) -> SemicircleRectSolution:
     return SemicircleRectSolution(x=half, y=half, area=2.0 * half * half)
 
 
+def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
+    """Negated area 2*x*y as a function of the half-width x, with y on the arc."""
+    r2 = radius * radius
+    return lambda x: -2.0 * x * math.sqrt(r2 - x * x)
+
+
 def solve_rect_semicircle_numeric(
     radius: float, tol: float | None = None
 ) -> SemicircleRectSolution:
@@ -312,9 +337,7 @@ def solve_rect_semicircle_numeric(
     _check_positive(radius, "radius")
     if tol is None:
         tol = radius * OUTER_REL_TOL
-    sol = golden_section_min(
-        lambda x: -2.0 * x * math.sqrt(radius * radius - x * x), 0.0, radius, tol=tol
-    )
+    sol = golden_section_min(_rect_semicircle_objective(radius), 0.0, radius, tol=tol)
     x = sol.argmin
     y = math.sqrt(radius * radius - x * x)
     return SemicircleRectSolution(x=x, y=y, area=2.0 * x * y)
@@ -479,3 +502,131 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
         area=unit.area * radius * radius,
         contacts=tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts),
     )
+
+
+# --------------------------------------------------------------------------
+# the catalog as one table
+
+
+class Input(NamedTuple):
+    """One CLI input of a problem: its flag, its key in the report's
+    ``inputs`` (and in the parsed arguments), its value type, its default
+    (None when the flag is required) and its help text."""
+
+    flag: str
+    key: str
+    type: type
+    default: Any = None
+    help: str | None = None
+
+
+class Problem(NamedTuple):
+    """One catalog problem, as the CLI and the verify oracle suite see it.
+
+    Its solvers are this module's ``solve_<stem>`` and, where one exists,
+    ``solve_<stem>_numeric``.  Callers look them up by name at call time, so
+    that a patched or traced module attribute is the one that runs.
+    ``solver_args`` turns the input values, in ``inputs`` order, into the
+    solvers' arguments; ``residuals(closed, numeric, *solver_args)`` gives
+    the report's residuals; ``objective(*instance)`` returns the function
+    the numeric solver minimizes (for the cans the instance holds the base's
+    area coefficient in place of the base).
+    """
+
+    name: str
+    help: str
+    inputs: tuple[Input, ...]
+    residuals: Callable[..., dict[str, float]]
+    method: Method = Method.CLOSED_FORM
+    objective: Callable[..., Callable[..., float]] | None = None
+    solver_args: Callable[..., tuple] = lambda *values: values
+
+    @property
+    def stem(self) -> str:
+        return "solve_" + self.name.replace("-", "_")
+
+
+def _can_residuals(sol: CanSolution, numeric: CanSolution, *_: Any) -> dict[str, float]:
+    return {
+        "h_over_r_gap": abs(sol.h / sol.r - 2.0),
+        "closed_numeric_gap": abs(sol.r - numeric.r) / sol.r,
+    }
+
+
+def _ellipse_residuals(sol: EllipseSolution, numeric: None, radius: float) -> dict[str, float]:
+    # The solution is the unit one rescaled, so the residuals are taken on
+    # the unit solution: scale-free, and safe from under/overflow.
+    unit = solve_ellipse_semicircle(1.0)
+    return {
+        "tangency_gap": abs(containment_max(unit.a, unit.b) - 1.0),
+        "contact_circle_gap": max(
+            (abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts), default=math.inf
+        ),
+    }
+
+
+# In the order the CLI lists them.
+PROBLEMS: dict[str, Problem] = {p.name: p for p in (
+    Problem(
+        "rectangle", "largest rectangle with a given perimeter",
+        (Input("--fence", "perimeter", float, help="total boundary length (the perimeter)"),),
+        lambda sol, num, perimeter: {
+            "square_gap": abs(sol.x - sol.y) / sol.x,
+            "closed_numeric_gap": abs(sol.x - num.x) / sol.x,
+        },
+        objective=_rectangle_objective,
+    ),
+    Problem(
+        "box", "smallest-surface box with a given volume",
+        (Input("--volume", "volume", float),),
+        lambda sol, num, volume: {
+            "cube_gap": max(abs(sol.x - sol.y), abs(sol.y - sol.z)) / sol.x,
+            "closed_numeric_gap": max(
+                abs(sol.x - num.x), abs(sol.y - num.y), abs(sol.z - num.z)
+            ) / sol.x,
+        },
+        objective=_box_objective,
+    ),
+    Problem(
+        "fence", "partitioned rectangular field of maximal area",
+        (Input("--fence", "fence", float), Input("--v-segments", "v_segments", int, 4),
+         Input("--h-segments", "h_segments", int, 2)),
+        lambda sol, num, fence, layout: {
+            "half_split_deficit": abs(sol.vertical_total - fence / 2.0) / fence,
+            "closed_numeric_gap": max(abs(sol.x - num.x), abs(sol.y - num.y))
+            / max(sol.x, sol.y),
+        },
+        objective=_fence_objective,
+        solver_args=lambda fence, v, h: (fence, FenceLayout(v, h)),
+    ),
+    Problem(
+        "can", "smallest-surface can/prism with a given volume",
+        (Input("--volume", "volume", float),
+         Input("--base", "base", Shape, Shape.circle(),
+               help="'circle' or a polygon side count (default circle)")),
+        _can_residuals,
+        objective=_can_objective,
+    ),
+    Problem(
+        "can-dual", "largest-volume can/prism with a given surface area",
+        (Input("--surface-area", "surface_area", float),
+         Input("--base", "base", Shape, Shape.circle())),
+        _can_residuals,
+        objective=_can_dual_objective,
+    ),
+    Problem(
+        "rect-semicircle", "largest rectangle inscribed in a semicircle",
+        (Input("--radius", "radius", float, 1.0),),
+        lambda sol, num, radius: {
+            "xy_gap": abs(sol.x - sol.y) / radius,
+            "closed_numeric_gap": abs(sol.x - num.x) / radius,
+        },
+        objective=_rect_semicircle_objective,
+    ),
+    Problem(
+        "ellipse-semicircle", "largest ellipse inscribed in a semicircle",
+        (Input("--radius", "radius", float, 1.0),),
+        _ellipse_residuals,
+        method=Method.GOLDEN_SECTION,
+    ),
+)}

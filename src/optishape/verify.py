@@ -293,39 +293,41 @@ def _suite_oracle(tol_override: float | None) -> list[CheckResult]:
     checks = []
     grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, refine_rounds=1)
 
+    objective = lambda name, *instance: problems.PROBLEMS[name].objective(*instance)
+
     rect = problems.solve_rectangle(2400.0)
     checks.append(_oracle_check(
         "rectangle_vs_brute_force", rect.x,
-        lambda x: -x * (1200.0 - x), grid(1.0, 1199.0)))
+        objective("rectangle", 2400.0), grid(1.0, 1199.0)))
 
-    fence = problems.solve_fence(2400.0, problems.FenceLayout(4, 2))
+    layout = problems.FenceLayout(4, 2)
+    fence = problems.solve_fence(2400.0, layout)
     checks.append(_oracle_check(
         "fence_vs_brute_force", fence.vertical_total,
-        lambda L: -(L / 4.0) * ((2400.0 - L) / 2.0), grid(0.0, 2400.0)))
+        objective("fence", 2400.0, layout), grid(0.0, 2400.0)))
 
     can = problems.solve_can(1000.0, Shape.circle())
     checks.append(_oracle_check(
         "can_circle_vs_brute_force", can.r,
-        lambda r: 2.0 * math.pi * r * r + 2000.0 / r, grid(1.0, 20.0)))
+        objective("can", 1000.0, math.pi), grid(1.0, 20.0)))
 
     hexagon = Shape.regular_polygon(6)
-    hex_c = geometry.area_coefficient(hexagon)
     hex_can = problems.solve_can(1000.0, hexagon)
     checks.append(_oracle_check(
         "can_hexagon_vs_brute_force", hex_can.r,
-        lambda r: 2.0 * hex_c * r * r + 2000.0 / r, grid(1.0, 20.0)))
+        objective("can", 1000.0, geometry.area_coefficient(hexagon)), grid(1.0, 20.0)))
 
     sa = can.surface_area
     dual = problems.solve_can_dual(sa, Shape.circle())
     checks.append(_oracle_check(
         "can_dual_vs_brute_force", dual.r,
-        lambda r: -r * (sa - 2.0 * math.pi * r * r) / 2.0,
+        objective("can-dual", sa, math.pi),
         grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))))
 
     semi = problems.solve_rect_semicircle(1.0)
     checks.append(_oracle_check(
         "rect_semicircle_vs_brute_force", semi.x,
-        lambda x: -2.0 * x * math.sqrt(1.0 - x * x), grid(0.0, 1.0)))
+        objective("rect-semicircle", 1.0), grid(0.0, 1.0)))
 
     # Coarser grid than the rest: the solver's own b carries a few 1e-8 of
     # search noise, which must stay well inside the 4x resolution bound.
@@ -342,8 +344,7 @@ def _suite_oracle(tol_override: float | None) -> list[CheckResult]:
     # Box: 2D scan with z eliminated by the volume constraint.
     box = problems.solve_box(1000.0)
     box_grid = oracle.GridSpec(4.0, 20.0, points=201, refine_rounds=1)
-    bx, by, _ = oracle.brute_min_2d(
-        lambda x, y: 2.0 * (x * y + 1000.0 / y + 1000.0 / x), box_grid, box_grid)
+    bx, by, _ = oracle.brute_min_2d(objective("box", 1000.0), box_grid, box_grid)
     gap = max(abs(bx - box.x), abs(by - box.y))
     checks.append(CheckResult("oracle", "box_vs_brute_force", gap, 4.0 * box_grid.resolution))
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from optishape import cli
-from optishape.problems import InfeasibleError
+from optishape.problems import PROBLEMS, InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
 # solve, verify and help output saved before the problem catalog became one
@@ -136,7 +136,7 @@ class TestSolve:
 
 class TestGolden:
     @pytest.mark.parametrize(
-        "case", SOLVE_GOLDEN, ids=lambda case: " ".join(case["argv"])
+        "case", SOLVE_GOLDEN, ids=lambda case: "_".join(case["argv"])
     )
     def test_output_matches_golden(self, capsys, monkeypatch, case):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
@@ -153,6 +153,13 @@ class TestJsonContract:
             ("solve", "can", "--volume", "1000"),
             ("solve", "ellipse-semicircle"),
             ("verify", "--suite", "equivalence"),
+            # every other problem, its required inputs set to 7.5
+            *(
+                ("solve", name, *(arg for spec in problem.inputs if spec.default is None
+                                  for arg in (spec.flag, "7.5")))
+                for name, problem in PROBLEMS.items()
+                if name not in ("fence", "can", "ellipse-semicircle")
+            ),
         ],
     )
     def test_round_trip_is_byte_identical(self, capsys, argv):
