@@ -8,7 +8,6 @@ problem, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -39,8 +38,11 @@ def dumps(value: Any, indent: str = "") -> str:
     """JSON text with deterministic float formatting.
 
     Parsing the output with json.loads and re-emitting it through this
-    function reproduces the bytes exactly.
+    function reproduces the bytes exactly.  Records (named tuples) print as
+    objects.
     """
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -65,6 +67,8 @@ def dumps(value: Any, indent: str = "") -> str:
 
 def _emit_text(doc: dict[str, Any], stream) -> None:
     def walk(prefix: str, value: Any) -> None:
+        if hasattr(value, "_asdict"):
+            value = value._asdict()
         if isinstance(value, dict):
             for k, v in value.items():
                 walk(f"{prefix}.{k}" if prefix else str(k), v)
@@ -159,7 +163,7 @@ def _solve_report(args) -> tuple[dict[str, Any], dict[str, float]]:
             spec.key: _base_tag(v) if isinstance(v, Shape) else v
             for spec, v in zip(problem.inputs, values)
         },
-        "solution": dataclasses.asdict(sol) if dataclasses.is_dataclass(sol) else sol._asdict(),
+        "solution": sol,
         "method": problem.method.value,
         "residuals": residuals,
     }
@@ -193,16 +197,7 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         doc = {
-            "checks": [
-                {
-                    "suite": r.suite,
-                    "name": r.name,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in results
-            ],
+            "checks": [{**r._asdict(), "passed": r.passed} for r in results],
             "passed": all_passed,
         }
         print(dumps(doc))

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class ShapeKind(enum.Enum):
@@ -23,14 +22,18 @@ class ShapeKind(enum.Enum):
     REGULAR_POLYGON = "regular_polygon"
 
 
-@dataclass(frozen=True)
-class Shape:
-    """A circle or a regular polygon; ``sides`` is set only for polygons."""
-
+class _ShapeFields(NamedTuple):
     kind: ShapeKind
     sides: int | None = None
 
-    def __post_init__(self) -> None:
+
+class Shape(_ShapeFields):
+    """A circle or a regular polygon; ``sides`` is set only for polygons."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Shape":
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is ShapeKind.CIRCLE:
             if self.sides is not None:
                 raise ValueError("a circle has no side count")
@@ -39,6 +42,7 @@ class Shape:
                 raise ValueError(f"a regular polygon needs sides >= 3, got {self.sides}")
         else:
             raise ValueError(f"unknown shape kind: {self.kind!r}")
+        return self
 
     @classmethod
     def circle(cls) -> "Shape":
@@ -56,16 +60,21 @@ class Shape:
         return f"{self.sides}-gon"
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Planar point with finite coordinates."""
-
+class _Point2Fields(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self) -> None:
+
+class Point2(_Point2Fields):
+    """Planar point with finite coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Point2":
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+        return self
 
 
 def _check_inradius(r: float) -> None:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # 1/phi, the bracket shrink factor per golden-section iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,8 +33,7 @@ class BracketError(ValueError):
     """A bracketing precondition does not hold."""
 
 
-@dataclass(frozen=True)
-class Solution1D:
+class Solution1D(NamedTuple):
     """Result of a 1D search; ``argmin`` holds the optimizer's argument."""
 
     argmin: float

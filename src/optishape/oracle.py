@@ -11,8 +11,7 @@ point with ``2 * points + 1`` nodes, so the cell size shrinks by a factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import linspace
 
@@ -21,22 +20,27 @@ class EvaluationError(ValueError):
     """The objective returned a non-finite value."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search interval with grid density and refinement schedule."""
-
+class _GridSpecFields(NamedTuple):
     lo: float
     hi: float
     points: int = 100_000
     refine_rounds: int = 2
 
-    def __post_init__(self) -> None:
+
+class GridSpec(_GridSpecFields):
+    """Search interval with grid density and refinement schedule."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GridSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.points < 3:
             raise ValueError(f"need at least 3 grid points, got {self.points}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+        return self
 
     @property
     def resolution(self) -> float:

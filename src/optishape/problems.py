@@ -15,7 +15,6 @@ residuals, method tag and objective drive the ``solve`` command and the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
@@ -42,26 +41,30 @@ ELLIPSE_B_TOL = 1e-8
 # fence with partitions
 
 
-@dataclass(frozen=True)
-class FenceLayout:
+class _FenceLayoutFields(NamedTuple):
+    v_segments: int
+    h_segments: int
+
+
+class FenceLayout(_FenceLayoutFields):
     """Counts of parallel fence runs in each direction, boundary included.
 
     The classic one-field/three-pens problem is v_segments=4, h_segments=2.
     """
 
-    v_segments: int
-    h_segments: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FenceLayout":
+        self = super().__new__(cls, *args, **kwargs)
         if self.v_segments < 2 or self.h_segments < 2:
             raise ValueError(
                 "a closed rectangle needs at least 2 runs in each direction, "
                 f"got v={self.v_segments}, h={self.h_segments}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class FenceSolution:
+class FenceSolution(NamedTuple):
     """Optimal field: each vertical run has length x, each horizontal run y."""
 
     x: float
@@ -203,8 +206,7 @@ def solve_box_numeric(volume: float, tol: float = 1e-8) -> BoxSolution:
 # can / prism with a regular base
 
 
-@dataclass(frozen=True)
-class CanSolution:
+class CanSolution(NamedTuple):
     """Optimal can or prism: base inradius r, height h."""
 
     r: float
@@ -406,8 +408,7 @@ def max_a_for_b(b: float, tol: float = INNER_TOL) -> float:
         ) from exc
 
 
-@dataclass(frozen=True)
-class EllipseSolution:
+class EllipseSolution(NamedTuple):
     """Largest inscribed ellipse: semi-axes, area, and arc contact points."""
 
     a: float

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import geometry, oracle, problems
 from .geometry import Shape
@@ -32,8 +31,7 @@ SWEEP_VOLUMES = (1e-3, 1.0, 1e3, 1e6)
 _SEED = 20240817
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     residual: float
@@ -44,18 +42,11 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _tol(default: float, override: float | None) -> float:
-    """Checks pinned at the acceptance tolerance honor --tol overrides."""
-    if override is not None and default == ACCEPTANCE_TOL:
-        return override
-    return default
-
-
 # --------------------------------------------------------------------------
 # suite: derivative  (shape algebra identities)
 
 
-def _suite_derivative(tol_override: float | None) -> list[CheckResult]:
+def _suite_derivative() -> list[CheckResult]:
     checks = []
 
     worst = 0.0
@@ -66,7 +57,7 @@ def _suite_derivative(tol_override: float | None) -> list[CheckResult]:
             p = geometry.perimeter(shape, r)
             worst = max(worst, abs(est - p) / p)
     checks.append(CheckResult("derivative", "perimeter_matches_area_derivative",
-                              worst, _tol(ACCEPTANCE_TOL, tol_override)))
+                              worst, ACCEPTANCE_TOL))
 
     worst = 0.0
     for shape in VERIFY_BASES:
@@ -113,7 +104,7 @@ def _random_fence_instances(count: int) -> list[tuple[float, problems.FenceLayou
     return out
 
 
-def _suite_half_split(tol_override: float | None) -> list[CheckResult]:
+def _suite_half_split() -> list[CheckResult]:
     checks = []
     instances = _random_fence_instances(200)
 
@@ -131,7 +122,7 @@ def _suite_half_split(tol_override: float | None) -> list[CheckResult]:
                     abs(closed.x - numeric.x) / closed.x,
                     abs(closed.y - numeric.y) / closed.y)
     checks.append(CheckResult("half-split", "closed_matches_numeric",
-                              worst, _tol(ACCEPTANCE_TOL, tol_override)))
+                              worst, ACCEPTANCE_TOL))
     return checks
 
 
@@ -139,7 +130,7 @@ def _suite_half_split(tol_override: float | None) -> list[CheckResult]:
 # suite: h2r  (can problem)
 
 
-def _suite_h2r(tol_override: float | None) -> list[CheckResult]:
+def _suite_h2r() -> list[CheckResult]:
     checks = []
 
     worst_closed = 0.0
@@ -152,7 +143,7 @@ def _suite_h2r(tol_override: float | None) -> list[CheckResult]:
             worst_numeric = max(worst_numeric, abs(numeric.h / numeric.r - 2.0))
     checks.append(CheckResult("h2r", "h_equals_2r_closed", worst_closed, 1e-12))
     checks.append(CheckResult("h2r", "h_equals_2r_numeric",
-                              worst_numeric, _tol(ACCEPTANCE_TOL, tol_override)))
+                              worst_numeric, ACCEPTANCE_TOL))
 
     worst = 0.0
     for base in VERIFY_BASES:
@@ -168,7 +159,7 @@ def _suite_h2r(tol_override: float | None) -> list[CheckResult]:
 # suite: duality  (fixed volume <-> fixed surface area)
 
 
-def _suite_duality(tol_override: float | None) -> list[CheckResult]:
+def _suite_duality() -> list[CheckResult]:
     worst = 0.0
     for base in VERIFY_BASES:
         for volume in SWEEP_VOLUMES:
@@ -176,14 +167,14 @@ def _suite_duality(tol_override: float | None) -> list[CheckResult]:
             back = problems.solve_can_dual(sol.surface_area, base)
             worst = max(worst, abs(back.volume - volume) / volume)
     return [CheckResult("duality", "volume_round_trip",
-                        worst, _tol(ACCEPTANCE_TOL, tol_override))]
+                        worst, ACCEPTANCE_TOL)]
 
 
 # --------------------------------------------------------------------------
 # suite: equivalence  (prism vs can ratios)
 
 
-def _suite_equivalence(tol_override: float | None) -> list[CheckResult]:
+def _suite_equivalence() -> list[CheckResult]:
     checks = []
     circle = Shape.circle()
 
@@ -212,15 +203,15 @@ def _suite_equivalence(tol_override: float | None) -> list[CheckResult]:
 # suite: coincidence  (ellipse contacts vs rectangle vertices)
 
 
-def _suite_coincidence(tol_override: float | None) -> list[CheckResult]:
+def _suite_coincidence() -> list[CheckResult]:
     checks = []
-    tol = _tol(ACCEPTANCE_TOL, tol_override)
     ellipse = problems.solve_ellipse_semicircle()
     rect = problems.solve_rect_semicircle(1.0)
 
     axes_gap = max(abs(ellipse.a - math.sqrt(6.0) / 3.0),
                    abs(ellipse.b - math.sqrt(2.0) / 3.0))
-    checks.append(CheckResult("coincidence", "ellipse_axes_golden_values", axes_gap, tol))
+    checks.append(CheckResult("coincidence", "ellipse_axes_golden_values", axes_gap,
+                              ACCEPTANCE_TOL))
 
     expected = ((-rect.x, rect.y), (rect.x, rect.y))
     if len(ellipse.contacts) == len(expected):
@@ -230,7 +221,8 @@ def _suite_coincidence(tol_override: float | None) -> list[CheckResult]:
         )
     else:
         worst = math.inf
-    checks.append(CheckResult("coincidence", "contacts_match_rectangle_vertices", worst, tol))
+    checks.append(CheckResult("coincidence", "contacts_match_rectangle_vertices", worst,
+                              ACCEPTANCE_TOL))
 
     worst_circle = max(
         (abs(p.x * p.x + p.y * p.y - 1.0) for p in ellipse.contacts), default=math.inf
@@ -289,7 +281,7 @@ def _oracle_check(
     return CheckResult("oracle", name, abs(found - expected), 4.0 * grid.resolution)
 
 
-def _suite_oracle(tol_override: float | None) -> list[CheckResult]:
+def _suite_oracle() -> list[CheckResult]:
     checks = []
     grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, refine_rounds=1)
 
@@ -361,14 +353,14 @@ def _suite_oracle(tol_override: float | None) -> list[CheckResult]:
         abs(problems.solve_rect_semicircle_numeric(1.0).x - semi.x) / semi.x,
     ]
     checks.append(CheckResult("oracle", "closed_matches_numeric_all_problems",
-                              max(gaps), _tol(ACCEPTANCE_TOL, tol_override)))
+                              max(gaps), ACCEPTANCE_TOL))
 
     return checks
 
 
 # --------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[[float | None], list[CheckResult]]] = {
+SUITES: dict[str, Callable[[], list[CheckResult]]] = {
     "derivative": _suite_derivative,
     "half-split": _suite_half_split,
     "h2r": _suite_h2r,
@@ -382,11 +374,18 @@ SUITES: dict[str, Callable[[float | None], list[CheckResult]]] = {
 def run(
     suites: Iterable[str] | None = None, tol_override: float | None = None
 ) -> list[CheckResult]:
-    """Run the named suites (all of them by default) in catalog order."""
+    """Run the named suites (all of them by default) in catalog order.
+
+    ``tol_override`` replaces the tolerance of every check pinned at the
+    acceptance tolerance; the other tolerances are fixed.
+    """
     names = list(SUITES) if suites is None else list(suites)
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-        results.extend(SUITES[name](tol_override))
-    return results
+        results.extend(SUITES[name]())
+    if tol_override is None:
+        return results
+    return [r._replace(tolerance=tol_override) if r.tolerance == ACCEPTANCE_TOL else r
+            for r in results]

@@ -252,6 +252,24 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert all(check["passed"] for check in doc["checks"])
 
+    def test_tol_override_replaces_only_acceptance_tolerances(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--format", "json")
+        default = json.loads(out)["checks"]
+        _, out, _ = run_cli(capsys, "verify", "--format", "json", "--tol", "1e-7")
+        override = json.loads(out)["checks"]
+        assert [(c["suite"], c["name"]) for c in override] == [
+            (c["suite"], c["name"]) for c in default
+        ]
+        overridden = 0
+        for before, after in zip(default, override):
+            assert after["residual"] == before["residual"]
+            if before["tolerance"] == 1e-6:
+                assert after["tolerance"] == 1e-7
+                overridden += 1
+            else:
+                assert after["tolerance"] == before["tolerance"]
+        assert 0 < overridden < len(default)
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
@@ -295,15 +313,15 @@ class TestExitCodes:
 
 
 class TestRuntimeDependencies:
-    PROBE = (
+    RUN_CLI = (
         "import runpy, sys\n"
         "sys.argv = ['optishape', *sys.argv[1:]]\n"
         "try:\n"
         "    runpy.run_module('optishape', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print('numpy' in sys.modules)\n"
     )
+    PROBE = RUN_CLI + "print('numpy' in sys.modules)\n"
 
     def probe(self, *code_and_args):
         proc = subprocess.run(
@@ -318,3 +336,18 @@ class TestRuntimeDependencies:
 
     def test_ellipse_solve_does_not_load_numpy(self):
         assert self.probe(self.PROBE, "solve", "ellipse-semicircle") == "False"
+
+    # Records are named tuples: dataclasses (and the inspect, ast, dis and
+    # tokenize modules it imports) stays out of every CLI process.
+    def test_import_does_not_load_dataclasses(self):
+        assert self.probe(
+            "import sys, optishape; print('dataclasses' in sys.modules)"
+        ) == "False"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "ellipse-semicircle"), ("verify", "--suite", "oracle")],
+        ids=["solve-ellipse-semicircle", "verify-oracle"],
+    )
+    def test_cli_does_not_load_dataclasses(self, argv):
+        assert self.probe(self.RUN_CLI + "print('dataclasses' in sys.modules)\n", *argv) == "False"

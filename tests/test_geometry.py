@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from optishape.geometry import (
     Point2,
     Shape,
+    ShapeKind,
     area,
     area_coefficient,
     linspace,
@@ -31,6 +32,14 @@ class TestShape:
         assert CIRCLE.sides is None
         assert CIRCLE.label == "circle"
         assert HEXAGON.label == "6-gon"
+
+    def test_circle_rejects_side_count(self):
+        with pytest.raises(ValueError, match="a circle has no side count"):
+            Shape(ShapeKind.CIRCLE, 3)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown shape kind"):
+            Shape("square")
 
     def test_point_requires_finite_coordinates(self):
         with pytest.raises(ValueError):
