@@ -39,7 +39,7 @@ def dumps(value: Any, indent: str = "") -> str:
 
     Parsing the output with json.loads and re-emitting it through this
     function reproduces the bytes exactly.  Records (named tuples) print as
-    objects.
+    objects, and None as null.
     """
     if hasattr(value, "_asdict"):
         value = value._asdict()
@@ -56,6 +56,8 @@ def dumps(value: Any, indent: str = "") -> str:
             return "[]"
         inner = ",\n".join(f'{indent}  {dumps(v, indent + "  ")}' for v in value)
         return "[\n" + inner + "\n" + indent + "]"
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
@@ -196,8 +198,13 @@ def cmd_verify(args) -> int:
     results = verify.run(suites, tol_override=args.tol)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
+        # JSON has no NaN or Infinity: a non-finite residual prints as null.
         doc = {
-            "checks": [{**r._asdict(), "passed": r.passed} for r in results],
+            "checks": [
+                {**r._asdict(), "residual": r.residual if math.isfinite(r.residual) else None,
+                 "passed": r.passed}
+                for r in results
+            ],
             "passed": all_passed,
         }
         print(dumps(doc))

@@ -22,7 +22,6 @@ DEFAULT_MAX_ITER = 500
 class Method(enum.Enum):
     GOLDEN_SECTION = "golden_section"
     CLOSED_FORM = "closed_form"
-    BISECTION = "bisection"
 
 
 class ConvergenceError(RuntimeError):
@@ -48,7 +47,6 @@ def golden_section_min(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> Solution1D:
     """Minimize a unimodal function on [lo, hi] by golden-section search.
 
@@ -56,7 +54,8 @@ def golden_section_min(
         f: objective; unimodality on the bracket is the caller's duty.
         lo, hi: bracket endpoints, lo < hi.  Only interior points are evaluated.
         tol: absolute tolerance on the argument; the final bracket width.
-        max_iter: iteration cap; exceeding it raises ConvergenceError.
+            Needing more than DEFAULT_MAX_ITER iterations raises
+            ConvergenceError.
 
     Returns:
         Solution1D with the bracket midpoint as argmin.  On exact ties the
@@ -75,9 +74,9 @@ def golden_section_min(
     iterations = 0
     while hi - lo > tol:
         iterations += 1
-        if iterations > max_iter:
+        if iterations > DEFAULT_MAX_ITER:
             raise ConvergenceError(
-                f"no convergence to tol={tol} within {max_iter} iterations "
+                f"no convergence to tol={tol} within {DEFAULT_MAX_ITER} iterations "
                 f"(bracket width {hi - lo})"
             )
         if fc <= fd:

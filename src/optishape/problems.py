@@ -34,6 +34,7 @@ class InfeasibleError(ValueError):
 # stay below ~1e-13 for the b search to stay inside 1e-7.
 INNER_TOL = 5e-14
 OUTER_REL_TOL = 1e-10
+BOX_REL_TOL = 1e-8  # the box's outer search; its inner searches run 100x tighter
 ELLIPSE_B_TOL = 1e-8
 
 
@@ -110,14 +111,11 @@ def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float
     return lambda L: -(L / v) * ((total_fence - L) / h)
 
 
-def solve_fence_numeric(
-    total_fence: float, layout: FenceLayout, tol: float | None = None
-) -> FenceSolution:
+def solve_fence_numeric(total_fence: float, layout: FenceLayout) -> FenceSolution:
     """Same problem, solved by golden-section search over the vertical total."""
     _check_positive(total_fence, "total fence length")
-    if tol is None:
-        tol = total_fence * OUTER_REL_TOL
-    sol = golden_section_min(_fence_objective(total_fence, layout), 0.0, total_fence, tol=tol)
+    sol = golden_section_min(_fence_objective(total_fence, layout), 0.0, total_fence,
+                             tol=total_fence * OUTER_REL_TOL)
     return _fence_solution(total_fence, layout, sol.argmin)
 
 
@@ -155,13 +153,12 @@ def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
     return lambda x: -x * (half - x)
 
 
-def solve_rectangle_numeric(perimeter: float, tol: float | None = None) -> RectangleSolution:
+def solve_rectangle_numeric(perimeter: float) -> RectangleSolution:
     """Golden-section counterpart of solve_rectangle."""
     _check_positive(perimeter, "perimeter")
     half = perimeter / 2.0
-    if tol is None:
-        tol = perimeter * OUTER_REL_TOL
-    sol = golden_section_min(_rectangle_objective(perimeter), 0.0, half, tol=tol)
+    sol = golden_section_min(_rectangle_objective(perimeter), 0.0, half,
+                             tol=perimeter * OUTER_REL_TOL)
     x = sol.argmin
     return RectangleSolution(x=x, y=half - x, area=x * (half - x))
 
@@ -185,7 +182,7 @@ def _box_objective(volume: float) -> Callable[[float, float], float]:
     return lambda x, y: 2.0 * (x * y + volume / y + volume / x)
 
 
-def solve_box_numeric(volume: float, tol: float = 1e-8) -> BoxSolution:
+def solve_box_numeric(volume: float) -> BoxSolution:
     """Nested golden-section over (x, y) with z pinned by the volume."""
     _check_positive(volume, "volume")
     scale = volume ** (1.0 / 3.0)
@@ -193,9 +190,10 @@ def solve_box_numeric(volume: float, tol: float = 1e-8) -> BoxSolution:
     sa_for = _box_objective(volume)
 
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), lo, hi, tol=scale * tol * 1e-2)
+        return golden_section_min(lambda y: sa_for(x, y), lo, hi,
+                                  tol=scale * BOX_REL_TOL * 1e-2)
 
-    outer = golden_section_min(lambda x: best_y(x).value, lo, hi, tol=scale * tol)
+    outer = golden_section_min(lambda x: best_y(x).value, lo, hi, tol=scale * BOX_REL_TOL)
     x = outer.argmin
     y = best_y(x).argmin
     z = volume / (x * y)
@@ -246,14 +244,13 @@ def _can_objective(volume: float, c: float) -> Callable[[float], float]:
     return lambda r: two_c * r * r + two_v / r
 
 
-def solve_can_numeric(volume: float, base: Shape, tol: float | None = None) -> CanSolution:
+def solve_can_numeric(volume: float, base: Shape) -> CanSolution:
     """Golden-section counterpart of solve_can (search over the inradius)."""
     _check_positive(volume, "volume")
     c = area_coefficient(base)
     scale = (volume / (2.0 * c)) ** (1.0 / 3.0)
-    if tol is None:
-        tol = scale * OUTER_REL_TOL
-    sol = golden_section_min(_can_objective(volume, c), 0.05 * scale, 20.0 * scale, tol=tol)
+    sol = golden_section_min(_can_objective(volume, c), 0.05 * scale, 20.0 * scale,
+                             tol=scale * OUTER_REL_TOL)
     r = sol.argmin
     h = volume / (c * r * r)
     return _can_solution(c, r, h)
@@ -278,18 +275,13 @@ def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], floa
     return lambda r: -r * (surface_area - two_c * r * r) / 2.0
 
 
-def solve_can_dual_numeric(
-    surface_area: float, base: Shape, tol: float | None = None
-) -> CanSolution:
+def solve_can_dual_numeric(surface_area: float, base: Shape) -> CanSolution:
     """Golden-section counterpart of solve_can_dual."""
     _check_positive(surface_area, "surface area")
     c = area_coefficient(base)
     r_max = math.sqrt(surface_area / (2.0 * c))
-    if tol is None:
-        tol = r_max * OUTER_REL_TOL
-    sol = golden_section_min(
-        _can_dual_objective(surface_area, c), r_max * 1e-6, r_max, tol=tol
-    )
+    sol = golden_section_min(_can_dual_objective(surface_area, c), r_max * 1e-6, r_max,
+                             tol=r_max * OUTER_REL_TOL)
     r = sol.argmin
     h = (surface_area - 2.0 * c * r * r) / (2.0 * c * r)
     return _can_solution(c, r, h)
@@ -332,14 +324,11 @@ def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
     return lambda x: -2.0 * x * math.sqrt(r2 - x * x)
 
 
-def solve_rect_semicircle_numeric(
-    radius: float, tol: float | None = None
-) -> SemicircleRectSolution:
+def solve_rect_semicircle_numeric(radius: float) -> SemicircleRectSolution:
     """Golden-section counterpart of solve_rect_semicircle."""
     _check_positive(radius, "radius")
-    if tol is None:
-        tol = radius * OUTER_REL_TOL
-    sol = golden_section_min(_rect_semicircle_objective(radius), 0.0, radius, tol=tol)
+    sol = golden_section_min(_rect_semicircle_objective(radius), 0.0, radius,
+                             tol=radius * OUTER_REL_TOL)
     x = sol.argmin
     y = math.sqrt(radius * radius - x * x)
     return SemicircleRectSolution(x=x, y=y, area=2.0 * x * y)
@@ -390,7 +379,7 @@ def ellipse_fits(a: float, b: float) -> bool:
 _MIN_SEMI_AXIS = 1e-9
 
 
-def max_a_for_b(b: float, tol: float = INNER_TOL) -> float:
+def max_a_for_b(b: float) -> float:
     """Largest horizontal semi-axis a such that ellipse_fits(a, b).
 
     Defined for 0 < b <= 1/2; above that even a sliver-thin ellipse pokes
@@ -400,7 +389,7 @@ def max_a_for_b(b: float, tol: float = INNER_TOL) -> float:
         raise ValueError(f"semi-axis b must lie in (0, 1), got {b}")
     try:
         return bisect_boundary(
-            lambda a: ellipse_fits(a, b), _MIN_SEMI_AXIS, 1.0, tol=tol
+            lambda a: ellipse_fits(a, b), _MIN_SEMI_AXIS, 1.0, tol=INNER_TOL
         )
     except BracketError as exc:
         raise InfeasibleError(
@@ -417,8 +406,12 @@ class EllipseSolution(NamedTuple):
     contacts: tuple[Point2, ...]
 
 
-def _quadratic_roots(qa: float, qb: float, qc: float, merge_tol: float) -> list[float]:
-    """Real roots of qa*y^2 + qb*y + qc = 0; roots closer than merge_tol
+# Roots of the contact quadratic closer than this merge into one tangency.
+_MERGE_TOL = 1e-4
+
+
+def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
+    """Real roots of qa*y^2 + qb*y + qc = 0; roots closer than _MERGE_TOL
     collapse to the vertex (tangency) double root."""
     if qa == 0.0:
         if qb == 0.0:
@@ -426,7 +419,7 @@ def _quadratic_roots(qa: float, qb: float, qc: float, merge_tol: float) -> list[
         return [-qc / qb]
     disc = qb * qb - 4.0 * qa * qc
     separation = math.sqrt(abs(disc)) / abs(qa)
-    if separation <= merge_tol:
+    if separation <= _MERGE_TOL:
         return [-qb / (2.0 * qa)]
     if disc < 0.0:
         return []
@@ -438,15 +431,13 @@ def _quadratic_roots(qa: float, qb: float, qc: float, merge_tol: float) -> list[
 _TANGENT_X_EPS = 1e-6
 
 
-def intersect_ellipse_circle(
-    a: float, b: float, merge_tol: float = 1e-4
-) -> list[Point2]:
+def intersect_ellipse_circle(a: float, b: float) -> list[Point2]:
     """Intersections of the ellipse x^2/a^2 + (y-b)^2/b^2 = 1 with the unit
     upper semicircle.
 
     Substituting x^2 = 1 - y^2 into the ellipse equation leaves the quadratic
     (a^2 - b^2)*y^2 - 2*a^2*b*y + b^2 = 0; real roots with 0 <= y <= 1 yield
-    the intersection heights.  Roots closer than merge_tol are treated as the
+    the intersection heights.  Roots closer than _MERGE_TOL are treated as the
     tangency double root, so near-tangent ellipses report their two mirrored
     contact points (or the single top contact at x = 0) instead of four
     crossings split by rounding noise.  Points come back sorted by x.
@@ -457,7 +448,7 @@ def intersect_ellipse_circle(
     qb = -2.0 * a * a * b
     qc = b * b
     points: list[Point2] = []
-    for y in _quadratic_roots(qa, qb, qc, merge_tol):
+    for y in _quadratic_roots(qa, qb, qc):
         if not 0.0 <= y <= 1.0 + _TANGENT_X_EPS:
             continue
         y = min(y, 1.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import geometry, oracle, problems
 from .geometry import Shape
@@ -42,52 +42,53 @@ class CheckResult(NamedTuple):
         return self.residual <= self.tolerance
 
 
+def _worst(suite: str, name: str, residuals: Iterable[float], tolerance: float) -> CheckResult:
+    """Check whose residual is the worst over a sweep: the largest residual,
+    NaN if any is NaN (so the check fails), and inf if the sweep is empty."""
+    values = list(residuals)
+    worst = math.nan if any(map(math.isnan, values)) else max(values, default=math.inf)
+    return CheckResult(suite, name, worst, tolerance)
+
+
 # --------------------------------------------------------------------------
 # suite: derivative  (shape algebra identities)
 
 
+def _derivative_gap(shape: Shape, r: float) -> float:
+    est = central_diff(lambda x: geometry.area(shape, x), r, r * 1e-6)
+    p = geometry.perimeter(shape, r)
+    return abs(est - p) / p
+
+
+def _half_r_ulps(shape: Shape, r: float) -> float:
+    ratio = geometry.area(shape, r) / geometry.perimeter(shape, r)
+    return abs(ratio - r / 2.0) / math.ulp(r / 2.0)
+
+
 def _suite_derivative() -> list[CheckResult]:
-    checks = []
-
-    worst = 0.0
     radii = [10.0**e for e in geometry.linspace(-3.0, 3.0, 25)]
-    for shape in VERIFY_BASES:
-        for r in radii:
-            est = central_diff(lambda x: geometry.area(shape, x), r, r * 1e-6)
-            p = geometry.perimeter(shape, r)
-            worst = max(worst, abs(est - p) / p)
-    checks.append(CheckResult("derivative", "perimeter_matches_area_derivative",
-                              worst, ACCEPTANCE_TOL))
-
-    worst = 0.0
-    for shape in VERIFY_BASES:
-        for r in radii:
-            ratio = geometry.area(shape, r) / geometry.perimeter(shape, r)
-            worst = max(worst, abs(ratio - r / 2.0) / math.ulp(r / 2.0))
-    checks.append(CheckResult("derivative", "area_over_perimeter_is_half_r_ulps",
-                              worst, 4.0))
-
-    worst = 0.0
-    for n in range(3, 65):
-        shape = Shape.regular_polygon(n)
-        gap = abs(geometry.area_coefficient(shape)
-                  - geometry.shoelace_area(geometry.polygon_vertices(n, 1.0)))
-        worst = max(worst, gap)
-    checks.append(CheckResult("derivative", "coefficient_matches_shoelace", worst, 1e-12))
-
-    worst = 0.0
-    for shape in VERIFY_BASES:
-        for r in (1e-3, 0.7, 1.0, 13.0, 1e3):
-            for k in (0.5, 2.0, 10.0):
-                worst = max(
-                    worst,
-                    abs(geometry.area(shape, k * r) - k * k * geometry.area(shape, r))
-                    / geometry.area(shape, k * r),
-                    abs(geometry.perimeter(shape, k * r) - k * geometry.perimeter(shape, r))
-                    / geometry.perimeter(shape, k * r),
-                )
-    checks.append(CheckResult("derivative", "area_perimeter_scaling", worst, 1e-12))
-    return checks
+    sweep = [(shape, r) for shape in VERIFY_BASES for r in radii]
+    scaled = [(shape, r, k) for shape in VERIFY_BASES
+              for r in (1e-3, 0.7, 1.0, 13.0, 1e3) for k in (0.5, 2.0, 10.0)]
+    return [
+        _worst("derivative", "perimeter_matches_area_derivative",
+               (_derivative_gap(shape, r) for shape, r in sweep), ACCEPTANCE_TOL),
+        _worst("derivative", "area_over_perimeter_is_half_r_ulps",
+               (_half_r_ulps(shape, r) for shape, r in sweep), 4.0),
+        _worst("derivative", "coefficient_matches_shoelace", (
+            abs(geometry.area_coefficient(Shape.regular_polygon(n))
+                - geometry.shoelace_area(geometry.polygon_vertices(n, 1.0)))
+            for n in range(3, 65)
+        ), 1e-12),
+        _worst("derivative", "area_perimeter_scaling", (
+            gap for shape, r, k in scaled for gap in (
+                abs(geometry.area(shape, k * r) - k * k * geometry.area(shape, r))
+                / geometry.area(shape, k * r),
+                abs(geometry.perimeter(shape, k * r) - k * geometry.perimeter(shape, r))
+                / geometry.perimeter(shape, k * r),
+            )
+        ), 1e-12),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -104,55 +105,51 @@ def _random_fence_instances(count: int) -> list[tuple[float, problems.FenceLayou
     return out
 
 
+def _fence_gaps(fence: float, layout: problems.FenceLayout) -> tuple[float, float]:
+    closed = problems.solve_fence(fence, layout)
+    numeric = problems.solve_fence_numeric(fence, layout)
+    return abs(closed.x - numeric.x) / closed.x, abs(closed.y - numeric.y) / closed.y
+
+
 def _suite_half_split() -> list[CheckResult]:
-    checks = []
     instances = _random_fence_instances(200)
-
-    worst = 0.0
-    for fence, layout in instances:
-        sol = problems.solve_fence(fence, layout)
-        worst = max(worst, abs(sol.vertical_total - fence / 2.0) / fence)
-    checks.append(CheckResult("half-split", "randomized_half_split", worst, 1e-9))
-
-    worst = 0.0
-    for fence, layout in instances[:10]:
-        closed = problems.solve_fence(fence, layout)
-        numeric = problems.solve_fence_numeric(fence, layout)
-        worst = max(worst,
-                    abs(closed.x - numeric.x) / closed.x,
-                    abs(closed.y - numeric.y) / closed.y)
-    checks.append(CheckResult("half-split", "closed_matches_numeric",
-                              worst, ACCEPTANCE_TOL))
-    return checks
+    return [
+        _worst("half-split", "randomized_half_split", (
+            abs(problems.solve_fence(fence, layout).vertical_total - fence / 2.0) / fence
+            for fence, layout in instances
+        ), 1e-9),
+        _worst("half-split", "closed_matches_numeric", (
+            gap for fence, layout in instances[:10] for gap in _fence_gaps(fence, layout)
+        ), ACCEPTANCE_TOL),
+    ]
 
 
 # --------------------------------------------------------------------------
 # suite: h2r  (can problem)
 
 
+def _h_over_r_gap(can: problems.CanSolution) -> float:
+    return abs(can.h / can.r - 2.0)
+
+
+def _scaling_gaps(base: Shape) -> Iterator[float]:
+    base_r = problems.solve_can(1.0, base).r
+    for k in (0.5, 2.0, 10.0):
+        scaled = problems.solve_can(k**3 * 1.0, base)
+        yield abs(scaled.r - k * base_r) / scaled.r
+
+
 def _suite_h2r() -> list[CheckResult]:
-    checks = []
-
-    worst_closed = 0.0
-    worst_numeric = 0.0
-    for base in VERIFY_BASES:
-        for volume in SWEEP_VOLUMES:
-            closed = problems.solve_can(volume, base)
-            worst_closed = max(worst_closed, abs(closed.h / closed.r - 2.0))
-            numeric = problems.solve_can_numeric(volume, base)
-            worst_numeric = max(worst_numeric, abs(numeric.h / numeric.r - 2.0))
-    checks.append(CheckResult("h2r", "h_equals_2r_closed", worst_closed, 1e-12))
-    checks.append(CheckResult("h2r", "h_equals_2r_numeric",
-                              worst_numeric, ACCEPTANCE_TOL))
-
-    worst = 0.0
-    for base in VERIFY_BASES:
-        base_r = problems.solve_can(1.0, base).r
-        for k in (0.5, 2.0, 10.0):
-            scaled = problems.solve_can(k**3 * 1.0, base)
-            worst = max(worst, abs(scaled.r - k * base_r) / scaled.r)
-    checks.append(CheckResult("h2r", "can_scaling", worst, 1e-9))
-    return checks
+    sweep = [(volume, base) for base in VERIFY_BASES for volume in SWEEP_VOLUMES]
+    return [
+        _worst("h2r", "h_equals_2r_closed",
+               (_h_over_r_gap(problems.solve_can(*instance)) for instance in sweep), 1e-12),
+        _worst("h2r", "h_equals_2r_numeric",
+               (_h_over_r_gap(problems.solve_can_numeric(*instance)) for instance in sweep),
+               ACCEPTANCE_TOL),
+        _worst("h2r", "can_scaling",
+               (gap for base in VERIFY_BASES for gap in _scaling_gaps(base)), 1e-9),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -160,43 +157,39 @@ def _suite_h2r() -> list[CheckResult]:
 
 
 def _suite_duality() -> list[CheckResult]:
-    worst = 0.0
-    for base in VERIFY_BASES:
-        for volume in SWEEP_VOLUMES:
-            sol = problems.solve_can(volume, base)
-            back = problems.solve_can_dual(sol.surface_area, base)
-            worst = max(worst, abs(back.volume - volume) / volume)
-    return [CheckResult("duality", "volume_round_trip",
-                        worst, ACCEPTANCE_TOL)]
+    return [_worst("duality", "volume_round_trip", (
+        abs(problems.solve_can_dual(problems.solve_can(volume, base).surface_area, base).volume
+            - volume) / volume
+        for base in VERIFY_BASES for volume in SWEEP_VOLUMES
+    ), ACCEPTANCE_TOL)]
 
 
 # --------------------------------------------------------------------------
 # suite: equivalence  (prism vs can ratios)
 
 
-def _suite_equivalence() -> list[CheckResult]:
-    checks = []
+def _ratio_gaps(base: Shape) -> Iterator[tuple[float, float]]:
+    """(volume, surface) gaps of the prism/can ratio at a few (r, h)."""
     circle = Shape.circle()
+    ratio = problems.equivalence_ratio(base)
+    c = geometry.area_coefficient(base)
+    for r, h in ((0.3, 0.8), (1.0, 2.0), (5.0, 17.0)):
+        prism_v = c * r * r * h
+        can_v = geometry.area_coefficient(circle) * r * r * h
+        prism_sa = 2.0 * c * r * r + 2.0 * c * r * h
+        can_sa = (2.0 * geometry.area_coefficient(circle) * r * r
+                  + 2.0 * geometry.area_coefficient(circle) * r * h)
+        yield abs(prism_v / can_v - ratio) / ratio, abs(prism_sa / can_sa - ratio) / ratio
 
-    worst_v = 0.0
-    worst_sa = 0.0
-    for base in VERIFY_BASES:
-        ratio = problems.equivalence_ratio(base)
-        c = geometry.area_coefficient(base)
-        for r, h in ((0.3, 0.8), (1.0, 2.0), (5.0, 17.0)):
-            prism_v = c * r * r * h
-            can_v = geometry.area_coefficient(circle) * r * r * h
-            prism_sa = 2.0 * c * r * r + 2.0 * c * r * h
-            can_sa = (2.0 * geometry.area_coefficient(circle) * r * r
-                      + 2.0 * geometry.area_coefficient(circle) * r * h)
-            worst_v = max(worst_v, abs(prism_v / can_v - ratio) / ratio)
-            worst_sa = max(worst_sa, abs(prism_sa / can_sa - ratio) / ratio)
-    checks.append(CheckResult("equivalence", "prism_can_volume_ratio", worst_v, 1e-12))
-    checks.append(CheckResult("equivalence", "prism_can_surface_ratio", worst_sa, 1e-12))
 
+def _suite_equivalence() -> list[CheckResult]:
+    gaps = [gap for base in VERIFY_BASES for gap in _ratio_gaps(base)]
     square_gap = abs(problems.equivalence_ratio(Shape.regular_polygon(4)) - 4.0 / math.pi)
-    checks.append(CheckResult("equivalence", "square_ratio_is_4_over_pi", square_gap, 1e-12))
-    return checks
+    return [
+        _worst("equivalence", "prism_can_volume_ratio", (v for v, _ in gaps), 1e-12),
+        _worst("equivalence", "prism_can_surface_ratio", (sa for _, sa in gaps), 1e-12),
+        CheckResult("equivalence", "square_ratio_is_4_over_pi", square_gap, 1e-12),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -204,40 +197,26 @@ def _suite_equivalence() -> list[CheckResult]:
 
 
 def _suite_coincidence() -> list[CheckResult]:
-    checks = []
     ellipse = problems.solve_ellipse_semicircle()
     rect = problems.solve_rect_semicircle(1.0)
-
-    axes_gap = max(abs(ellipse.a - math.sqrt(6.0) / 3.0),
-                   abs(ellipse.b - math.sqrt(2.0) / 3.0))
-    checks.append(CheckResult("coincidence", "ellipse_axes_golden_values", axes_gap,
-                              ACCEPTANCE_TOL))
-
+    contacts = ellipse.contacts
     expected = ((-rect.x, rect.y), (rect.x, rect.y))
-    if len(ellipse.contacts) == len(expected):
-        worst = max(
-            max(abs(p.x - ex), abs(p.y - ey))
-            for p, (ex, ey) in zip(ellipse.contacts, expected)
-        )
-    else:
-        worst = math.inf
-    checks.append(CheckResult("coincidence", "contacts_match_rectangle_vertices", worst,
-                              ACCEPTANCE_TOL))
-
-    worst_circle = max(
-        (abs(p.x * p.x + p.y * p.y - 1.0) for p in ellipse.contacts), default=math.inf
-    )
-    checks.append(CheckResult("coincidence", "contacts_on_circle", worst_circle, 1e-9))
-
-    worst_ellipse = max(
-        (
+    # A wrong contact count leaves nothing to compare, so the check reads inf.
+    pairs = zip(contacts, expected) if len(contacts) == len(expected) else ()
+    return [
+        _worst("coincidence", "ellipse_axes_golden_values",
+               (abs(ellipse.a - math.sqrt(6.0) / 3.0), abs(ellipse.b - math.sqrt(2.0) / 3.0)),
+               ACCEPTANCE_TOL),
+        _worst("coincidence", "contacts_match_rectangle_vertices",
+               (gap for p, (ex, ey) in pairs for gap in (abs(p.x - ex), abs(p.y - ey))),
+               ACCEPTANCE_TOL),
+        _worst("coincidence", "contacts_on_circle",
+               (abs(p.x * p.x + p.y * p.y - 1.0) for p in contacts), 1e-9),
+        _worst("coincidence", "contacts_on_ellipse", (
             abs(p.x**2 / ellipse.a**2 + (p.y - ellipse.b) ** 2 / ellipse.b**2 - 1.0)
-            for p in ellipse.contacts
-        ),
-        default=math.inf,
-    )
-    checks.append(CheckResult("coincidence", "contacts_on_ellipse", worst_ellipse, 1e-9))
-    return checks
+            for p in contacts
+        ), 1e-9),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -282,80 +261,60 @@ def _oracle_check(
 
 
 def _suite_oracle() -> list[CheckResult]:
-    checks = []
     grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, refine_rounds=1)
-
     objective = lambda name, *instance: problems.PROBLEMS[name].objective(*instance)
 
     rect = problems.solve_rectangle(2400.0)
-    checks.append(_oracle_check(
-        "rectangle_vs_brute_force", rect.x,
-        objective("rectangle", 2400.0), grid(1.0, 1199.0)))
-
     layout = problems.FenceLayout(4, 2)
     fence = problems.solve_fence(2400.0, layout)
-    checks.append(_oracle_check(
-        "fence_vs_brute_force", fence.vertical_total,
-        objective("fence", 2400.0, layout), grid(0.0, 2400.0)))
-
     can = problems.solve_can(1000.0, Shape.circle())
-    checks.append(_oracle_check(
-        "can_circle_vs_brute_force", can.r,
-        objective("can", 1000.0, math.pi), grid(1.0, 20.0)))
-
     hexagon = Shape.regular_polygon(6)
     hex_can = problems.solve_can(1000.0, hexagon)
-    checks.append(_oracle_check(
-        "can_hexagon_vs_brute_force", hex_can.r,
-        objective("can", 1000.0, geometry.area_coefficient(hexagon)), grid(1.0, 20.0)))
-
     sa = can.surface_area
     dual = problems.solve_can_dual(sa, Shape.circle())
-    checks.append(_oracle_check(
-        "can_dual_vs_brute_force", dual.r,
-        objective("can-dual", sa, math.pi),
-        grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))))
-
     semi = problems.solve_rect_semicircle(1.0)
-    checks.append(_oracle_check(
-        "rect_semicircle_vs_brute_force", semi.x,
-        objective("rect-semicircle", 1.0), grid(0.0, 1.0)))
-
-    # Coarser grid than the rest: the solver's own b carries a few 1e-8 of
-    # search noise, which must stay well inside the 4x resolution bound.
     ellipse = problems.solve_ellipse_semicircle()
-    checks.append(_oracle_check(
-        "ellipse_frontier_vs_brute_force", ellipse.b,
-        lambda b: -math.pi * b * frontier_a_analytic(b),
-        oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)))
-
-    gap = abs(problems.containment_max(ellipse.a, ellipse.b)
-              - containment_max_theta_scan(ellipse.a, ellipse.b))
-    checks.append(CheckResult("oracle", "ellipse_containment_vs_theta_scan", gap, 1e-9))
-
-    # Box: 2D scan with z eliminated by the volume constraint.
     box = problems.solve_box(1000.0)
+    # Box: 2D scan with z eliminated by the volume constraint.
     box_grid = oracle.GridSpec(4.0, 20.0, points=201, refine_rounds=1)
     bx, by, _ = oracle.brute_min_2d(objective("box", 1000.0), box_grid, box_grid)
-    gap = max(abs(bx - box.x), abs(by - box.y))
-    checks.append(CheckResult("oracle", "box_vs_brute_force", gap, 4.0 * box_grid.resolution))
 
-    # Each closed form against its golden-section path (fence is covered in
-    # the half-split suite).
-    gaps = [
-        abs(problems.solve_rectangle_numeric(2400.0).x - rect.x) / rect.x,
-        max(
-            abs(a - b)
-            for a, b in zip(problems.solve_box_numeric(1000.0)[:3], box[:3])
-        ) / box.x,
-        abs(problems.solve_can_numeric(1000.0, Shape.circle()).r - can.r) / can.r,
-        abs(problems.solve_can_dual_numeric(sa, Shape.circle()).r - dual.r) / dual.r,
-        abs(problems.solve_rect_semicircle_numeric(1.0).x - semi.x) / semi.x,
+    return [
+        _oracle_check("rectangle_vs_brute_force", rect.x,
+                      objective("rectangle", 2400.0), grid(1.0, 1199.0)),
+        _oracle_check("fence_vs_brute_force", fence.vertical_total,
+                      objective("fence", 2400.0, layout), grid(0.0, 2400.0)),
+        _oracle_check("can_circle_vs_brute_force", can.r,
+                      objective("can", 1000.0, math.pi), grid(1.0, 20.0)),
+        _oracle_check("can_hexagon_vs_brute_force", hex_can.r,
+                      objective("can", 1000.0, geometry.area_coefficient(hexagon)),
+                      grid(1.0, 20.0)),
+        _oracle_check("can_dual_vs_brute_force", dual.r,
+                      objective("can-dual", sa, math.pi),
+                      grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
+        _oracle_check("rect_semicircle_vs_brute_force", semi.x,
+                      objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
+        # Coarser grid than the rest: the solver's own b carries a few 1e-8
+        # of search noise, which must stay well inside the 4x resolution bound.
+        _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
+                      lambda b: -math.pi * b * frontier_a_analytic(b),
+                      oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)),
+        CheckResult("oracle", "ellipse_containment_vs_theta_scan",
+                    abs(problems.containment_max(ellipse.a, ellipse.b)
+                        - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),
+        _worst("oracle", "box_vs_brute_force", (abs(bx - box.x), abs(by - box.y)),
+               4.0 * box_grid.resolution),
+        # Each closed form against its golden-section path (fence is covered
+        # in the half-split suite).
+        _worst("oracle", "closed_matches_numeric_all_problems", (
+            abs(problems.solve_rectangle_numeric(2400.0).x - rect.x) / rect.x,
+            *(abs(a - b) / box.x
+              for a, b in zip(problems.solve_box_numeric(1000.0)[:3], box[:3])),
+            abs(problems.solve_can_numeric(1000.0, Shape.circle()).r - can.r) / can.r,
+            abs(problems.solve_can_dual_numeric(sa, Shape.circle()).r - dual.r) / dual.r,
+            abs(problems.solve_rect_semicircle_numeric(1.0).x - semi.x) / semi.x,
+        ), ACCEPTANCE_TOL),
     ]
-    checks.append(CheckResult("oracle", "closed_matches_numeric_all_problems",
-                              max(gaps), ACCEPTANCE_TOL))
-
-    return checks
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from optishape import cli
+from optishape import cli, problems
 from optishape.problems import PROBLEMS, InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -273,6 +273,35 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
+
+    # Every sweep check takes the worst residual by one rule: a NaN anywhere
+    # fails the check, and an empty sweep reads inf.
+    def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
+        solve_can = problems.solve_can
+        monkeypatch.setattr(problems, "solve_can",
+                            lambda *args: solve_can(*args)._replace(h=math.nan))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "h2r", "--format", "text")
+        assert "[FAIL] h2r: h_equals_2r_closed  worst=nan" in out
+        assert code == 1
+        code, out, _ = run_cli(capsys, "verify", "--suite", "h2r")
+        check = {c["name"]: c for c in strict_json(out)["checks"]}["h_equals_2r_closed"]
+        assert check["residual"] is None and check["passed"] is False
+        assert code == 1
+
+    def test_missing_contacts_read_inf_and_stay_strict_json(self, capsys, monkeypatch):
+        unit = problems.solve_ellipse_semicircle()
+        monkeypatch.setattr(problems, "solve_ellipse_semicircle",
+                            lambda radius=1.0: unit._replace(contacts=()))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
+        assert "[FAIL] coincidence: contacts_on_circle  worst=inf" in out
+        assert code == 1
+        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence")
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        for name in ("contacts_match_rectangle_vertices", "contacts_on_circle",
+                     "contacts_on_ellipse"):
+            assert checks[name]["residual"] is None and checks[name]["passed"] is False
+        assert checks["ellipse_axes_golden_values"]["passed"] is True
+        assert code == 1
 
 
 class TestExitCodes:
