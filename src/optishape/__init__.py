@@ -14,7 +14,6 @@ from .geometry import (
 from .optimize import (
     BracketError,
     ConvergenceError,
-    Method,
     Solution1D,
     bisect_boundary,
     central_diff,
@@ -37,6 +36,7 @@ from .problems import (
     fence_area_curve,
     intersect_ellipse_circle,
     max_a_for_b,
+    rescale_ellipse,
     solve_box,
     solve_box_numeric,
     solve_can,
@@ -44,6 +44,7 @@ from .problems import (
     solve_can_dual_numeric,
     solve_can_numeric,
     solve_ellipse_semicircle,
+    solve_ellipse_semicircle_numeric,
     solve_fence,
     solve_fence_numeric,
     solve_rect_semicircle,

@@ -8,7 +8,6 @@ the same Solution1D, bit for bit.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable, NamedTuple
 
@@ -17,11 +16,6 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
-
-
-class Method(enum.Enum):
-    GOLDEN_SECTION = "golden_section"
-    CLOSED_FORM = "closed_form"
 
 
 class ConvergenceError(RuntimeError):
@@ -39,7 +33,6 @@ class Solution1D(NamedTuple):
     value: float
     evaluations: int
     achieved_interval: float
-    method: Method
 
 
 def golden_section_min(
@@ -98,7 +91,6 @@ def golden_section_min(
         value=f(x),
         evaluations=evaluations + 1,
         achieved_interval=hi - lo,
-        method=Method.GOLDEN_SECTION,
     )
 
 

@@ -4,12 +4,12 @@ semicircle.
 
 Each problem has a closed-form solver (the default entry point) and an
 independent numeric path built on golden-section search (the ``*_numeric``
-variants), so every answer can be cross-checked at runtime.  The ellipse
-problem has no closed form here and is solved numerically end to end.
+variants), so every answer can be cross-checked at runtime.  The ellipse's
+numeric path searches along its feasibility frontier.
 
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
-residuals, method tag and objective drive the ``solve`` command and the
-``verify`` oracle suite.
+residuals and objective drive the ``solve`` command and the ``verify``
+oracle suite.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
 from .geometry import Point2, Shape, area_coefficient, linspace
-from .optimize import BracketError, Method, bisect_boundary, golden_section_min, quadratic_vertex
+from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
 
 
 class InfeasibleError(ValueError):
@@ -462,6 +462,35 @@ def intersect_ellipse_circle(a: float, b: float) -> list[Point2]:
     return points
 
 
+def _unit_ellipse(a: float, b: float) -> EllipseSolution:
+    """The ellipse with semi-axes a, b in the unit semicircle, with its area
+    and arc contacts."""
+    return EllipseSolution(a=a, b=b, area=math.pi * a * b,
+                           contacts=tuple(intersect_ellipse_circle(a, b)))
+
+
+def rescale_ellipse(unit: EllipseSolution, radius: float) -> EllipseSolution:
+    """A unit-semicircle solution carried to the given radius: the semi-axes
+    and contacts scale with the radius, the area with its square."""
+    return EllipseSolution(
+        a=unit.a * radius,
+        b=unit.b * radius,
+        area=unit.area * radius * radius,
+        contacts=tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts),
+    )
+
+
+def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
+    """Largest-area ellipse inscribed in a semicircle of the given radius.
+
+    Its arc contacts land on the optimal inscribed rectangle's upper corners
+    (+/- r/sqrt(2), r/sqrt(2)), which fixes the semi-axes at a = sqrt(6)/3*r
+    and b = sqrt(2)/3*r and the area at 2*pi/(3*sqrt(3))*r^2.
+    """
+    _check_positive(radius, "radius")
+    return rescale_ellipse(_unit_ellipse(math.sqrt(6.0) / 3.0, math.sqrt(2.0) / 3.0), radius)
+
+
 @lru_cache(maxsize=1)
 def _solve_unit_ellipse() -> EllipseSolution:
     # The top point (0, 2b) caps the feasible b at 1/2; the degenerate flat
@@ -469,31 +498,16 @@ def _solve_unit_ellipse() -> EllipseSolution:
     def neg_area(b: float) -> float:
         return -math.pi * b * max_a_for_b(b)
 
-    sol = golden_section_min(neg_area, 1e-4, 0.5, tol=ELLIPSE_B_TOL)
-    b = sol.argmin
-    a = max_a_for_b(b)
-    contacts = tuple(intersect_ellipse_circle(a, b))
-    return EllipseSolution(a=a, b=b, area=math.pi * a * b, contacts=contacts)
+    b = golden_section_min(neg_area, 1e-4, 0.5, tol=ELLIPSE_B_TOL).argmin
+    return _unit_ellipse(max_a_for_b(b), b)
 
 
-def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
-    """Largest-area ellipse inscribed in a semicircle of the given radius.
-
-    Maximizes pi*a*b along the feasibility frontier a = max_a_for_b(b) by
-    golden-section search over b.  The solution is computed once for the
-    unit semicircle and rescaled: semi-axes scale with the radius, the area
-    with its square.
-    """
+def solve_ellipse_semicircle_numeric(radius: float = 1.0) -> EllipseSolution:
+    """Same problem, solved by golden-section search over b along the
+    feasibility frontier a = max_a_for_b(b).  The search runs once, on the
+    unit semicircle, and its answer is rescaled."""
     _check_positive(radius, "radius")
-    unit = _solve_unit_ellipse()
-    if radius == 1.0:
-        return unit
-    return EllipseSolution(
-        a=unit.a * radius,
-        b=unit.b * radius,
-        area=unit.area * radius * radius,
-        contacts=tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts),
-    )
+    return rescale_ellipse(_solve_unit_ellipse(), radius)
 
 
 # --------------------------------------------------------------------------
@@ -515,7 +529,7 @@ class Input(NamedTuple):
 class Problem(NamedTuple):
     """One catalog problem, as the CLI and the verify oracle suite see it.
 
-    Its solvers are this module's ``solve_<stem>`` and, where one exists,
+    Its solvers are this module's ``solve_<stem>`` (closed form) and
     ``solve_<stem>_numeric``.  Callers look them up by name at call time, so
     that a patched or traced module attribute is the one that runs.
     ``solver_args`` turns the input values, in ``inputs`` order, into the
@@ -529,7 +543,6 @@ class Problem(NamedTuple):
     help: str
     inputs: tuple[Input, ...]
     residuals: Callable[..., dict[str, float]]
-    method: Method = Method.CLOSED_FORM
     objective: Callable[..., Callable[..., float]] | None = None
     solver_args: Callable[..., tuple] = lambda *values: values
 
@@ -545,15 +558,16 @@ def _can_residuals(sol: CanSolution, numeric: CanSolution, *_: Any) -> dict[str,
     }
 
 
-def _ellipse_residuals(sol: EllipseSolution, numeric: None, radius: float) -> dict[str, float]:
-    # The solution is the unit one rescaled, so the residuals are taken on
-    # the unit solution: scale-free, and safe from under/overflow.
-    unit = solve_ellipse_semicircle(1.0)
+def _ellipse_residuals(*_: Any) -> dict[str, float]:
+    # Both solutions are unit ones rescaled, so the residuals are taken on
+    # the unit solutions: scale-free, and safe from under/overflow.
+    unit, unit_numeric = solve_ellipse_semicircle(1.0), solve_ellipse_semicircle_numeric(1.0)
     return {
         "tangency_gap": abs(containment_max(unit.a, unit.b) - 1.0),
         "contact_circle_gap": max(
             (abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts), default=math.inf
         ),
+        "closed_numeric_gap": max(abs(unit.a - unit_numeric.a), abs(unit.b - unit_numeric.b)),
     }
 
 
@@ -619,6 +633,5 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         "ellipse-semicircle", "largest ellipse inscribed in a semicircle",
         (Input("--radius", "radius", float, 1.0),),
         _ellipse_residuals,
-        method=Method.GOLDEN_SECTION,
     ),
 )}

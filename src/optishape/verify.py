@@ -197,7 +197,8 @@ def _suite_equivalence() -> list[CheckResult]:
 
 
 def _suite_coincidence() -> list[CheckResult]:
-    ellipse = problems.solve_ellipse_semicircle()
+    # The numeric path: the closed form would only be checked against itself.
+    ellipse = problems.solve_ellipse_semicircle_numeric(1.0)
     rect = problems.solve_rect_semicircle(1.0)
     contacts = ellipse.contacts
     expected = ((-rect.x, rect.y), (rect.x, rect.y))
@@ -294,8 +295,8 @@ def _suite_oracle() -> list[CheckResult]:
                       grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
         _oracle_check("rect_semicircle_vs_brute_force", semi.x,
                       objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
-        # Coarser grid than the rest: the solver's own b carries a few 1e-8
-        # of search noise, which must stay well inside the 4x resolution bound.
+        # Coarser grid than the rest, as when the expected b was the numeric
+        # search's, which carries a few 1e-8 of noise.
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
                       oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)),
@@ -313,6 +314,7 @@ def _suite_oracle() -> list[CheckResult]:
             abs(problems.solve_can_numeric(1000.0, Shape.circle()).r - can.r) / can.r,
             abs(problems.solve_can_dual_numeric(sa, Shape.circle()).r - dual.r) / dual.r,
             abs(problems.solve_rect_semicircle_numeric(1.0).x - semi.x) / semi.x,
+            *(abs(n - c) for n, c in zip(problems.solve_ellipse_semicircle_numeric()[:2], ellipse)),
         ), ACCEPTANCE_TOL),
     ]
 

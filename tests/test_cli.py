@@ -108,7 +108,7 @@ class TestSolve:
         code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle")
         assert code == 0
         doc = json.loads(out)
-        assert doc["method"] == "golden_section"
+        assert doc["method"] == "closed_form"
         assert doc["solution"]["a"] == pytest.approx(0.8164966, abs=1e-6)
         assert doc["solution"]["b"] == pytest.approx(0.4714045, abs=1e-6)
         contacts = doc["solution"]["contacts"]
@@ -289,8 +289,8 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_missing_contacts_read_inf_and_stay_strict_json(self, capsys, monkeypatch):
-        unit = problems.solve_ellipse_semicircle()
-        monkeypatch.setattr(problems, "solve_ellipse_semicircle",
+        unit = problems.solve_ellipse_semicircle_numeric()
+        monkeypatch.setattr(problems, "solve_ellipse_semicircle_numeric",
                             lambda radius=1.0: unit._replace(contacts=()))
         code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
         assert "[FAIL] coincidence: contacts_on_circle  worst=inf" in out

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from optishape.optimize import (
     BracketError,
     ConvergenceError,
-    Method,
     bisect_boundary,
     central_diff,
     golden_section_min,
@@ -23,7 +22,6 @@ class TestGoldenSection:
     def test_exact_vertex(self):
         sol = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, tol=1e-10)
         assert abs(sol.argmin - 2.0) <= 1e-10
-        assert sol.method is Method.GOLDEN_SECTION
         assert sol.achieved_interval <= 1e-10
         assert sol.evaluations >= 1
 

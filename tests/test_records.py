@@ -28,7 +28,7 @@ INSTANCES = {
 LAYOUTS = {
     "Shape": (("kind", "sides"), {"sides": None}),
     "Point2": (("x", "y"), {}),
-    "Solution1D": (("argmin", "value", "evaluations", "achieved_interval", "method"), {}),
+    "Solution1D": (("argmin", "value", "evaluations", "achieved_interval"), {}),
     "GridSpec": (("lo", "hi", "points", "refine_rounds"), {"points": 100_000, "refine_rounds": 2}),
     "FenceLayout": (("v_segments", "h_segments"), {}),
     "FenceSolution": (("x", "y", "vertical_total", "horizontal_total", "area"), {}),
