@@ -1,8 +1,9 @@
 """Command-line front end: solve catalog problems, verify invariants, and
 emit curve data for plotting.
 
-Exit status: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-problem, 4 I/O error.
+Exit status: 0 success, 1 verification failure or no verified answer (a
+numeric search did not converge), 2 usage error, 3 infeasible problem, 4 I/O
+error.  A non-finite residual prints as null and fails its check.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Any
 
 from . import problems, verify
 from .geometry import Shape
+from .optimize import ConvergenceError
 from .problems import FenceLayout, InfeasibleError
 
 EXIT_OK = 0
@@ -65,6 +67,11 @@ def dumps(value: Any, indent: str = "") -> str:
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _finite_or_null(x: float) -> float | None:
+    """JSON has no NaN or Infinity: a non-finite residual prints as null."""
+    return x if math.isfinite(x) else None
 
 
 def _emit_text(doc: dict[str, Any], stream) -> None:
@@ -184,6 +191,8 @@ def cmd_solve(args) -> int:
             + ": "
             + ", ".join(sorted(failed))
         )
+    if args.format == "json":
+        report["residuals"] = {k: _finite_or_null(v) for k, v in residuals.items()}
     _emit(report, args.format)
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
@@ -197,11 +206,9 @@ def cmd_verify(args) -> int:
     results = verify.run(suites, tol_override=args.tol)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
-        # JSON has no NaN or Infinity: a non-finite residual prints as null.
         doc = {
             "checks": [
-                {**r._asdict(), "residual": r.residual if math.isfinite(r.residual) else None,
-                 "passed": r.passed}
+                {**r._asdict(), "residual": _finite_or_null(r.residual), "passed": r.passed}
                 for r in results
             ],
             "passed": all_passed,
@@ -288,10 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_curve(args)
-    except InfeasibleError as exc:
+    except (InfeasibleError, ConvergenceError) as exc:
         _emit({"problem": getattr(args, "problem", args.command),
                "diagnostic": str(exc)}, getattr(args, "format", "json"))
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .geometry import Point2, Shape, area_coefficient, linspace
 from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
@@ -551,6 +551,13 @@ class Problem(NamedTuple):
         return "solve_" + self.name.replace("-", "_")
 
 
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, NaN if any is NaN (so a check on it fails), and
+    inf if there are none."""
+    values = list(residuals)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=math.inf)
+
+
 def _can_residuals(sol: CanSolution, numeric: CanSolution, *_: Any) -> dict[str, float]:
     return {
         "h_over_r_gap": abs(sol.h / sol.r - 2.0),
@@ -564,10 +571,10 @@ def _ellipse_residuals(*_: Any) -> dict[str, float]:
     unit, unit_numeric = solve_ellipse_semicircle(1.0), solve_ellipse_semicircle_numeric(1.0)
     return {
         "tangency_gap": abs(containment_max(unit.a, unit.b) - 1.0),
-        "contact_circle_gap": max(
-            (abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts), default=math.inf
+        "contact_circle_gap": worst_residual(
+            abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts
         ),
-        "closed_numeric_gap": max(abs(unit.a - unit_numeric.a), abs(unit.b - unit_numeric.b)),
+        "closed_numeric_gap": worst_residual(abs(c - n) for c, n in zip(unit[:2], unit_numeric)),
     }
 
 
@@ -586,10 +593,8 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         "box", "smallest-surface box with a given volume",
         (Input("--volume", "volume", float),),
         lambda sol, num, volume: {
-            "cube_gap": max(abs(sol.x - sol.y), abs(sol.y - sol.z)) / sol.x,
-            "closed_numeric_gap": max(
-                abs(sol.x - num.x), abs(sol.y - num.y), abs(sol.z - num.z)
-            ) / sol.x,
+            "cube_gap": worst_residual((abs(sol.x - sol.y), abs(sol.y - sol.z))) / sol.x,
+            "closed_numeric_gap": worst_residual(abs(a - b) for a, b in zip(sol[:3], num)) / sol.x,
         },
         objective=_box_objective,
     ),
@@ -599,7 +604,7 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
          Input("--h-segments", "h_segments", int, 2)),
         lambda sol, num, fence, layout: {
             "half_split_deficit": abs(sol.vertical_total - fence / 2.0) / fence,
-            "closed_numeric_gap": max(abs(sol.x - num.x), abs(sol.y - num.y))
+            "closed_numeric_gap": worst_residual((abs(sol.x - num.x), abs(sol.y - num.y)))
             / max(sol.x, sol.y),
         },
         objective=_fence_objective,

@@ -43,11 +43,9 @@ class CheckResult(NamedTuple):
 
 
 def _worst(suite: str, name: str, residuals: Iterable[float], tolerance: float) -> CheckResult:
-    """Check whose residual is the worst over a sweep: the largest residual,
-    NaN if any is NaN (so the check fails), and inf if the sweep is empty."""
-    values = list(residuals)
-    worst = math.nan if any(map(math.isnan, values)) else max(values, default=math.inf)
-    return CheckResult(suite, name, worst, tolerance)
+    """Check whose residual is the worst over a sweep, by
+    problems.worst_residual: a NaN fails the check, an empty sweep reads inf."""
+    return CheckResult(suite, name, problems.worst_residual(residuals), tolerance)
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +293,6 @@ def _suite_oracle() -> list[CheckResult]:
                       grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
         _oracle_check("rect_semicircle_vs_brute_force", semi.x,
                       objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
-        # Coarser grid than the rest, as when the expected b was the numeric
-        # search's, which carries a few 1e-8 of noise.
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
                       oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)),

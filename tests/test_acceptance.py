@@ -22,6 +22,7 @@ from optishape.problems import (
     solve_can_dual,
     solve_can_numeric,
     solve_ellipse_semicircle,
+    solve_ellipse_semicircle_numeric,
     solve_fence,
     solve_rect_semicircle,
 )
@@ -122,9 +123,10 @@ def test_criterion_07_equivalence_ratio():
 
 
 def test_criterion_08_ellipse_golden_values():
-    sol = solve_ellipse_semicircle()
-    assert abs(sol.a - math.sqrt(6.0) / 3.0) <= TOL
-    assert abs(sol.b - math.sqrt(2.0) / 3.0) <= TOL
+    # the frontier search reaches the closed form's golden values
+    for sol in (solve_ellipse_semicircle(), solve_ellipse_semicircle_numeric()):
+        assert abs(sol.a - math.sqrt(6.0) / 3.0) <= TOL
+        assert abs(sol.b - math.sqrt(2.0) / 3.0) <= TOL
     report(8, f"ellipse optimum a={sol.a:.7f}, b={sol.b:.7f} within 1e-6")
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from optishape import cli, problems
+from optishape.optimize import ConvergenceError
 from optishape.problems import PROBLEMS, InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -124,6 +125,28 @@ class TestSolve:
         assert doc["solution"]["a"] == pytest.approx(0.8164966 * float(radius), rel=1e-6)
         assert all(v <= 1e-6 for v in doc["residuals"].values())
 
+    # The solve residuals take their worst by verify's rule, so a NaN in a
+    # numeric solution fails the run; JSON prints it as null, text as nan.
+    @pytest.mark.parametrize(
+        "solver, argv",
+        [
+            ("solve_box_numeric", ("solve", "box", "--volume", "1000")),
+            ("solve_fence_numeric", ("solve", "fence", "--fence", "2400")),
+        ],
+        ids=["box", "fence"],
+    )
+    def test_nan_in_numeric_solution_fails_as_null(self, capsys, monkeypatch, solver, argv):
+        numeric = getattr(problems, solver)
+        monkeypatch.setattr(problems, solver, lambda *args: numeric(*args)._replace(y=math.nan))
+        code, out, _ = run_cli(capsys, *argv)
+        doc = strict_json(out)
+        assert doc["residuals"]["closed_numeric_gap"] is None
+        assert doc["diagnostic"].endswith(": closed_numeric_gap")
+        assert code == 1
+        code, out, _ = run_cli(capsys, *argv, "--format", "text")
+        assert "residuals.closed_numeric_gap = nan" in out
+        assert code == 1
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "fence", "--fence", "2400",
@@ -238,6 +261,41 @@ class TestCurve:
         assert "cannot write" in err
 
 
+class TestEllipseCrossCheck:
+    """The closed form and the frontier search check each other: shifting
+    either one's b by 1e-5 fails the checks that read it."""
+
+    @staticmethod
+    def shift_b(monkeypatch, solver):
+        solve = getattr(problems, solver)
+
+        def shifted(radius=1.0):
+            sol = solve(radius)
+            return sol._replace(b=sol.b + 1e-5 * radius)
+        monkeypatch.setattr(problems, solver, shifted)
+
+    def test_coincidence_reads_the_numeric_path(self, capsys, monkeypatch):
+        self.shift_b(monkeypatch, "solve_ellipse_semicircle_numeric")
+        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
+        assert "[FAIL] coincidence: ellipse_axes_golden_values" in out
+        assert code == 1
+
+    def test_solve_fails_a_wrong_closed_form(self, capsys, monkeypatch):
+        self.shift_b(monkeypatch, "solve_ellipse_semicircle")
+        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle")
+        doc = strict_json(out)
+        assert doc["residuals"]["closed_numeric_gap"] == pytest.approx(1e-5, rel=1e-3)
+        assert "closed_numeric_gap" in doc["diagnostic"]
+        assert code == 1
+        # coincidence never reads the closed form; the oracle suite does
+        code, _, _ = run_cli(capsys, "verify", "--suite", "coincidence")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["closed_matches_numeric_all_problems"]["passed"] is False
+        assert code == 1
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "h2r", "--format", "text")
@@ -339,6 +397,17 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         assert "diagnostic" in json.loads(out)
+
+    # A numeric search that runs out of iterations leaves no verified answer.
+    def test_convergence_error_maps_to_1(self, capsys, monkeypatch):
+        def raiser(*args):
+            raise ConvergenceError("no convergence within 500 iterations")
+        monkeypatch.setattr(problems, "solve_rectangle_numeric", raiser)
+        code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "40")
+        assert strict_json(out) == {
+            "problem": "rectangle", "diagnostic": "no convergence within 500 iterations"
+        }
+        assert code == 1
 
 
 class TestRuntimeDependencies:

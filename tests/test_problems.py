@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import optishape
+from optishape import problems
 from optishape.geometry import Shape, area_coefficient
 from optishape.problems import (
+    PROBLEMS,
     FenceLayout,
     InfeasibleError,
     containment_max,
@@ -21,6 +24,7 @@ from optishape.problems import (
     solve_can_dual_numeric,
     solve_can_numeric,
     solve_ellipse_semicircle,
+    solve_ellipse_semicircle_numeric,
     solve_fence,
     solve_fence_numeric,
     solve_rect_semicircle,
@@ -452,6 +456,24 @@ class TestSolveEllipse:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             solve_ellipse_semicircle(-1.0)
+        with pytest.raises(ValueError):
+            solve_ellipse_semicircle_numeric(0.0)
+
+    def test_closed_form_is_tangent_at_the_rectangle_corners(self):
+        sol = solve_ellipse_semicircle()
+        assert containment_max(sol.a, sol.b) == 1.0
+        assert [tuple(p) for p in sol.contacts] == [
+            (pytest.approx(x, abs=1e-15), pytest.approx(SQRT2_2, abs=1e-15))
+            for x in (-SQRT2_2, SQRT2_2)
+        ]
+
+    def test_numeric_agrees(self):
+        for radius in (1.0, 3.7):
+            closed = solve_ellipse_semicircle(radius)
+            numeric = solve_ellipse_semicircle_numeric(radius)
+            assert numeric.a == pytest.approx(closed.a, rel=1e-6)
+            assert numeric.b == pytest.approx(closed.b, rel=1e-6)
+            assert numeric.area == pytest.approx(closed.area, rel=1e-6)
 
 
 class TestIntersectEllipseCircle:
@@ -532,3 +554,13 @@ class TestCatalogInvariants:
         assert right.x == pytest.approx(rect.x, abs=1e-6)
         assert left.y == pytest.approx(rect.y, abs=1e-6)
         assert right.y == pytest.approx(rect.y, abs=1e-6)
+
+
+# Every catalog entry has the same shape: a closed-form and a numeric
+# solver, both on the problems module and exported from the package.
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_every_problem_has_closed_and_numeric_solvers(name):
+    stem = PROBLEMS[name].stem
+    for solver in (stem, stem + "_numeric"):
+        assert callable(getattr(problems, solver))
+        assert getattr(optishape, solver) is getattr(problems, solver)
