@@ -3,9 +3,10 @@ against.
 
 Deliberately independent of the optimize module: nothing here brackets or
 bisects, it just evaluates dense grids and re-grids around the incumbent.
-Each refinement round re-grids the +/- one-cell neighborhood of the best
-point with ``2 * points + 1`` nodes, so the cell size shrinks by a factor
-``points`` per round.
+After the first (global) scan, each refinement round re-grids the +/- one-cell
+neighborhood of the best point with 21 nodes per axis, so the cell shrinks at
+least tenfold per round.  Rounds repeat until the cell is at or below the
+grid's ``resolution``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .geometry import linspace
+
+_WINDOW_NODES = 21
 
 
 class EvaluationError(ValueError):
@@ -28,7 +31,14 @@ class _GridSpecFields(NamedTuple):
 
 
 class GridSpec(_GridSpecFields):
-    """Search interval with grid density and refinement schedule."""
+    """Search interval, first-scan density and target resolution.
+
+    The first scan evaluates ``points`` nodes across [lo, hi].
+    ``refine_rounds`` only sets the target ``resolution``: the cell that
+    ``refine_rounds`` rounds of ``points``-fold shrinking would reach.  The
+    refinement itself uses 21-node windows, as many rounds as it takes to
+    get there.
+    """
 
     __slots__ = ()
 
@@ -40,11 +50,22 @@ class GridSpec(_GridSpecFields):
             raise ValueError(f"need at least 3 grid points, got {self.points}")
         if self.refine_rounds < 0:
             raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+        try:
+            resolution = self.resolution
+        except OverflowError:  # the node count is past the float range
+            resolution = 0.0
+        # refinement runs until the cell reaches the resolution, so it must
+        # be a positive finite float for the loop to mean anything
+        if not 0.0 < resolution < math.inf:
+            raise ValueError(
+                f"resolution of [{self.lo}, {self.hi}] with {self.points} points and "
+                f"{self.refine_rounds} rounds is not a positive finite float"
+            )
         return self
 
     @property
     def resolution(self) -> float:
-        """Final cell size after all refinement rounds.
+        """Final cell size the refinement reaches, at most.
 
         Equals ``(hi - lo) / ((points - 1) * points**refine_rounds)``, which
         stays below twice ``(hi - lo) / points**(refine_rounds + 1)``.
@@ -69,19 +90,22 @@ def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, floa
 def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float]:
     """Exhaustive minimization of f over the grid, with refinement.
 
-    Returns (argmin, value).  The argmin is accurate to ``grid.resolution``
-    for any function whose global minimum the initial grid resolves.
+    Scans ``grid.points`` nodes, then re-grids the +/- one-cell window around
+    the incumbent (clipped to [lo, hi]) with 21 nodes while the cell is larger
+    than ``grid.resolution``.  Returns (argmin, value).  The argmin is accurate
+    to ``grid.resolution`` for any function whose global minimum the initial
+    grid resolves.
     """
-    xs = linspace(grid.lo, grid.hi, grid.points)
-    best_x, best_y = _scan(f, xs)
+    best_x, best_y = _scan(f, linspace(grid.lo, grid.hi, grid.points))
     cell = (grid.hi - grid.lo) / (grid.points - 1)
-    for _ in range(grid.refine_rounds):
+    resolution = grid.resolution
+    while cell > resolution:
         window_lo = max(grid.lo, best_x - cell)
         window_hi = min(grid.hi, best_x + cell)
-        x, y = _scan(f, linspace(window_lo, window_hi, 2 * grid.points + 1))
+        x, y = _scan(f, linspace(window_lo, window_hi, _WINDOW_NODES))
         if y < best_y or (y == best_y and x < best_x):
             best_x, best_y = x, y
-        cell = (window_hi - window_lo) / (2 * grid.points)
+        cell = (window_hi - window_lo) / (_WINDOW_NODES - 1)
     return best_x, best_y
 
 
@@ -92,7 +116,9 @@ def brute_min_2d(
 ) -> tuple[float, float, float]:
     """Exhaustive 2D minimization with refinement around the incumbent.
 
-    Returns (x, y, value); ties break to the smallest x, then smallest y.
+    Refines both axes with 21×21 windows until each cell is at or below its
+    grid's resolution.  Returns (x, y, value); ties break to the smallest x,
+    then smallest y.
     """
     def scan(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
         best = (0.0, 0.0, math.inf)
@@ -110,18 +136,18 @@ def brute_min_2d(
     best_x, best_y, best_v = scan(xs, ys)
     cell_x = (grid_x.hi - grid_x.lo) / (grid_x.points - 1)
     cell_y = (grid_y.hi - grid_y.lo) / (grid_y.points - 1)
-    rounds = max(grid_x.refine_rounds, grid_y.refine_rounds)
-    for _ in range(rounds):
+    resolution_x, resolution_y = grid_x.resolution, grid_y.resolution
+    while cell_x > resolution_x or cell_y > resolution_y:
         wx_lo = max(grid_x.lo, best_x - cell_x)
         wx_hi = min(grid_x.hi, best_x + cell_x)
         wy_lo = max(grid_y.lo, best_y - cell_y)
         wy_hi = min(grid_y.hi, best_y + cell_y)
         x, y, v = scan(
-            linspace(wx_lo, wx_hi, 2 * grid_x.points + 1),
-            linspace(wy_lo, wy_hi, 2 * grid_y.points + 1),
+            linspace(wx_lo, wx_hi, _WINDOW_NODES),
+            linspace(wy_lo, wy_hi, _WINDOW_NODES),
         )
         if v < best_v or (v == best_v and (x, y) < (best_x, best_y)):
             best_x, best_y, best_v = x, y, v
-        cell_x = (wx_hi - wx_lo) / (2 * grid_x.points)
-        cell_y = (wy_hi - wy_lo) / (2 * grid_y.points)
+        cell_x = (wx_hi - wx_lo) / (_WINDOW_NODES - 1)
+        cell_y = (wy_hi - wy_lo) / (_WINDOW_NODES - 1)
     return best_x, best_y, best_v

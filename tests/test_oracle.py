@@ -13,6 +13,17 @@ SQRT6_3 = math.sqrt(6.0) / 3.0
 SQRT2_3 = math.sqrt(2.0) / 3.0
 
 
+def counting(f):
+    """f, and a list that gets one entry per evaluation."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return f(*args)
+
+    return wrapped, calls
+
+
 class TestGridSpec:
     def test_resolution_formula(self):
         grid = GridSpec(0.0, 1.0, points=100, refine_rounds=3)
@@ -25,6 +36,18 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, points=2)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, refine_rounds=-1)
+
+    @pytest.mark.parametrize(
+        "lo, hi, points, rounds",
+        [
+            (0.0, 1.0, 100000, 70),  # node count past the float range
+            (0.0, 1e-300, 100000, 5),  # resolution underflows to 0
+            (-1e308, 1e308, 101, 1),  # width overflows to inf
+        ],
+    )
+    def test_resolution_must_be_a_positive_finite_float(self, lo, hi, points, rounds):
+        with pytest.raises(ValueError, match="positive finite"):
+            GridSpec(lo, hi, points, rounds)
 
     @given(
         points=st.integers(min_value=3, max_value=1000),
@@ -76,6 +99,52 @@ class TestBruteMin:
         assert abs(x_fine - math.e / 3.0) <= abs(x_coarse - math.e / 3.0)
         assert abs(x_fine - math.e / 3.0) <= 4.0 * fine.resolution
 
+    @pytest.mark.parametrize(
+        "points, rounds, k",
+        [(101, 0, 0), (101, 1, 3), (101, 2, 5), (5001, 1, 4), (2049, 1, 4)],
+    )
+    def test_refinement_evaluates_21_nodes_per_round(self, points, rounds, k):
+        # k rounds of tenfold shrinking: the first k with 10**k >= points**rounds
+        assert 10 ** (k - 1) < points**rounds <= 10**k or k == 0
+        f, calls = counting(lambda x: (x - math.e / 3.0) ** 2)
+        brute_min(f, GridSpec(0.0, 2.0, points, rounds))
+        assert len(calls) == points + k * 21
+
+    @given(
+        lo=st.floats(min_value=-100.0, max_value=100.0),
+        width=st.floats(min_value=1e-2, max_value=100.0),
+        where=st.floats(min_value=0.0, max_value=1.0),
+        points=st.integers(min_value=3, max_value=300),
+        rounds=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quadratic_argmin_within_resolution(self, lo, width, where, points, rounds):
+        grid = GridSpec(lo, lo + width, points, rounds)
+        x_star = min(grid.hi, lo + where * (grid.hi - lo))
+        x, _ = brute_min(lambda x: (x - x_star) ** 2, grid)
+        assert abs(x - x_star) <= grid.resolution
+
+    @pytest.mark.parametrize("slope, end", [(1.0, 0.0), (-1.0, 1.0)])
+    def test_minimum_at_an_end_clips_the_window(self, slope, end):
+        grid = GridSpec(0.0, 1.0, 101, 2)
+        f, calls = counting(lambda x: slope * x)
+        x, value = brute_min(f, grid)
+        assert x == end
+        assert value == slope * end
+        # a clipped window is one cell wide, so it shrinks faster than 5 rounds
+        assert len(calls) < 101 + 5 * 21
+
+    @pytest.mark.parametrize("x_star", [1.5, math.e / 2.0])
+    def test_resolution_below_float_spacing_terminates(self, x_star):
+        grid = GridSpec(1.0, 2.0, 1001, 5)
+        assert grid.resolution < math.ulp(x_star) / 100.0
+        f, calls = counting(lambda x: (x - x_star) ** 2)
+        x, _ = brute_min(f, grid)
+        assert abs(x - x_star) <= math.ulp(x_star)
+        # tenfold per round from a cell of 1e-3 down to under half an ulp
+        # (~1e-16), where the window collapses to the incumbent
+        assert len(calls) <= 1001 + 16 * 21
+
 
 class TestBruteMin2D:
     def test_box_surface_area(self):
@@ -93,6 +162,35 @@ class TestBruteMin2D:
         assert abs(x) <= 1e-5
         assert abs(y) <= 1e-5
         assert value == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("points, rounds, k", [(11, 0, 0), (11, 1, 2), (201, 1, 3)])
+    def test_refinement_evaluates_21_by_21_nodes_per_round(self, points, rounds, k):
+        grid = GridSpec(4.0, 20.0, points, rounds)
+        f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
+        brute_min_2d(f, grid, grid)
+        assert len(calls) == points**2 + k * 21**2
+
+    @given(
+        lo=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+        width=st.tuples(st.floats(1e-2, 100.0), st.floats(1e-2, 100.0)),
+        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        points=st.integers(min_value=3, max_value=40),
+        rounds=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_quadratic_argmin_within_resolution(self, lo, width, where, points, rounds):
+        gx, gy = (GridSpec(l, l + w, points, rounds) for l, w in zip(lo, width))
+        x_star, y_star = (min(g.hi, g.lo + t * (g.hi - g.lo)) for g, t in zip((gx, gy), where))
+        x, y, _ = brute_min_2d(lambda a, b: (a - x_star) ** 2 + (b - y_star) ** 2, gx, gy)
+        assert abs(x - x_star) <= gx.resolution
+        assert abs(y - y_star) <= gy.resolution
+
+    def test_minimum_in_a_corner_clips_both_windows(self):
+        grid = GridSpec(0.0, 1.0, 11, 2)
+        f, calls = counting(lambda a, b: a + b)
+        x, y, _ = brute_min_2d(f, grid, grid)
+        assert (x, y) == (0.0, 0.0)
+        assert len(calls) < 11**2 + 3 * 21**2
 
     def test_inscribed_ellipse_area(self):
         # penalized objective over the feasible set; the unrefined grid puts
