@@ -54,13 +54,9 @@ class GridSpec(_GridSpecFields):
             resolution = self.resolution
         except OverflowError:  # the node count is past the float range
             resolution = 0.0
-        # refinement runs until the cell reaches the resolution, so it must
-        # be a positive finite float for the loop to mean anything
+        # refinement runs until the cell is at or below the resolution
         if not 0.0 < resolution < math.inf:
-            raise ValueError(
-                f"resolution of [{self.lo}, {self.hi}] with {self.points} points and "
-                f"{self.refine_rounds} rounds is not a positive finite float"
-            )
+            raise ValueError(f"need a positive finite resolution, got {resolution!r}")
         return self
 
     @property
@@ -96,7 +92,8 @@ def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float
     to ``grid.resolution`` for any function whose global minimum the initial
     grid resolves.
     """
-    best_x, best_y = _scan(f, linspace(grid.lo, grid.hi, grid.points))
+    xs = linspace(grid.lo, grid.hi, grid.points)
+    best_x, best_y = _scan(f, xs)
     cell = (grid.hi - grid.lo) / (grid.points - 1)
     resolution = grid.resolution
     while cell > resolution:
@@ -116,7 +113,7 @@ def brute_min_2d(
 ) -> tuple[float, float, float]:
     """Exhaustive 2D minimization with refinement around the incumbent.
 
-    Refines both axes with 21×21 windows until each cell is at or below its
+    Refines both axes with 21 x 21 windows until each cell is at or below its
     grid's resolution.  Returns (x, y, value); ties break to the smallest x,
     then smallest y.
     """

@@ -46,7 +46,7 @@ class TestGridSpec:
         ],
     )
     def test_resolution_must_be_a_positive_finite_float(self, lo, hi, points, rounds):
-        with pytest.raises(ValueError, match="positive finite"):
+        with pytest.raises(ValueError, match="positive finite resolution"):
             GridSpec(lo, hi, points, rounds)
 
     @given(
@@ -105,7 +105,7 @@ class TestBruteMin:
     )
     def test_refinement_evaluates_21_nodes_per_round(self, points, rounds, k):
         # k rounds of tenfold shrinking: the first k with 10**k >= points**rounds
-        assert 10 ** (k - 1) < points**rounds <= 10**k or k == 0
+        assert 10 ** (k - 1) < points**rounds <= 10**k
         f, calls = counting(lambda x: (x - math.e / 3.0) ** 2)
         brute_min(f, GridSpec(0.0, 2.0, points, rounds))
         assert len(calls) == points + k * 21
@@ -163,11 +163,14 @@ class TestBruteMin2D:
         assert abs(y) <= 1e-5
         assert value == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("points, rounds, k", [(11, 0, 0), (11, 1, 2), (201, 1, 3)])
-    def test_refinement_evaluates_21_by_21_nodes_per_round(self, points, rounds, k):
-        grid = GridSpec(4.0, 20.0, points, rounds)
+    @pytest.mark.parametrize(
+        "points, rounds_x, rounds_y, k",
+        # the last case refines until the finer y axis reaches its resolution
+        [(11, 0, 0, 0), (11, 1, 1, 2), (201, 1, 1, 3), (11, 0, 2, 3)],
+    )
+    def test_refinement_evaluates_21_by_21_nodes_per_round(self, points, rounds_x, rounds_y, k):
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
-        brute_min_2d(f, grid, grid)
+        brute_min_2d(f, GridSpec(4.0, 20.0, points, rounds_x), GridSpec(4.0, 20.0, points, rounds_y))
         assert len(calls) == points**2 + k * 21**2
 
     @given(
