@@ -2,8 +2,10 @@
 emit curve data for plotting.
 
 Exit status: 0 success, 1 verification failure or no verified answer (a
-numeric search did not converge), 2 usage error, 3 infeasible problem, 4 I/O
-error.  A non-finite residual prints as null and fails its check.
+numeric search did not converge), 2 usage error, 3 infeasible, or the answer
+does not fit in a float, 4 I/O error.  JSON output prints a non-finite
+number as null: a non-finite residual fails its check, and a non-finite
+solution field exits 3 with a diagnostic that names it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def dumps(value: Any, indent: str = "") -> str:
 
     Parsing the output with json.loads and re-emitting it through this
     function reproduces the bytes exactly.  Records (named tuples) print as
-    objects, and None as null.
+    objects, and None as null; so does a non-finite float, since JSON has no
+    NaN or Infinity.
     """
     if hasattr(value, "_asdict"):
         value = value._asdict()
@@ -62,16 +65,13 @@ def dumps(value: Any, indent: str = "") -> str:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "null"
     if isinstance(value, (int, float)):
         return format_number(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _finite_or_null(x: float) -> float | None:
-    """JSON has no NaN or Infinity: a non-finite residual prints as null."""
-    return x if math.isfinite(x) else None
 
 
 def _emit_text(doc: dict[str, Any], stream) -> None:
@@ -183,17 +183,20 @@ def cmd_solve(args) -> int:
     start = time.perf_counter()
     report, residuals = _solve_report(args)
     report["elapsed_seconds"] = time.perf_counter() - start
-    failed = {k: v for k, v in residuals.items() if not v <= tol}
+    failed = sorted(k for k, v in residuals.items() if not v <= tol)
+    # Contacts are points, which cannot hold a non-finite coordinate.
+    overflowed = [k for k, v in report["solution"]._asdict().items()
+                  if isinstance(v, float) and not math.isfinite(v)]
+    diagnostics = []
     if failed:
-        report["diagnostic"] = (
-            "residuals exceed tolerance "
-            + format_number(tol)
-            + ": "
-            + ", ".join(sorted(failed))
-        )
-    if args.format == "json":
-        report["residuals"] = {k: _finite_or_null(v) for k, v in residuals.items()}
+        diagnostics.append(f"residuals exceed tolerance {format_number(tol)}: {', '.join(failed)}")
+    if overflowed:
+        diagnostics.append(f"the answer does not fit in a float: {', '.join(overflowed)}")
+    if diagnostics:
+        report["diagnostic"] = "; ".join(diagnostics)
     _emit(report, args.format)
+    if overflowed:
+        return EXIT_INFEASIBLE
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -208,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         doc = {
             "checks": [
-                {**r._asdict(), "residual": _finite_or_null(r.residual), "passed": r.passed}
+                {**r._asdict(), "passed": r.passed}
                 for r in results
             ],
             "passed": all_passed,
@@ -233,6 +236,9 @@ def cmd_verify(args) -> int:
 def cmd_curve(args) -> int:
     layout = FenceLayout(args.v_segments, args.h_segments)
     rows = problems.fence_area_curve(args.fence, layout, args.points)
+    for i, (_, area) in enumerate(rows):
+        if not math.isfinite(area):
+            raise InfeasibleError(f"the answer does not fit in a float: area at row {i}")
     lines = ["L,area"]
     lines.extend(f"{format_number(L)},{format_number(area)}" for L, area in rows)
     text = "\n".join(lines) + "\n"

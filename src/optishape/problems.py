@@ -7,6 +7,14 @@ independent numeric path built on golden-section search (the ``*_numeric``
 variants), so every answer can be cross-checked at runtime.  The ellipse's
 numeric path searches along its feasibility frontier.
 
+Every optimum in the catalog is scale-free: the size of the instance only
+scales the optimal shape.  So each numeric path searches once, on the unit
+instance (perimeter, fence length, volume, surface area or radius 1; once
+per base or fence layout), caches that answer, and multiplies each field by
+the length scale raised to the field's degree.  The closed forms run at the
+requested scale, so a wrong closed form or a wrong rescale still shows as a
+closed-vs-numeric gap.
+
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
 residuals and objective drive the ``solve`` command and the ``verify``
 oracle suite.
@@ -26,12 +34,16 @@ class InfeasibleError(ValueError):
     """No candidate in the search domain satisfies the constraints."""
 
 
-# Default tolerances.  Outer numeric searches resolve arguments to ~1e-8
-# relative, an order tighter than the 1e-6 the cross-checks claim.  The
-# frontier bisection runs much tighter still: where it stops within its
-# bracket jumps from one b to the next, so its error e perturbs the outer
-# objective like noise and drags the argmin by ~sqrt(e/curvature); e must
-# stay below ~1e-13 for the b search to stay inside 1e-7.
+# Default tolerances.  Every numeric search runs once, on a unit instance
+# whose answer is of order 1, so these are fixed absolute tolerances (the
+# cans scale theirs by the base's unit radius, which stays within 0.31..0.55)
+# and an extreme input scale can no longer round them to 0.  Outer searches
+# resolve arguments to ~1e-8 relative, an order tighter than the 1e-6 the
+# cross-checks claim.  The frontier bisection runs much tighter still: where
+# it stops within its bracket jumps from one b to the next, so its error e
+# perturbs the outer objective like noise and drags the argmin by
+# ~sqrt(e/curvature); e must stay below ~1e-13 for the b search to stay
+# inside 1e-7.
 INNER_TOL = 5e-14
 OUTER_REL_TOL = 1e-10
 BOX_REL_TOL = 1e-8  # the box's outer search; its inner searches run 100x tighter
@@ -92,6 +104,17 @@ def _check_positive(value: float, what: str) -> None:
         raise ValueError(f"{what} must be positive, got {value}")
 
 
+def _rescale(unit: Any, scale: float, degrees: tuple[int, ...]) -> Any:
+    """A unit-instance solution carried to the given length scale: each field
+    times scale**degree (1 for a length, 2 for an area, 3 for a volume).
+
+    The factors are multiplied in one at a time, so an answer too large for
+    a float comes out as inf rather than raising, and scale 1.0 returns the
+    unit answer's exact bits.
+    """
+    return unit._make(math.prod((v,) + (scale,) * d) for v, d in zip(unit, degrees))
+
+
 def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
     """Maximize the fenced rectangle's area for a given total fence length.
 
@@ -111,12 +134,17 @@ def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float
     return lambda L: -(L / v) * ((total_fence - L) / h)
 
 
+@lru_cache
+def _solve_unit_fence(layout: FenceLayout) -> FenceSolution:
+    sol = golden_section_min(_fence_objective(1.0, layout), 0.0, 1.0, tol=OUTER_REL_TOL)
+    return _fence_solution(1.0, layout, sol.argmin)
+
+
 def solve_fence_numeric(total_fence: float, layout: FenceLayout) -> FenceSolution:
-    """Same problem, solved by golden-section search over the vertical total."""
+    """Same problem, solved by golden-section search over the vertical total
+    at fence length 1 (once per layout) and rescaled."""
     _check_positive(total_fence, "total fence length")
-    sol = golden_section_min(_fence_objective(total_fence, layout), 0.0, total_fence,
-                             tol=total_fence * OUTER_REL_TOL)
-    return _fence_solution(total_fence, layout, sol.argmin)
+    return _rescale(_solve_unit_fence(layout), total_fence, (1, 1, 1, 1, 2))
 
 
 def fence_area_curve(
@@ -153,14 +181,17 @@ def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
     return lambda x: -x * (half - x)
 
 
+@lru_cache
+def _solve_unit_rectangle() -> RectangleSolution:
+    x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5, tol=OUTER_REL_TOL).argmin
+    return RectangleSolution(x=x, y=0.5 - x, area=x * (0.5 - x))
+
+
 def solve_rectangle_numeric(perimeter: float) -> RectangleSolution:
-    """Golden-section counterpart of solve_rectangle."""
+    """Golden-section counterpart of solve_rectangle, solved at perimeter 1
+    and rescaled."""
     _check_positive(perimeter, "perimeter")
-    half = perimeter / 2.0
-    sol = golden_section_min(_rectangle_objective(perimeter), 0.0, half,
-                             tol=perimeter * OUTER_REL_TOL)
-    x = sol.argmin
-    return RectangleSolution(x=x, y=half - x, area=x * (half - x))
+    return _rescale(_solve_unit_rectangle(), perimeter, (1, 1, 2))
 
 
 class BoxSolution(NamedTuple):
@@ -182,22 +213,24 @@ def _box_objective(volume: float) -> Callable[[float, float], float]:
     return lambda x, y: 2.0 * (x * y + volume / y + volume / x)
 
 
-def solve_box_numeric(volume: float) -> BoxSolution:
-    """Nested golden-section over (x, y) with z pinned by the volume."""
-    _check_positive(volume, "volume")
-    scale = volume ** (1.0 / 3.0)
-    lo, hi = 0.05 * scale, 20.0 * scale
-    sa_for = _box_objective(volume)
+@lru_cache
+def _solve_unit_box() -> BoxSolution:
+    sa_for = _box_objective(1.0)
 
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), lo, hi,
-                                  tol=scale * BOX_REL_TOL * 1e-2)
+        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0, tol=BOX_REL_TOL * 1e-2)
 
-    outer = golden_section_min(lambda x: best_y(x).value, lo, hi, tol=scale * BOX_REL_TOL)
-    x = outer.argmin
+    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0, tol=BOX_REL_TOL).argmin
     y = best_y(x).argmin
-    z = volume / (x * y)
+    z = 1.0 / (x * y)
     return BoxSolution(x=x, y=y, z=z, surface_area=2.0 * (x * y + x * z + y * z))
+
+
+def solve_box_numeric(volume: float) -> BoxSolution:
+    """Nested golden-section over (x, y) with z pinned by the volume, solved
+    at volume 1 and rescaled."""
+    _check_positive(volume, "volume")
+    return _rescale(_solve_unit_box(), volume ** (1.0 / 3.0), (1, 1, 1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -232,7 +265,8 @@ def solve_can(volume: float, base: Shape) -> CanSolution:
     """
     _check_positive(volume, "volume")
     c = area_coefficient(base)
-    r = (volume / (2.0 * c)) ** (1.0 / 3.0)
+    # Cube roots taken apart, so r cannot underflow to 0 at tiny volumes.
+    r = volume ** (1.0 / 3.0) / (2.0 * c) ** (1.0 / 3.0)
     h = volume / (c * r * r)
     return _can_solution(c, r, h)
 
@@ -244,16 +278,20 @@ def _can_objective(volume: float, c: float) -> Callable[[float], float]:
     return lambda r: two_c * r * r + two_v / r
 
 
-def solve_can_numeric(volume: float, base: Shape) -> CanSolution:
-    """Golden-section counterpart of solve_can (search over the inradius)."""
-    _check_positive(volume, "volume")
+@lru_cache
+def _solve_unit_can(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    scale = (volume / (2.0 * c)) ** (1.0 / 3.0)
-    sol = golden_section_min(_can_objective(volume, c), 0.05 * scale, 20.0 * scale,
-                             tol=scale * OUTER_REL_TOL)
-    r = sol.argmin
-    h = volume / (c * r * r)
-    return _can_solution(c, r, h)
+    r0 = (1.0 / (2.0 * c)) ** (1.0 / 3.0)  # the bracket and tolerance follow the base
+    r = golden_section_min(_can_objective(1.0, c), 0.05 * r0, 20.0 * r0,
+                           tol=r0 * OUTER_REL_TOL).argmin
+    return _can_solution(c, r, 1.0 / (c * r * r))
+
+
+def solve_can_numeric(volume: float, base: Shape) -> CanSolution:
+    """Golden-section counterpart of solve_can (search over the inradius),
+    solved at volume 1 (once per base) and rescaled."""
+    _check_positive(volume, "volume")
+    return _rescale(_solve_unit_can(base), volume ** (1.0 / 3.0), (1, 1, 2, 3))
 
 
 def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
@@ -263,8 +301,9 @@ def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
     """
     _check_positive(surface_area, "surface area")
     c = area_coefficient(base)
-    r = math.sqrt(surface_area / (6.0 * c))
-    h = (surface_area - 2.0 * c * r * r) / (2.0 * c * r)
+    # Square roots taken apart, so r cannot underflow to 0 at tiny areas.
+    r = math.sqrt(surface_area) / math.sqrt(6.0 * c)
+    h = surface_area / (2.0 * c * r) - r
     return _can_solution(c, r, h)
 
 
@@ -275,16 +314,20 @@ def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], floa
     return lambda r: -r * (surface_area - two_c * r * r) / 2.0
 
 
-def solve_can_dual_numeric(surface_area: float, base: Shape) -> CanSolution:
-    """Golden-section counterpart of solve_can_dual."""
-    _check_positive(surface_area, "surface area")
+@lru_cache
+def _solve_unit_can_dual(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    r_max = math.sqrt(surface_area / (2.0 * c))
-    sol = golden_section_min(_can_dual_objective(surface_area, c), r_max * 1e-6, r_max,
-                             tol=r_max * OUTER_REL_TOL)
-    r = sol.argmin
-    h = (surface_area - 2.0 * c * r * r) / (2.0 * c * r)
-    return _can_solution(c, r, h)
+    r_max = math.sqrt(1.0 / (2.0 * c))  # the bracket and tolerance follow the base
+    r = golden_section_min(_can_dual_objective(1.0, c), r_max * 1e-6, r_max,
+                           tol=r_max * OUTER_REL_TOL).argmin
+    return _can_solution(c, r, (1.0 - 2.0 * c * r * r) / (2.0 * c * r))
+
+
+def solve_can_dual_numeric(surface_area: float, base: Shape) -> CanSolution:
+    """Golden-section counterpart of solve_can_dual, solved at surface area 1
+    (once per base) and rescaled."""
+    _check_positive(surface_area, "surface area")
+    return _rescale(_solve_unit_can_dual(base), math.sqrt(surface_area), (1, 1, 2, 3))
 
 
 def equivalence_ratio(base: Shape) -> float:
@@ -324,14 +367,18 @@ def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
     return lambda x: -2.0 * x * math.sqrt(r2 - x * x)
 
 
-def solve_rect_semicircle_numeric(radius: float) -> SemicircleRectSolution:
-    """Golden-section counterpart of solve_rect_semicircle."""
-    _check_positive(radius, "radius")
-    sol = golden_section_min(_rect_semicircle_objective(radius), 0.0, radius,
-                             tol=radius * OUTER_REL_TOL)
-    x = sol.argmin
-    y = math.sqrt(radius * radius - x * x)
+@lru_cache
+def _solve_unit_rect_semicircle() -> SemicircleRectSolution:
+    x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0, tol=OUTER_REL_TOL).argmin
+    y = math.sqrt(1.0 - x * x)
     return SemicircleRectSolution(x=x, y=y, area=2.0 * x * y)
+
+
+def solve_rect_semicircle_numeric(radius: float) -> SemicircleRectSolution:
+    """Golden-section counterpart of solve_rect_semicircle, solved at radius 1
+    and rescaled."""
+    _check_positive(radius, "radius")
+    return _rescale(_solve_unit_rect_semicircle(), radius, (1, 1, 2))
 
 
 # Slack on the squared-radius containment test: tangent ellipses must count
@@ -492,7 +539,7 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
 
 
 @lru_cache(maxsize=1)
-def _solve_unit_ellipse() -> EllipseSolution:
+def _solve_unit_ellipse_semicircle() -> EllipseSolution:
     # The top point (0, 2b) caps the feasible b at 1/2; the degenerate flat
     # end is clamped at 1e-4 rather than rejected.
     def neg_area(b: float) -> float:
@@ -507,7 +554,7 @@ def solve_ellipse_semicircle_numeric(radius: float = 1.0) -> EllipseSolution:
     feasibility frontier a = max_a_for_b(b).  The search runs once, on the
     unit semicircle, and its answer is rescaled."""
     _check_positive(radius, "radius")
-    return rescale_ellipse(_solve_unit_ellipse(), radius)
+    return rescale_ellipse(_solve_unit_ellipse_semicircle(), radius)
 
 
 # --------------------------------------------------------------------------

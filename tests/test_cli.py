@@ -157,6 +157,52 @@ class TestSolve:
         assert "problem = fence" in out
 
 
+class TestExtremeScales:
+    """Inputs near the ends of the float range: a verified answer with strict
+    JSON, or exit 3 with the field that does not fit printed as null."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "rectangle", "--fence", "1e-320"),
+            ("solve", "fence", "--fence", "1e-320"),
+            ("solve", "rect-semicircle", "--radius", "1e-320"),
+            ("solve", "fence", "--fence", "9.8e-176", "--v-segments", "11", "--h-segments", "40"),
+            ("solve", "can", "--volume", "1e308", "--base", "7"),
+            ("solve", "can", "--volume", "5e-324"),
+            ("solve", "can-dual", "--surface-area", "5e-324"),
+        ],
+        ids=lambda argv: " ".join(argv[1:]),
+    )
+    def test_verified_answer(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        doc = strict_json(out)
+        assert code == 0, doc.get("diagnostic")
+        assert "diagnostic" not in doc
+        assert all(math.isfinite(v) for v in doc["solution"].values())
+        assert all(v <= 1e-6 for v in doc["residuals"].values())
+
+    def test_overflowing_solution_field_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "1e308")
+        doc = strict_json(out)
+        assert doc["solution"] == {"x": 2.5e307, "y": 2.5e307, "area": None}
+        assert doc["diagnostic"] == "the answer does not fit in a float: area"
+        assert all(v <= 1e-6 for v in doc["residuals"].values())
+        assert code == 3
+        code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "1e308", "--format", "text")
+        assert "solution.area = inf" in out
+        assert code == 3
+
+    def test_overflowing_curve_writes_no_csv(self, capsys, tmp_path):
+        target = tmp_path / "curve.csv"
+        code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1e308", "--out", str(target))
+        assert strict_json(out) == {
+            "problem": "curve", "diagnostic": "the answer does not fit in a float: area at row 1",
+        }
+        assert code == 3
+        assert not target.exists()
+
+
 class TestGolden:
     @pytest.mark.parametrize(
         "case", SOLVE_GOLDEN, ids=lambda case: "_".join(case["argv"])

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -564,3 +565,88 @@ def test_every_problem_has_closed_and_numeric_solvers(name):
     for solver in (stem, stem + "_numeric"):
         assert callable(getattr(problems, solver))
         assert getattr(optishape, solver) is getattr(problems, solver)
+
+
+# Each numeric solver searches once on the unit instance and rescales that
+# answer.  At scale 1 the rescale is exact, so these are the bits the
+# at-scale searches returned before the unit-instance design.
+UNIT_BITS = {
+    ("rectangle",): (0.2499999996955762, 0.2500000003044238, 0.0625),
+    ("box",): (0.9999999832609454, 0.9999999907283972, 1.000000026010658, 6.000000000000002),
+    ("fence", FenceLayout(4, 2)): (0.12499999984060164, 0.2500000003187967,
+                                   0.4999999993624066, 0.5000000006375934, 0.03125),
+    ("fence", FenceLayout(2, 2)): (0.2499999996812033, 0.2500000003187967,
+                                   0.4999999993624066, 0.5000000006375934, 0.0625),
+    ("fence", FenceLayout(5, 3)): (0.09999999893114271, 0.1666666684480955,
+                                   0.49999999465571354, 0.5000000053442865,
+                                   0.016666666666666666),
+    ("fence", FenceLayout(11, 40)): (0.04545454527542981, 0.0125000000492568,
+                                     0.49999999802972794, 0.5000000019702721,
+                                     0.0005681818181818182),
+    ("can", CIRCLE): (0.5419260633061092, 1.083852167611298, 5.535810445932086, 1.0),
+    ("can", Shape.regular_polygon(3)): (0.45824321197099793, 0.9164864261132137,
+                                        6.546741815830328, 1.0),
+    ("can", SQUARE): (0.4999999935798397, 1.0000000256806418, 6.000000000000001, 1.0),
+    ("can", HEXAGON): (0.524557525982351, 1.0491150863355412, 5.7191057579816205, 1.0),
+    ("can", Shape.regular_polygon(12)): (0.5377479519299349, 1.0754959306138459,
+                                         5.578821759073732, 0.9999999999999999),
+    ("can-dual", CIRCLE): (0.23032943046427973, 0.46065887602822314, 1.0,
+                           0.07677647766029677),
+    ("can-dual", Shape.regular_polygon(3)): (0.1790949879138249, 0.3581899801682425, 1.0,
+                                             0.05969832954575233),
+    ("can-dual", SQUARE): (0.2041241429029771, 0.40824829977968086, 1.0,
+                           0.06804138174397716),
+    ("can-dual", HEXAGON): (0.2193456664724992, 0.43869134706249574, 1.0,
+                            0.07311522294180513),
+    ("can-dual", Shape.regular_polygon(12)): (0.2276708987420667, 0.455341808816172, 1.0,
+                                              0.07589030021024659),
+    ("rect-semicircle",): (0.7071067769913632, 0.7071067853817319, 1.0),
+}
+SCALED_PROBLEMS = [name for name in PROBLEMS if name != "ellipse-semicircle"]
+EXTRA_ARGS = {"fence": (FenceLayout(5, 3),), "can": (HEXAGON,), "can-dual": (HEXAGON,)}
+
+
+def _solvers(name):
+    stem = PROBLEMS[name].stem
+    return getattr(problems, stem), getattr(problems, stem + "_numeric")
+
+
+class TestUnitInstance:
+    @pytest.mark.parametrize("key", list(UNIT_BITS), ids=lambda key: "-".join(map(str, key)))
+    def test_scale_one_returns_the_unit_search_bits(self, key):
+        name, *extra = key
+        assert tuple(_solvers(name)[1](1.0, *extra)) == UNIT_BITS[key]
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_second_scale_runs_no_search(self, monkeypatch, name):
+        getattr(problems, "_solve_unit_" + name.replace("-", "_")).cache_clear()
+        calls = []
+        search = problems.golden_section_min
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+        monkeypatch.setattr(problems, "golden_section_min", counting)
+        numeric = _solvers(name)[1]
+        extra = EXTRA_ARGS.get(name, ())
+        numeric(1.0, *extra)
+        searches = len(calls)
+        assert searches > 0
+        numeric(1e5, *extra)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("name", SCALED_PROBLEMS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_field_matches_the_closed_form_at_any_scale(self, name, data):
+        scale = 10.0 ** data.draw(st.floats(min_value=-300.0, max_value=300.0), "log10 scale")
+        extra = ()
+        if name == "fence":
+            extra = (FenceLayout(data.draw(st.integers(2, 50)), data.draw(st.integers(2, 50))),)
+        elif name in ("can", "can-dual"):
+            extra = (data.draw(st.sampled_from(SWEEP_BASES)),)
+        closed_solver, numeric_solver = _solvers(name)
+        closed, numeric = closed_solver(scale, *extra), numeric_solver(scale, *extra)
+        for field, want, got in zip(closed._fields, closed, numeric):
+            if math.isfinite(want) and abs(want) >= sys.float_info.min:
+                assert got == pytest.approx(want, rel=1e-6), field
