@@ -23,6 +23,7 @@ oracle suite.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -605,6 +606,21 @@ def worst_residual(residuals: Iterable[float]) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values, default=math.inf)
 
 
+def _relative(gap: float, size: float) -> float:
+    """gap / size: the gap between two answers relative to their size.
+
+    Below the normal range floats are evenly spaced, 5e-324 apart, so two
+    answers that each round correctly can differ by one step there, however
+    close they are: one step of the gap is not counted.  A size that
+    underflowed to 0 reads 0 when the answers agree and inf otherwise.
+    """
+    if size < sys.float_info.min:
+        gap = max(gap - math.ulp(0.0), 0.0)
+        if size == 0.0:
+            return 0.0 if gap == 0.0 else math.inf
+    return gap / size
+
+
 def _can_residuals(sol: CanSolution, numeric: CanSolution, *_: Any) -> dict[str, float]:
     return {
         "h_over_r_gap": abs(sol.h / sol.r - 2.0),
@@ -631,8 +647,8 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         "rectangle", "largest rectangle with a given perimeter",
         (Input("--fence", "perimeter", float, help="total boundary length (the perimeter)"),),
         lambda sol, num, perimeter: {
-            "square_gap": abs(sol.x - sol.y) / sol.x,
-            "closed_numeric_gap": abs(sol.x - num.x) / sol.x,
+            "square_gap": _relative(abs(sol.x - sol.y), sol.x),
+            "closed_numeric_gap": _relative(abs(sol.x - num.x), sol.x),
         },
         objective=_rectangle_objective,
     ),
@@ -651,8 +667,8 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
          Input("--h-segments", "h_segments", int, 2)),
         lambda sol, num, fence, layout: {
             "half_split_deficit": abs(sol.vertical_total - fence / 2.0) / fence,
-            "closed_numeric_gap": worst_residual((abs(sol.x - num.x), abs(sol.y - num.y)))
-            / max(sol.x, sol.y),
+            "closed_numeric_gap": _relative(
+                worst_residual((abs(sol.x - num.x), abs(sol.y - num.y))), max(sol.x, sol.y)),
         },
         objective=_fence_objective,
         solver_args=lambda fence, v, h: (fence, FenceLayout(v, h)),
@@ -676,8 +692,8 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         "rect-semicircle", "largest rectangle inscribed in a semicircle",
         (Input("--radius", "radius", float, 1.0),),
         lambda sol, num, radius: {
-            "xy_gap": abs(sol.x - sol.y) / radius,
-            "closed_numeric_gap": abs(sol.x - num.x) / radius,
+            "xy_gap": _relative(abs(sol.x - sol.y), radius),
+            "closed_numeric_gap": _relative(abs(sol.x - num.x), radius),
         },
         objective=_rect_semicircle_objective,
     ),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from optishape import cli, problems
 from optishape.optimize import ConvergenceError
@@ -165,6 +166,9 @@ class TestExtremeScales:
         "argv",
         [
             ("solve", "rectangle", "--fence", "1e-320"),
+            ("solve", "rectangle", "--fence", "5e-324"),
+            ("solve", "rectangle", "--fence", "3e-323"),  # x: 1.5 steps of 5e-324
+            ("solve", "fence", "--fence", "5e-324", "--v-segments", "50", "--h-segments", "50"),
             ("solve", "fence", "--fence", "1e-320"),
             ("solve", "rect-semicircle", "--radius", "1e-320"),
             ("solve", "fence", "--fence", "9.8e-176", "--v-segments", "11", "--h-segments", "40"),
@@ -192,6 +196,35 @@ class TestExtremeScales:
         code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "1e308", "--format", "text")
         assert "solution.area = inf" in out
         assert code == 3
+
+    # Every input the CLI accepts gives a verified answer or exit 3, and
+    # strict JSON either way.
+    @given(
+        kind=st.sampled_from([*PROBLEMS, "curve"]),
+        exponent=st.floats(min_value=-323.3, max_value=308.25),
+        v=st.integers(2, 50),
+        h=st.integers(2, 50),
+        base=st.sampled_from(["circle", "3", "4", "7", "12"]),
+    )
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_scale_gives_an_answer_or_exit_3(self, capsys, kind, exponent, v, h, base):
+        name = "fence" if kind == "curve" else kind
+        argv = ["curve", "fence"] if kind == "curve" else ["solve", kind]
+        for spec in PROBLEMS[name].inputs:
+            value = {"--v-segments": v, "--h-segments": h, "--base": base}.get(spec.flag)
+            argv += [spec.flag, str(value) if value else repr(10.0 ** exponent)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 3), (argv, out, err)
+        if kind == "curve" and code == 0:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert all(math.isfinite(float(x)) for row in rows for x in row)
+            return
+        doc = strict_json(out)
+        if code == 3:
+            assert doc["diagnostic"].startswith("the answer does not fit in a float")
+        elif kind != "curve":
+            assert all(r <= 1e-6 for r in doc["residuals"].values()), argv
 
     def test_overflowing_curve_writes_no_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

@@ -601,9 +601,18 @@ UNIT_BITS = {
     ("can-dual", Shape.regular_polygon(12)): (0.2276708987420667, 0.455341808816172, 1.0,
                                               0.07589030021024659),
     ("rect-semicircle",): (0.7071067769913632, 0.7071067853817319, 1.0),
+    ("ellipse-semicircle",): (0.8164965814169691, 0.4714045205090462, 1.2091995761573742,
+                              ((-0.707106782456201, 0.7071067799168941),
+                               (0.707106782456201, 0.7071067799168941))),
 }
 SCALED_PROBLEMS = [name for name in PROBLEMS if name != "ellipse-semicircle"]
 EXTRA_ARGS = {"fence": (FenceLayout(5, 3),), "can": (HEXAGON,), "can-dual": (HEXAGON,)}
+
+
+def _key_id(key):
+    name, *extra = key
+    return " ".join([name, *(x.label if isinstance(x, Shape) else f"{x.v_segments}x{x.h_segments}"
+                             for x in extra)])
 
 
 def _solvers(name):
@@ -612,7 +621,7 @@ def _solvers(name):
 
 
 class TestUnitInstance:
-    @pytest.mark.parametrize("key", list(UNIT_BITS), ids=lambda key: "-".join(map(str, key)))
+    @pytest.mark.parametrize("key", list(UNIT_BITS), ids=_key_id)
     def test_scale_one_returns_the_unit_search_bits(self, key):
         name, *extra = key
         assert tuple(_solvers(name)[1](1.0, *extra)) == UNIT_BITS[key]
