@@ -5,7 +5,8 @@ Exit status: 0 success, 1 verification failure or no verified answer (a
 numeric search did not converge), 2 usage error, 3 infeasible, or the answer
 does not fit in a float, 4 I/O error.  JSON output prints a non-finite
 number as null: a non-finite residual fails its check, and a non-finite
-solution field exits 3 with a diagnostic that names it.
+solution field exits 3 with a diagnostic that names it, unless a check also
+failed, which exits 1.
 """
 
 from __future__ import annotations
@@ -195,9 +196,9 @@ def cmd_solve(args) -> int:
     if diagnostics:
         report["diagnostic"] = "; ".join(diagnostics)
     _emit(report, args.format)
-    if overflowed:
-        return EXIT_INFEASIBLE
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
+    if failed:
+        return EXIT_CHECK_FAILED
+    return EXIT_INFEASIBLE if overflowed else EXIT_OK
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,20 @@ class TestExtremeScales:
         assert "solution.area = inf" in out
         assert code == 3
 
+    # An overflow does not hide a failed check: a wrong closed form at a scale
+    # whose area overflows exits 1, and the diagnostic names both.
+    def test_failed_check_outranks_overflow(self, capsys, monkeypatch):
+        monkeypatch.setattr(problems, "solve_fence", lambda fence, layout:
+                            problems._fence_solution(fence, layout, fence / 3.0))
+        code, out, _ = run_cli(capsys, "solve", "fence", "--fence", "1e308")
+        doc = strict_json(out)
+        assert doc["solution"]["area"] is None
+        assert doc["diagnostic"] == (
+            "residuals exceed tolerance 9.9999999999999995e-07: "
+            "closed_numeric_gap, half_split_deficit; "
+            "the answer does not fit in a float: area")
+        assert code == 1
+
     # Every input the CLI accepts gives a verified answer or exit 3, and
     # strict JSON either way.
     @given(
