@@ -113,7 +113,9 @@ def _rescale(unit: Any, scale: float, degrees: tuple[int, ...]) -> Any:
     a float comes out as inf rather than raising, and scale 1.0 returns the
     unit answer's exact bits.
     """
-    return unit._make(math.prod((v,) + (scale,) * d) for v, d in zip(unit, degrees))
+    s = scale
+    return unit._make([v * s if d == 1 else v * s * s if d == 2 else v * s * s * s
+                       for v, d in zip(unit, degrees)])
 
 
 def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
