@@ -10,10 +10,12 @@ numeric path searches along its feasibility frontier.
 Every optimum in the catalog is scale-free: the size of the instance only
 scales the optimal shape.  So each numeric path searches once, on the unit
 instance (perimeter, fence length, volume, surface area or radius 1; once
-per base or fence layout), caches that answer, and multiplies each field by
-the length scale raised to the field's degree.  The closed forms run at the
-requested scale, so a wrong closed form or a wrong rescale still shows as a
-closed-vs-numeric gap.
+per base or fence layout, every layout kept), caches that answer, and
+multiplies each field by the length scale raised to the field's degree.  The
+closed forms run at the requested scale, so a wrong closed form or a wrong
+rescale still shows as a closed-vs-numeric gap; the one exception is the
+ellipse, whose closed-form unit contacts are computed once and rescaled
+like its numeric answer.
 
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
 residuals and objective drive the ``solve`` command and the ``verify``
@@ -137,7 +139,9 @@ def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float
     return lambda L: -(L / v) * ((total_fence - L) / h)
 
 
-@lru_cache
+# Unbounded: a layout is two ints, so the cache holds one entry (about 350 B)
+# per distinct layout a caller passes; all 2401 of v, h in 2..50 take 0.84 MB.
+@lru_cache(maxsize=None)
 def _solve_unit_fence(layout: FenceLayout) -> FenceSolution:
     sol = golden_section_min(_fence_objective(1.0, layout), 0.0, 1.0, tol=OUTER_REL_TOL)
     return _fence_solution(1.0, layout, sol.argmin)
@@ -157,8 +161,11 @@ def fence_area_curve(
     _check_positive(total_fence, "total fence length")
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
-    neg_area = _fence_objective(total_fence, layout)
-    return [(L, -neg_area(L)) for L in linspace(0.0, total_fence, n_points)]
+    # _fence_objective's product without its per-point call and negation;
+    # negation is exact, so the bits (+0.0 at both ends too) are the same.
+    v, h = float(layout.v_segments), float(layout.h_segments)
+    return [(L, (L / v) * ((total_fence - L) / h))
+            for L in linspace(0.0, total_fence, n_points)]
 
 
 # --------------------------------------------------------------------------
@@ -530,6 +537,11 @@ def rescale_ellipse(unit: EllipseSolution, radius: float) -> EllipseSolution:
     )
 
 
+@lru_cache(maxsize=1)
+def _closed_unit_ellipse() -> EllipseSolution:
+    return _unit_ellipse(math.sqrt(6.0) / 3.0, math.sqrt(2.0) / 3.0)
+
+
 def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
     """Largest-area ellipse inscribed in a semicircle of the given radius.
 
@@ -538,7 +550,7 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
     and b = sqrt(2)/3*r and the area at 2*pi/(3*sqrt(3))*r^2.
     """
     _check_positive(radius, "radius")
-    return rescale_ellipse(_unit_ellipse(math.sqrt(6.0) / 3.0, math.sqrt(2.0) / 3.0), radius)
+    return rescale_ellipse(_closed_unit_ellipse(), radius)
 
 
 @lru_cache(maxsize=1)

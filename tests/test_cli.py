@@ -421,6 +421,12 @@ class TestVerifyCommand:
                 assert after["tolerance"] == before["tolerance"]
         assert 0 < overridden < len(default)
 
+    # The parser lists the suites without loading verify.
+    def test_suite_choices_are_the_verify_suites(self):
+        from optishape import verify
+
+        assert cli.VERIFY_SUITES == tuple(verify.SUITES)
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
@@ -542,3 +548,15 @@ class TestRuntimeDependencies:
     )
     def test_cli_does_not_load_dataclasses(self, argv):
         assert self.probe(self.RUN_CLI + "print('dataclasses' in sys.modules)\n", *argv) == "False"
+
+    # Only `optishape verify` loads verify.
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [(("solve", "rectangle", "--fence", "2400"), "False"),
+         (("curve", "fence", "--fence", "2400", "--points", "3"), "False"),
+         (("verify", "--suite", "equivalence"), "True")],
+        ids=["solve", "curve", "verify"],
+    )
+    def test_only_verify_loads_verify(self, argv, loaded):
+        assert self.probe(self.RUN_CLI + "print('optishape.verify' in sys.modules)\n",
+                          *argv) == loaded

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import optishape
 from optishape import problems
-from optishape.geometry import Shape, area_coefficient
+from optishape.geometry import Shape, area_coefficient, linspace
 from optishape.problems import (
     PROBLEMS,
     FenceLayout,
@@ -47,6 +47,19 @@ SWEEP_VOLUMES = [1e-3, 1.0, 1e3, 1e6]
 SQRT6_3 = math.sqrt(6.0) / 3.0
 SQRT2_3 = math.sqrt(2.0) / 3.0
 SQRT2_2 = math.sqrt(2.0) / 2.0
+
+
+def count_calls(monkeypatch, name):
+    """Replace problems.<name> with a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    fn = getattr(problems, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(problems, name, counting)
+    return calls
 
 
 class TestRectangle:
@@ -202,6 +215,20 @@ class TestFenceCurve:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fence_area_curve(2400.0, FenceLayout(4, 2), 1)
+
+    @given(v=st.integers(2, 50), h=st.integers(2, 50), n_points=st.integers(2, 200),
+           log10_fence=st.floats(min_value=-300.0, max_value=300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_negated_objective_bit_for_bit(self, v, h, n_points, log10_fence):
+        total = 10.0 ** log10_fence
+        layout = FenceLayout(v, h)
+        neg_area = problems._fence_objective(total, layout)
+        rows = fence_area_curve(total, layout, n_points)
+        assert len(rows) == n_points
+        for (L, area), want_L in zip(rows, linspace(0.0, total, n_points)):
+            want = -neg_area(want_L)
+            assert L == want_L
+            assert area == want and math.copysign(1.0, area) == math.copysign(1.0, want), L
 
 
 class TestCan:
@@ -468,6 +495,20 @@ class TestSolveEllipse:
             for x in (-SQRT2_2, SQRT2_2)
         ]
 
+    def test_second_radius_solves_no_contacts(self, monkeypatch):
+        problems._closed_unit_ellipse.cache_clear()
+        calls = count_calls(monkeypatch, "intersect_ellipse_circle")
+        unit = solve_ellipse_semicircle(1.0)
+        assert len(calls) == 1
+        scaled = solve_ellipse_semicircle(3.7)
+        assert len(calls) == 1
+        assert (unit.a, unit.b, unit.area, tuple(map(tuple, unit.contacts))) == (
+            0.8164965809277259, 0.47140452079103173, 1.2091995761561452,
+            ((-0.7071067811865472, 0.7071067811865478), (0.7071067811865472, 0.7071067811865478)))
+        assert (scaled.a, scaled.b, scaled.area, tuple(map(tuple, scaled.contacts))) == (
+            3.021037349432586, 1.7441967269268175, 16.55394219757763,
+            ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227)))
+
     def test_numeric_agrees(self):
         for radius in (1.0, 3.7):
             closed = solve_ellipse_semicircle(radius)
@@ -629,13 +670,7 @@ class TestUnitInstance:
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_second_scale_runs_no_search(self, monkeypatch, name):
         getattr(problems, "_solve_unit_" + name.replace("-", "_")).cache_clear()
-        calls = []
-        search = problems.golden_section_min
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return search(*args, **kwargs)
-        monkeypatch.setattr(problems, "golden_section_min", counting)
+        calls = count_calls(monkeypatch, "golden_section_min")
         numeric = _solvers(name)[1]
         extra = EXTRA_ARGS.get(name, ())
         numeric(1.0, *extra)
@@ -643,6 +678,17 @@ class TestUnitInstance:
         assert searches > 0
         numeric(1e5, *extra)
         assert len(calls) == searches
+
+    def test_every_fence_layout_stays_cached(self, monkeypatch):
+        problems._solve_unit_fence.cache_clear()
+        calls = count_calls(monkeypatch, "golden_section_min")
+        layouts = [FenceLayout(v, h) for v in range(2, 51) for h in range(2, 51)]
+        for layout in layouts:
+            solve_fence_numeric(2400.0, layout)
+        assert len(calls) == len(layouts) == 2401
+        for layout in layouts:
+            solve_fence_numeric(0.37, layout)
+        assert len(calls) == 2401
 
     @pytest.mark.parametrize("name", SCALED_PROBLEMS)
     @given(data=st.data())
