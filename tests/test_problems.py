@@ -646,6 +646,70 @@ UNIT_BITS = {
                               ((-0.707106782456201, 0.7071067799168941),
                                (0.707106782456201, 0.7071067799168941))),
 }
+
+# The numeric solvers and the closed ellipse carry a unit answer to the
+# requested scale, one product per field.  These are the bits of every field
+# at three scales, small and large enough to round, underflow and overflow,
+# as one generic per-degree helper computed them; the products each solver
+# writes out must give the same bits.
+INF = math.inf
+SCALED_BITS = {
+    ("solve_rectangle_numeric", 3.7): (0.924999998873632, 0.9250000011263682, 0.8556250000000001),
+    ("solve_rectangle_numeric", 1e-300): (2.499999996955762e-301, 2.5000000030442384e-301, 0.0),
+    ("solve_rectangle_numeric", 1e+300): (2.4999999969557624e+299, 2.5000000030442382e+299, INF),
+    ("solve_box_numeric", 3.7): (1.546680347882068, 1.5466803594318292, 1.5466804140022097,
+                                 14.353321071669622),
+    ("solve_box_numeric", 1e-300): (9.999999832609582e-101, 9.9999999072841e-101,
+                                    1.0000000260106709e-100, 6.000000000000155e-200),
+    ("solve_box_numeric", 1e+300): (9.999999832609327e+99, 9.999999907283845e+99,
+                                    1.0000000260106452e+100, 5.999999999999848e+200),
+    ("solve_fence_numeric", 3.7): (0.36999999604522804, 0.6166666732579533, 1.8499999802261402,
+                                   1.85000001977386, 0.22816666666666668),
+    ("solve_fence_numeric", 1e-300): (9.99999989311427e-302, 1.666666684480955e-301,
+                                      4.999999946557136e-301, 5.0000000534428645e-301, 0.0),
+    ("solve_fence_numeric", 1e+300): (9.999999893114272e+298, 1.666666684480955e+299,
+                                      4.999999946557136e+299, 5.0000000534428645e+299, INF),
+    ("solve_can_numeric", 3.7): (0.8113228303513167, 1.622645713863336, 13.681360197857439,
+                                 3.6999999999999993),
+    ("solve_can_numeric", 1e-300): (5.245575259823577e-101, 1.0491150863355547e-100,
+                                    5.719105757981767e-200, 1.0000000000000385e-300),
+    ("solve_can_numeric", 1e+300): (5.245575259823443e+99, 1.0491150863355277e+100,
+                                    5.719105757981473e+200, 9.999999999999615e+299),
+    ("solve_can_dual_numeric", 3.7): (0.421919813686179, 0.8438396545279063, 3.7,
+                                      0.5203677757949279),
+    ("solve_can_dual_numeric", 1e-300): (2.193456664724992e-151, 4.3869134706249574e-151, 1e-300,
+                                         0.0),
+    ("solve_can_dual_numeric", 1e+300): (2.193456664724992e+149, 4.386913470624957e+149,
+                                         9.999999999999999e+299, INF),
+    ("solve_rect_semicircle_numeric", 3.7): (2.616295074868044, 2.616295105912408,
+                                             13.690000000000001),
+    ("solve_rect_semicircle_numeric", 1e-300): (7.071067769913632e-301, 7.071067853817319e-301,
+                                                0.0),
+    ("solve_rect_semicircle_numeric", 1e+300): (7.071067769913631e+299, 7.071067853817319e+299,
+                                                INF),
+    ("solve_ellipse_semicircle_numeric", 3.7): (
+        3.0210373512427857, 1.744196725883471, 16.553942197594456,
+        ((-2.616295095087944, 2.6162950856925082), (2.616295095087944, 2.6162950856925082))),
+    ("solve_ellipse_semicircle_numeric", 1e-300): (
+        8.164965814169692e-301, 4.714045205090462e-301, 0.0,
+        ((-7.07106782456201e-301, 7.071067799168941e-301),
+         (7.07106782456201e-301, 7.071067799168941e-301))),
+    ("solve_ellipse_semicircle_numeric", 1e+300): (
+        8.164965814169692e+299, 4.714045205090462e+299, INF,
+        ((-7.07106782456201e+299, 7.071067799168942e+299),
+         (7.07106782456201e+299, 7.071067799168942e+299))),
+    ("solve_ellipse_semicircle", 3.7): (
+        3.021037349432586, 1.7441967269268175, 16.55394219757763,
+        ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227))),
+    ("solve_ellipse_semicircle", 1e-300): (
+        8.16496580927726e-301, 4.7140452079103176e-301, 0.0,
+        ((-7.071067811865473e-301, 7.0710678118654784e-301),
+         (7.071067811865473e-301, 7.0710678118654784e-301))),
+    ("solve_ellipse_semicircle", 1e+300): (
+        8.16496580927726e+299, 4.714045207910318e+299, INF,
+        ((-7.071067811865473e+299, 7.071067811865479e+299),
+         (7.071067811865473e+299, 7.071067811865479e+299))),
+}
 SCALED_PROBLEMS = [name for name in PROBLEMS if name != "ellipse-semicircle"]
 EXTRA_ARGS = {"fence": (FenceLayout(5, 3),), "can": (HEXAGON,), "can-dual": (HEXAGON,)}
 
@@ -654,6 +718,12 @@ def _key_id(key):
     name, *extra = key
     return " ".join([name, *(x.label if isinstance(x, Shape) else f"{x.v_segments}x{x.h_segments}"
                              for x in extra)])
+
+
+def _hex(values):
+    """Every float of a (nested) record as its exact hex form, so that the
+    sign of a zero counts too."""
+    return tuple(v.hex() if isinstance(v, float) else _hex(v) for v in values)
 
 
 def _solvers(name):
@@ -666,6 +736,13 @@ class TestUnitInstance:
     def test_scale_one_returns_the_unit_search_bits(self, key):
         name, *extra = key
         assert tuple(_solvers(name)[1](1.0, *extra)) == UNIT_BITS[key]
+
+    @pytest.mark.parametrize("key", list(SCALED_BITS), ids=lambda key: f"{key[0]} {key[1]!r}")
+    def test_rescale_keeps_every_bit(self, key):
+        solver, scale = key
+        name = solver[len("solve_"):].removesuffix("_numeric").replace("_", "-")
+        got = getattr(problems, solver)(scale, *EXTRA_ARGS.get(name, ()))
+        assert _hex(got) == _hex(SCALED_BITS[key])
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_second_scale_runs_no_search(self, monkeypatch, name):
