@@ -4,7 +4,6 @@ problems, plus the machinery to verify their structural patterns."""
 from .geometry import (
     Point2,
     Shape,
-    ShapeKind,
     area,
     area_coefficient,
     perimeter,

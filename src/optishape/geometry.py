@@ -12,52 +12,36 @@ curve and the brute-force oracle.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple, Sequence
 
 
-class ShapeKind(enum.Enum):
-    CIRCLE = "circle"
-    REGULAR_POLYGON = "regular_polygon"
-
-
 class _ShapeFields(NamedTuple):
-    kind: ShapeKind
     sides: int | None = None
 
 
 class Shape(_ShapeFields):
-    """A circle or a regular polygon; ``sides`` is set only for polygons."""
+    """A circle (``sides`` is None) or a regular polygon with ``sides`` sides."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "Shape":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind is ShapeKind.CIRCLE:
-            if self.sides is not None:
-                raise ValueError("a circle has no side count")
-        elif self.kind is ShapeKind.REGULAR_POLYGON:
-            if self.sides is None or self.sides < 3:
-                raise ValueError(f"a regular polygon needs sides >= 3, got {self.sides}")
-        else:
-            raise ValueError(f"unknown shape kind: {self.kind!r}")
-        return self
+    def __new__(cls, sides: int | None = None) -> "Shape":
+        if sides is not None and sides < 3:
+            raise ValueError(f"a regular polygon needs sides >= 3, got {sides}")
+        return super().__new__(cls, sides)
 
     @classmethod
     def circle(cls) -> "Shape":
-        return cls(ShapeKind.CIRCLE)
+        return cls()
 
     @classmethod
     def regular_polygon(cls, sides: int) -> "Shape":
-        return cls(ShapeKind.REGULAR_POLYGON, sides)
+        return cls(sides)
 
     @property
     def label(self) -> str:
         """Short tag such as ``circle`` or ``6-gon``."""
-        if self.kind is ShapeKind.CIRCLE:
-            return "circle"
-        return f"{self.sides}-gon"
+        return "circle" if self.sides is None else f"{self.sides}-gon"
 
 
 class _Point2Fields(NamedTuple):
@@ -70,11 +54,10 @@ class Point2(_Point2Fields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "Point2":
-        self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-        return self
+    def __new__(cls, x: float, y: float) -> "Point2":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        return super().__new__(cls, x, y)
 
 
 def _check_inradius(r: float) -> None:
@@ -88,9 +71,8 @@ def area_coefficient(shape: Shape) -> float:
     ``pi`` for the circle, ``n * tan(pi/n)`` for the regular n-gon; strictly
     decreasing in ``n`` and converging to ``pi`` from above.
     """
-    if shape.kind is ShapeKind.CIRCLE:
+    if shape.sides is None:
         return math.pi
-    assert shape.sides is not None
     return shape.sides * math.tan(math.pi / shape.sides)
 
 

@@ -42,14 +42,15 @@ class GridSpec(_GridSpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "GridSpec":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.points < 3:
-            raise ValueError(f"need at least 3 grid points, got {self.points}")
-        if self.refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be >= 0, got {self.refine_rounds}")
+    def __new__(cls, lo: float, hi: float, points: int = 100_000,
+                refine_rounds: int = 2) -> "GridSpec":
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if points < 3:
+            raise ValueError(f"need at least 3 grid points, got {points}")
+        if refine_rounds < 0:
+            raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
+        self = super().__new__(cls, lo, hi, points, refine_rounds)
         try:
             resolution = self.resolution
         except OverflowError:  # the node count is past the float range

@@ -11,11 +11,14 @@ Every optimum in the catalog is scale-free: the size of the instance only
 scales the optimal shape.  So each numeric path searches once, on the unit
 instance (perimeter, fence length, volume, surface area or radius 1; once
 per base or fence layout, every layout kept), caches that answer, and
-multiplies each field by the length scale raised to the field's degree.  The
-closed forms run at the requested scale, so a wrong closed form or a wrong
-rescale still shows as a closed-vs-numeric gap; the one exception is the
-ellipse, whose closed-form unit contacts are computed once and rescaled
-like its numeric answer.
+builds the requested one from it, one product per field written out in
+each solver: the field times the length scale once per degree (1 for a
+length, 2 for an area, 3 for a volume), a factor at a time, so an answer
+too large for a float reads inf instead of raising, and scale 1 keeps the
+unit answer's bits.  The closed forms run at the requested scale, so a
+wrong closed form or a wrong rescale still shows as a closed-vs-numeric
+gap; the one exception is the ellipse, whose closed-form unit contacts are
+computed once and rescaled like its numeric answer.
 
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
 residuals and objective drive the ``solve`` command and the ``verify``
@@ -70,14 +73,13 @@ class FenceLayout(_FenceLayoutFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "FenceLayout":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.v_segments < 2 or self.h_segments < 2:
+    def __new__(cls, v_segments: int, h_segments: int) -> "FenceLayout":
+        if v_segments < 2 or h_segments < 2:
             raise ValueError(
                 "a closed rectangle needs at least 2 runs in each direction, "
-                f"got v={self.v_segments}, h={self.h_segments}"
+                f"got v={v_segments}, h={h_segments}"
             )
-        return self
+        return super().__new__(cls, v_segments, h_segments)
 
 
 class FenceSolution(NamedTuple):
@@ -93,31 +95,12 @@ class FenceSolution(NamedTuple):
 def _fence_solution(total_fence: float, layout: FenceLayout, vertical_total: float) -> FenceSolution:
     x = vertical_total / layout.v_segments
     y = (total_fence - vertical_total) / layout.h_segments
-    return FenceSolution(
-        x=x,
-        y=y,
-        vertical_total=vertical_total,
-        horizontal_total=total_fence - vertical_total,
-        area=x * y,
-    )
+    return FenceSolution(x, y, vertical_total, total_fence - vertical_total, x * y)
 
 
 def _check_positive(value: float, what: str) -> None:
     if not value > 0:
         raise ValueError(f"{what} must be positive, got {value}")
-
-
-def _rescale(unit: Any, scale: float, degrees: tuple[int, ...]) -> Any:
-    """A unit-instance solution carried to the given length scale: each field
-    times scale**degree (1 for a length, 2 for an area, 3 for a volume).
-
-    The factors are multiplied in one at a time, so an answer too large for
-    a float comes out as inf rather than raising, and scale 1.0 returns the
-    unit answer's exact bits.
-    """
-    s = scale
-    return unit._make([v * s if d == 1 else v * s * s if d == 2 else v * s * s * s
-                       for v, d in zip(unit, degrees)])
 
 
 def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
@@ -151,7 +134,9 @@ def solve_fence_numeric(total_fence: float, layout: FenceLayout) -> FenceSolutio
     """Same problem, solved by golden-section search over the vertical total
     at fence length 1 (once per layout) and rescaled."""
     _check_positive(total_fence, "total fence length")
-    return _rescale(_solve_unit_fence(layout), total_fence, (1, 1, 1, 1, 2))
+    u, s = _solve_unit_fence(layout), total_fence
+    return FenceSolution(u.x * s, u.y * s, u.vertical_total * s, u.horizontal_total * s,
+                         u.area * s * s)
 
 
 def fence_area_curve(
@@ -182,7 +167,7 @@ def solve_rectangle(perimeter: float) -> RectangleSolution:
     """Largest-area rectangle with the given perimeter: the square."""
     _check_positive(perimeter, "perimeter")
     side = perimeter / 4.0
-    return RectangleSolution(x=side, y=side, area=side * side)
+    return RectangleSolution(side, side, side * side)
 
 
 def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
@@ -194,14 +179,15 @@ def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
 @lru_cache
 def _solve_unit_rectangle() -> RectangleSolution:
     x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5, tol=OUTER_REL_TOL).argmin
-    return RectangleSolution(x=x, y=0.5 - x, area=x * (0.5 - x))
+    return RectangleSolution(x, 0.5 - x, x * (0.5 - x))
 
 
 def solve_rectangle_numeric(perimeter: float) -> RectangleSolution:
     """Golden-section counterpart of solve_rectangle, solved at perimeter 1
     and rescaled."""
     _check_positive(perimeter, "perimeter")
-    return _rescale(_solve_unit_rectangle(), perimeter, (1, 1, 2))
+    u, s = _solve_unit_rectangle(), perimeter
+    return RectangleSolution(u.x * s, u.y * s, u.area * s * s)
 
 
 class BoxSolution(NamedTuple):
@@ -215,7 +201,7 @@ def solve_box(volume: float) -> BoxSolution:
     """Smallest-surface-area rectangular box of the given volume: the cube."""
     _check_positive(volume, "volume")
     edge = volume ** (1.0 / 3.0)
-    return BoxSolution(x=edge, y=edge, z=edge, surface_area=6.0 * edge * edge)
+    return BoxSolution(edge, edge, edge, 6.0 * edge * edge)
 
 
 def _box_objective(volume: float) -> Callable[[float, float], float]:
@@ -233,14 +219,15 @@ def _solve_unit_box() -> BoxSolution:
     x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0, tol=BOX_REL_TOL).argmin
     y = best_y(x).argmin
     z = 1.0 / (x * y)
-    return BoxSolution(x=x, y=y, z=z, surface_area=2.0 * (x * y + x * z + y * z))
+    return BoxSolution(x, y, z, 2.0 * (x * y + x * z + y * z))
 
 
 def solve_box_numeric(volume: float) -> BoxSolution:
     """Nested golden-section over (x, y) with z pinned by the volume, solved
     at volume 1 and rescaled."""
     _check_positive(volume, "volume")
-    return _rescale(_solve_unit_box(), volume ** (1.0 / 3.0), (1, 1, 1, 2))
+    u, s = _solve_unit_box(), volume ** (1.0 / 3.0)
+    return BoxSolution(u.x * s, u.y * s, u.z * s, u.surface_area * s * s)
 
 
 # --------------------------------------------------------------------------
@@ -258,12 +245,7 @@ class CanSolution(NamedTuple):
 
 def _can_solution(base_coefficient: float, r: float, h: float) -> CanSolution:
     c = base_coefficient
-    return CanSolution(
-        r=r,
-        h=h,
-        surface_area=2.0 * c * r * r + 2.0 * c * r * h,
-        volume=c * r * r * h,
-    )
+    return CanSolution(r, h, 2.0 * c * r * r + 2.0 * c * r * h, c * r * r * h)
 
 
 def solve_can(volume: float, base: Shape) -> CanSolution:
@@ -301,7 +283,8 @@ def solve_can_numeric(volume: float, base: Shape) -> CanSolution:
     """Golden-section counterpart of solve_can (search over the inradius),
     solved at volume 1 (once per base) and rescaled."""
     _check_positive(volume, "volume")
-    return _rescale(_solve_unit_can(base), volume ** (1.0 / 3.0), (1, 1, 2, 3))
+    u, s = _solve_unit_can(base), volume ** (1.0 / 3.0)
+    return CanSolution(u.r * s, u.h * s, u.surface_area * s * s, u.volume * s * s * s)
 
 
 def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
@@ -337,7 +320,8 @@ def solve_can_dual_numeric(surface_area: float, base: Shape) -> CanSolution:
     """Golden-section counterpart of solve_can_dual, solved at surface area 1
     (once per base) and rescaled."""
     _check_positive(surface_area, "surface area")
-    return _rescale(_solve_unit_can_dual(base), math.sqrt(surface_area), (1, 1, 2, 3))
+    u, s = _solve_unit_can_dual(base), math.sqrt(surface_area)
+    return CanSolution(u.r * s, u.h * s, u.surface_area * s * s, u.volume * s * s * s)
 
 
 def equivalence_ratio(base: Shape) -> float:
@@ -368,7 +352,7 @@ def solve_rect_semicircle(radius: float) -> SemicircleRectSolution:
     """
     _check_positive(radius, "radius")
     half = radius / math.sqrt(2.0)
-    return SemicircleRectSolution(x=half, y=half, area=2.0 * half * half)
+    return SemicircleRectSolution(half, half, 2.0 * half * half)
 
 
 def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
@@ -381,14 +365,15 @@ def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
 def _solve_unit_rect_semicircle() -> SemicircleRectSolution:
     x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0, tol=OUTER_REL_TOL).argmin
     y = math.sqrt(1.0 - x * x)
-    return SemicircleRectSolution(x=x, y=y, area=2.0 * x * y)
+    return SemicircleRectSolution(x, y, 2.0 * x * y)
 
 
 def solve_rect_semicircle_numeric(radius: float) -> SemicircleRectSolution:
     """Golden-section counterpart of solve_rect_semicircle, solved at radius 1
     and rescaled."""
     _check_positive(radius, "radius")
-    return _rescale(_solve_unit_rect_semicircle(), radius, (1, 1, 2))
+    u, s = _solve_unit_rect_semicircle(), radius
+    return SemicircleRectSolution(u.x * s, u.y * s, u.area * s * s)
 
 
 # Slack on the squared-radius containment test: tangent ellipses must count
@@ -522,19 +507,14 @@ def intersect_ellipse_circle(a: float, b: float) -> list[Point2]:
 def _unit_ellipse(a: float, b: float) -> EllipseSolution:
     """The ellipse with semi-axes a, b in the unit semicircle, with its area
     and arc contacts."""
-    return EllipseSolution(a=a, b=b, area=math.pi * a * b,
-                           contacts=tuple(intersect_ellipse_circle(a, b)))
+    return EllipseSolution(a, b, math.pi * a * b, tuple(intersect_ellipse_circle(a, b)))
 
 
 def rescale_ellipse(unit: EllipseSolution, radius: float) -> EllipseSolution:
     """A unit-semicircle solution carried to the given radius: the semi-axes
     and contacts scale with the radius, the area with its square."""
-    return EllipseSolution(
-        a=unit.a * radius,
-        b=unit.b * radius,
-        area=unit.area * radius * radius,
-        contacts=tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts),
-    )
+    return EllipseSolution(unit.a * radius, unit.b * radius, unit.area * radius * radius,
+                           tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts))
 
 
 @lru_cache(maxsize=1)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from optishape.geometry import (
     Point2,
     Shape,
-    ShapeKind,
     area,
     area_coefficient,
     linspace,
@@ -33,13 +32,13 @@ class TestShape:
         assert CIRCLE.label == "circle"
         assert HEXAGON.label == "6-gon"
 
-    def test_circle_rejects_side_count(self):
-        with pytest.raises(ValueError, match="a circle has no side count"):
-            Shape(ShapeKind.CIRCLE, 3)
+    def test_no_sides_is_the_circle(self):
+        assert Shape() == Shape(None) == CIRCLE
+        assert Shape(6) == HEXAGON
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown shape kind"):
-            Shape("square")
+    def test_constructor_rejects_two_sides(self):
+        with pytest.raises(ValueError, match="a regular polygon needs sides >= 3, got 2"):
+            Shape(2)
 
     def test_point_requires_finite_coordinates(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ INSTANCES = {
 
 # Field names in order, and defaults, of every record the package exports.
 LAYOUTS = {
-    "Shape": (("kind", "sides"), {"sides": None}),
+    "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
     "Solution1D": (("argmin", "value", "evaluations", "achieved_interval"), {}),
     "GridSpec": (("lo", "hi", "points", "refine_rounds"), {"points": 100_000, "refine_rounds": 2}),
@@ -65,3 +65,6 @@ def test_checked_records_validate_keyword_arguments():
         FenceLayout(v_segments=4, h_segments=1)
     with pytest.raises(ValueError, match="coordinates must be finite"):
         Point2(x=0.0, y=float("nan"))
+    assert Shape(sides=6) == Shape.regular_polygon(6)
+    with pytest.raises(ValueError, match="sides >= 3"):
+        Shape(sides=2)
