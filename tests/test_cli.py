@@ -25,19 +25,6 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def strip_elapsed(out):
-    """Drop the timing line, the only nondeterministic part of a solve
-    report, from JSON or text output."""
-    lines = out.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.startswith(('  "elapsed_seconds": ', "elapsed_seconds = ")):
-            del lines[i]
-            if lines[i:] == ["}\n"]:  # it was the last key
-                lines[i - 1] = lines[i - 1].replace(",\n", "\n")
-            break
-    return "".join(lines)
-
-
 def run_cli(capsys, *args):
     """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
     try:
@@ -258,7 +245,7 @@ class TestGolden:
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to this width
         code, out, _ = run_cli(capsys, *case["argv"])
         assert code == case["exit"]
-        assert strip_elapsed(out) == case["stdout"]
+        assert out == case["stdout"]
 
 
 class TestJsonContract:
@@ -283,6 +270,14 @@ class TestJsonContract:
         assert code == 0
         doc = json.loads(out)
         assert cli.dumps(doc) + "\n" == out
+
+    # A solve report holds no timing, so the same argv prints the same bytes.
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_same_argv_prints_the_same_bytes(self, capsys, fmt):
+        argv = ("solve", "box", "--volume", "1000", "--format", fmt)
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
 
     def test_seventeen_significant_digits(self):
         assert cli.format_number(math.pi) == "3.1415926535897931"
@@ -473,6 +468,39 @@ class TestExitCodes:
     def test_bad_base(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "can", "--volume", "1", "--base", "2")
         assert code == 2
+
+    # A count that does not fit in a float is refused while parsing, with the
+    # flag named, instead of overflowing in a solver; so is one with more
+    # digits than int() converts.
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("solve", "fence", "--fence", "1", "--v-segments", str(10**400)), "does not fit"),
+            (("solve", "fence", "--fence", "1", "--h-segments", str(-10**400)), "does not fit"),
+            (("solve", "can", "--volume", "1", "--base", str(10**400)), "does not fit"),
+            (("solve", "can-dual", "--surface-area", "1", "--base", str(10**400)), "does not fit"),
+            (("curve", "fence", "--fence", "1", "--h-segments", str(10**400)), "does not fit"),
+            (("solve", "fence", "--fence", "1", "--v-segments", "9" * 5000), "too many digits"),
+            (("solve", "can", "--volume", "1", "--base", "9" * 5000), "too many digits"),
+        ],
+        ids=["fence --v-segments", "fence --h-segments negative", "can --base", "can-dual --base",
+             "curve --h-segments", "fence --v-segments 5000 digits", "can --base 5000 digits"],
+    )
+    def test_count_past_the_float_range(self, capsys, argv, reason):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: {reason}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "can", "--volume", "1", "--base", str(int(sys.float_info.max))),
+        ("solve", "fence", "--fence", "1", "--v-segments", str(int(sys.float_info.max))),
+        ("curve", "fence", "--fence", "1", "--h-segments", str(int(sys.float_info.max))),
+    ], ids=["can --base", "fence --v-segments", "curve --h-segments"])
+    def test_largest_count_that_fits_in_a_float(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
 
     def test_too_few_curve_points(self, capsys):
         code, _, err = run_cli(capsys, "curve", "fence", "--fence", "10", "--points", "1")
