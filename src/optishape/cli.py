@@ -123,20 +123,17 @@ def _integer(text: str) -> int | None:
     """The integer the text spells, None if it spells none.  A count is
     divided by or into floats, so one that does not fit in a float is
     refused, as is one with more digits than ``int`` converts."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in "+-" else digits
     try:
         value = int(text)
-    except ValueError:
-        digits = text.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if digits.isdecimal():
-            raise argparse.ArgumentTypeError(f"too many digits: {len(digits)}")
-        return None
-    try:
         float(value)
     except OverflowError:
-        raise argparse.ArgumentTypeError(
-            f"does not fit in a float: {len(str(abs(value)))} digits")
+        raise argparse.ArgumentTypeError(f"does not fit in a float: {len(digits)} digits")
+    except ValueError:
+        if digits.isdecimal():  # int() refuses more than 4300 digits
+            raise argparse.ArgumentTypeError(f"too many digits: {len(digits)}")
+        return None
     return value
 
 
