@@ -86,12 +86,7 @@ def golden_section_min(
             fd = f(d)
         evaluations += 1
     x = 0.5 * (lo + hi)
-    return Solution1D(
-        argmin=x,
-        value=f(x),
-        evaluations=evaluations + 1,
-        achieved_interval=hi - lo,
-    )
+    return Solution1D(x, f(x), evaluations + 1, hi - lo)
 
 
 def quadratic_vertex(root1: float, root2: float) -> float:
