@@ -649,44 +649,56 @@ UNIT_BITS = {
 
 # The numeric solvers and the closed ellipse carry a unit answer to the
 # requested scale, one product per field.  These are the bits of every field
-# at three scales, small and large enough to round, underflow and overflow,
-# as one generic per-degree helper computed them; the products each solver
-# writes out must give the same bits.
+# at four scales (two that round differently when a product's factors are
+# grouped otherwise, and two small and large enough to underflow and
+# overflow), as one generic per-degree helper computed them; the products
+# each solver writes out must give the same bits.
 INF = math.inf
 SCALED_BITS = {
     ("solve_rectangle_numeric", 3.7): (0.924999998873632, 0.9250000011263682, 0.8556250000000001),
     ("solve_rectangle_numeric", 1e-300): (2.499999996955762e-301, 2.5000000030442384e-301, 0.0),
     ("solve_rectangle_numeric", 1e+300): (2.4999999969557624e+299, 2.5000000030442382e+299, INF),
+    ("solve_rectangle_numeric", 0.37): (0.0924999998873632, 0.09250000011263682, 0.00855625),
     ("solve_box_numeric", 3.7): (1.546680347882068, 1.5466803594318292, 1.5466804140022097,
                                  14.353321071669622),
     ("solve_box_numeric", 1e-300): (9.999999832609582e-101, 9.9999999072841e-101,
                                     1.0000000260106709e-100, 6.000000000000155e-200),
     ("solve_box_numeric", 1e+300): (9.999999832609327e+99, 9.999999907283845e+99,
                                     1.0000000260106452e+100, 5.999999999999848e+200),
+    ("solve_box_numeric", 0.37): (0.7179054231897737, 0.7179054285506978, 0.7179054538800247,
+                                  3.0923292833970653),
     ("solve_fence_numeric", 3.7): (0.36999999604522804, 0.6166666732579533, 1.8499999802261402,
                                    1.85000001977386, 0.22816666666666668),
     ("solve_fence_numeric", 1e-300): (9.99999989311427e-302, 1.666666684480955e-301,
                                       4.999999946557136e-301, 5.0000000534428645e-301, 0.0),
     ("solve_fence_numeric", 1e+300): (9.999999893114272e+298, 1.666666684480955e+299,
                                       4.999999946557136e+299, 5.0000000534428645e+299, INF),
+    ("solve_fence_numeric", 0.37): (0.036999999604522806, 0.06166666732579533,
+                                    0.18499999802261402, 0.18500000197738597,
+                                    0.0022816666666666667),
     ("solve_can_numeric", 3.7): (0.8113228303513167, 1.622645713863336, 13.681360197857439,
                                  3.6999999999999993),
     ("solve_can_numeric", 1e-300): (5.245575259823577e-101, 1.0491150863355547e-100,
                                     5.719105757981767e-200, 1.0000000000000385e-300),
     ("solve_can_numeric", 1e+300): (5.245575259823443e+99, 1.0491150863355277e+100,
                                     5.719105757981473e+200, 9.999999999999615e+299),
+    ("solve_can_numeric", 0.37): (0.3765826989813787, 0.7531654226377698, 2.947559701708555,
+                                  0.37000000000000005),
     ("solve_can_dual_numeric", 3.7): (0.421919813686179, 0.8438396545279063, 3.7,
                                       0.5203677757949279),
     ("solve_can_dual_numeric", 1e-300): (2.193456664724992e-151, 4.3869134706249574e-151, 1e-300,
                                          0.0),
     ("solve_can_dual_numeric", 1e+300): (2.193456664724992e+149, 4.386913470624957e+149,
                                          9.999999999999999e+299, INF),
+    ("solve_can_dual_numeric", 0.37): (0.13342276012022086, 0.26684552882778007,
+                                       0.36999999999999994, 0.016455473924678075),
     ("solve_rect_semicircle_numeric", 3.7): (2.616295074868044, 2.616295105912408,
                                              13.690000000000001),
     ("solve_rect_semicircle_numeric", 1e-300): (7.071067769913632e-301, 7.071067853817319e-301,
                                                 0.0),
     ("solve_rect_semicircle_numeric", 1e+300): (7.071067769913631e+299, 7.071067853817319e+299,
                                                 INF),
+    ("solve_rect_semicircle_numeric", 0.37): (0.26162950748680436, 0.2616295105912408, 0.1369),
     ("solve_ellipse_semicircle_numeric", 3.7): (
         3.0210373512427857, 1.744196725883471, 16.553942197594456,
         ((-2.616295095087944, 2.6162950856925082), (2.616295095087944, 2.6162950856925082))),
@@ -698,6 +710,9 @@ SCALED_BITS = {
         8.164965814169692e+299, 4.714045205090462e+299, INF,
         ((-7.07106782456201e+299, 7.071067799168942e+299),
          (7.07106782456201e+299, 7.071067799168942e+299))),
+    ("solve_ellipse_semicircle_numeric", 0.37): (
+        0.30210373512427857, 0.1744196725883471, 0.16553942197594454,
+        ((-0.2616295095087944, 0.2616295085692508), (0.2616295095087944, 0.2616295085692508))),
     ("solve_ellipse_semicircle", 3.7): (
         3.021037349432586, 1.7441967269268175, 16.55394219757763,
         ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227))),
@@ -709,9 +724,18 @@ SCALED_BITS = {
         8.16496580927726e+299, 4.714045207910318e+299, INF,
         ((-7.071067811865473e+299, 7.071067811865479e+299),
          (7.071067811865473e+299, 7.071067811865479e+299))),
+    ("solve_ellipse_semicircle", 0.37): (
+        0.3021037349432586, 0.17441967269268174, 0.16553942197577626,
+        ((-0.2616295090390225, 0.26162950903902266), (0.2616295090390225, 0.26162950903902266))),
 }
 SCALED_PROBLEMS = [name for name in PROBLEMS if name != "ellipse-semicircle"]
 EXTRA_ARGS = {"fence": (FenceLayout(5, 3),), "can": (HEXAGON,), "can-dual": (HEXAGON,)}
+# Each rescaled field's degree in the length scale, and the length scale of
+# each problem's size input (the identity where the input is a length).
+DEGREES = {"rectangle": (1, 1, 2), "box": (1, 1, 1, 2), "fence": (1, 1, 1, 1, 2),
+           "can": (1, 1, 2, 3), "can-dual": (1, 1, 2, 3), "rect-semicircle": (1, 1, 2)}
+LENGTH_SCALE = {"box": lambda v: v ** (1.0 / 3.0), "can": lambda v: v ** (1.0 / 3.0),
+                "can-dual": math.sqrt}
 
 
 def _key_id(key):
@@ -743,6 +767,24 @@ class TestUnitInstance:
         name = solver[len("solve_"):].removesuffix("_numeric").replace("_", "-")
         got = getattr(problems, solver)(scale, *EXTRA_ARGS.get(name, ()))
         assert _hex(got) == _hex(SCALED_BITS[key])
+
+    # Pinned bits catch a product grouped otherwise only at scales where the
+    # grouping rounds differently; this checks every field at any scale
+    # against the unit answer times the scale, one factor at a time.
+    @pytest.mark.parametrize("name", SCALED_PROBLEMS)
+    @given(log10_scale=st.floats(min_value=-320.0, max_value=308.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rescale_multiplies_one_factor_at_a_time(self, name, log10_scale):
+        scale = 10.0 ** log10_scale
+        extra = EXTRA_ARGS.get(name, ())
+        numeric = _solvers(name)[1]
+        s = LENGTH_SCALE.get(name, lambda v: v)(scale)
+        want = []
+        for v, degree in zip(numeric(1.0, *extra), DEGREES[name]):
+            for _ in range(degree):
+                v *= s
+            want.append(v)
+        assert _hex(numeric(scale, *extra)) == _hex(want)
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_second_scale_runs_no_search(self, monkeypatch, name):
