@@ -28,8 +28,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
-DEFAULT_TOL = 1e-6
-
 # verify.SUITES' names, kept here so that building the parser does not load
 # verify: only `optishape verify` runs it (a test keeps the two equal).
 VERIFY_SUITES = ("derivative", "half-split", "h2r", "duality", "equivalence",
@@ -177,16 +175,12 @@ def _add_inputs(parser: argparse.ArgumentParser, inputs) -> None:
 # solve
 
 
-def _solve_report(args) -> tuple[dict[str, Any], dict[str, float]]:
-    """Returns (report skeleton, residuals) for the requested problem."""
+def _solve_report(args) -> dict[str, Any]:
+    """The report skeleton for the requested problem: no diagnostic yet."""
     problem = problems.PROBLEMS[args.problem]
     values = [getattr(args, spec.key) for spec in problem.inputs]
-    solver_args = problem.solver_args(*values)
-    # Looked up at call time, so patched or traced solvers are the ones run.
-    sol = getattr(problems, problem.stem)(*solver_args)
-    numeric = getattr(problems, problem.stem + "_numeric")(*solver_args)
-    residuals = problem.residuals(sol, numeric, *solver_args)
-    report = {
+    sol, residuals = problem.solve(*values)
+    return {
         "problem": problem.name,
         "inputs": {
             spec.key: _base_tag(v) if isinstance(v, Shape) else v
@@ -196,19 +190,18 @@ def _solve_report(args) -> tuple[dict[str, Any], dict[str, float]]:
         "method": "closed_form",
         "residuals": residuals,
     }
-    return report, residuals
 
 
 def cmd_solve(args) -> int:
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    report, residuals = _solve_report(args)
-    failed = sorted(k for k, v in residuals.items() if not v <= tol)
+    report = _solve_report(args)
+    failed = sorted(k for k, v in report["residuals"].items() if not v <= args.tol)
     # Contacts are points, which cannot hold a non-finite coordinate.
     overflowed = [k for k, v in report["solution"]._asdict().items()
                   if isinstance(v, float) and not math.isfinite(v)]
     diagnostics = []
     if failed:
-        diagnostics.append(f"residuals exceed tolerance {format_number(tol)}: {', '.join(failed)}")
+        diagnostics.append(
+            f"residuals exceed tolerance {format_number(args.tol)}: {', '.join(failed)}")
     if overflowed:
         diagnostics.append(f"the answer does not fit in a float: {', '.join(overflowed)}")
     if diagnostics:
@@ -287,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--tol", type=positive_float, default=None,
+    common.add_argument("--tol", type=positive_float, default=problems.ACCEPTANCE_TOL,
                         help="override the acceptance tolerance (default 1e-6)")
 
     commands = parser.add_subparsers(dest="command", required=True)

@@ -22,7 +22,8 @@ computed once and rescaled like its numeric answer.
 
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
 residuals and objective drive the ``solve`` command and the ``verify``
-oracle suite.
+oracle suite, and ``Problem.solve`` is the one closed-vs-numeric
+cross-check both of them run.
 """
 
 from __future__ import annotations
@@ -572,13 +573,12 @@ class Problem(NamedTuple):
     """One catalog problem, as the CLI and the verify oracle suite see it.
 
     Its solvers are this module's ``solve_<stem>`` (closed form) and
-    ``solve_<stem>_numeric``.  Callers look them up by name at call time, so
-    that a patched or traced module attribute is the one that runs.
-    ``solver_args`` turns the input values, in ``inputs`` order, into the
-    solvers' arguments; ``residuals(closed, numeric, *solver_args)`` gives
-    the report's residuals; ``objective(*instance)`` returns the function
-    the numeric solver minimizes (for the cans the instance holds the base's
-    area coefficient in place of the base).
+    ``solve_<stem>_numeric``, which ``solve`` runs.  ``solver_args`` turns
+    the input values, in ``inputs`` order, into the solvers' arguments;
+    ``residuals(closed, numeric, *solver_args)`` gives the report's
+    residuals; ``objective(*instance)`` returns the function the numeric
+    solver minimizes (for the cans the instance holds the base's area
+    coefficient in place of the base).
     """
 
     name: str
@@ -591,6 +591,20 @@ class Problem(NamedTuple):
     @property
     def stem(self) -> str:
         return "solve_" + self.name.replace("-", "_")
+
+    def solve(self, *values: Any) -> tuple[Any, dict[str, float]]:
+        """The closed-form answer for the input values, in ``inputs`` order,
+        and its residuals against the numeric path.  The solvers are looked
+        up in this module at call time, so that a patched or traced module
+        attribute is the one that runs."""
+        args = self.solver_args(*values)
+        closed = globals()[self.stem](*args)
+        return closed, self.residuals(closed, globals()[self.stem + "_numeric"](*args), *args)
+
+
+# Every residual of a solve report, and every verify check that does not
+# fix its own, is accepted up to this.
+ACCEPTANCE_TOL = 1e-6
 
 
 def worst_residual(residuals: Iterable[float]) -> float:

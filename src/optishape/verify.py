@@ -16,8 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import geometry, oracle, problems
 from .geometry import Shape
 from .optimize import central_diff
-
-ACCEPTANCE_TOL = 1e-6
+from .problems import ACCEPTANCE_TOL
 
 # Bases exercised by the sweeps: circle, 3..12-gons, and a 100-gon.
 VERIFY_BASES: tuple[Shape, ...] = (
@@ -103,12 +102,6 @@ def _random_fence_instances(count: int) -> list[tuple[float, problems.FenceLayou
     return out
 
 
-def _fence_gaps(fence: float, layout: problems.FenceLayout) -> tuple[float, float]:
-    closed = problems.solve_fence(fence, layout)
-    numeric = problems.solve_fence_numeric(fence, layout)
-    return abs(closed.x - numeric.x) / closed.x, abs(closed.y - numeric.y) / closed.y
-
-
 def _suite_half_split() -> list[CheckResult]:
     instances = _random_fence_instances(200)
     return [
@@ -117,7 +110,8 @@ def _suite_half_split() -> list[CheckResult]:
             for fence, layout in instances
         ), 1e-9),
         _worst("half-split", "closed_matches_numeric", (
-            gap for fence, layout in instances[:10] for gap in _fence_gaps(fence, layout)
+            problems.PROBLEMS["fence"].solve(fence, *layout)[1]["closed_numeric_gap"]
+            for fence, layout in instances[:10]
         ), ACCEPTANCE_TOL),
     ]
 
@@ -261,39 +255,48 @@ def _oracle_check(
     return CheckResult("oracle", name, abs(found - expected), 4.0 * grid.resolution)
 
 
+def _oracle_instances() -> dict[str, tuple]:
+    """One instance of each catalog problem, as its CLI input values.  The
+    can-dual one is the surface area of the circle can's answer: the largest
+    radius that area allows ends can-dual's brute-force grid, so another
+    value would change that grid and the check's tolerance."""
+    circle = Shape.circle()
+    sa = problems.solve_can(1000.0, circle).surface_area
+    return {"rectangle": (2400.0,), "box": (1000.0,), "fence": (2400.0, 4, 2),
+            "can": (1000.0, circle), "can-dual": (sa, circle),
+            "rect-semicircle": (1.0,), "ellipse-semicircle": (1.0,)}
+
+
 def _suite_oracle() -> list[CheckResult]:
     grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, refine_rounds=1)
     objective = lambda name, *instance: problems.PROBLEMS[name].objective(*instance)
 
-    rect = problems.solve_rectangle(2400.0)
-    layout = problems.FenceLayout(4, 2)
-    fence = problems.solve_fence(2400.0, layout)
-    can = problems.solve_can(1000.0, Shape.circle())
+    instances = _oracle_instances()
+    # Indexed by every catalog name, so a problem missing here fails loudly.
+    solved = {name: problem.solve(*instances[name])
+              for name, problem in problems.PROBLEMS.items()}
+    closed = {name: sol for name, (sol, _) in solved.items()}
+    sa = instances["can-dual"][0]
+    ellipse = closed["ellipse-semicircle"]
     hexagon = Shape.regular_polygon(6)
-    hex_can = problems.solve_can(1000.0, hexagon)
-    sa = can.surface_area
-    dual = problems.solve_can_dual(sa, Shape.circle())
-    semi = problems.solve_rect_semicircle(1.0)
-    ellipse = problems.solve_ellipse_semicircle()
-    box = problems.solve_box(1000.0)
     # Box: 2D scan with z eliminated by the volume constraint.
     box_grid = oracle.GridSpec(4.0, 20.0, points=201, refine_rounds=1)
     bx, by, _ = oracle.brute_min_2d(objective("box", 1000.0), box_grid, box_grid)
 
     return [
-        _oracle_check("rectangle_vs_brute_force", rect.x,
+        _oracle_check("rectangle_vs_brute_force", closed["rectangle"].x,
                       objective("rectangle", 2400.0), grid(1.0, 1199.0)),
-        _oracle_check("fence_vs_brute_force", fence.vertical_total,
-                      objective("fence", 2400.0, layout), grid(0.0, 2400.0)),
-        _oracle_check("can_circle_vs_brute_force", can.r,
+        _oracle_check("fence_vs_brute_force", closed["fence"].vertical_total,
+                      objective("fence", 2400.0, problems.FenceLayout(4, 2)), grid(0.0, 2400.0)),
+        _oracle_check("can_circle_vs_brute_force", closed["can"].r,
                       objective("can", 1000.0, math.pi), grid(1.0, 20.0)),
-        _oracle_check("can_hexagon_vs_brute_force", hex_can.r,
+        _oracle_check("can_hexagon_vs_brute_force", problems.solve_can(1000.0, hexagon).r,
                       objective("can", 1000.0, geometry.area_coefficient(hexagon)),
                       grid(1.0, 20.0)),
-        _oracle_check("can_dual_vs_brute_force", dual.r,
+        _oracle_check("can_dual_vs_brute_force", closed["can-dual"].r,
                       objective("can-dual", sa, math.pi),
                       grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
-        _oracle_check("rect_semicircle_vs_brute_force", semi.x,
+        _oracle_check("rect_semicircle_vs_brute_force", closed["rect-semicircle"].x,
                       objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
@@ -301,19 +304,14 @@ def _suite_oracle() -> list[CheckResult]:
         CheckResult("oracle", "ellipse_containment_vs_theta_scan",
                     abs(problems.containment_max(ellipse.a, ellipse.b)
                         - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),
-        _worst("oracle", "box_vs_brute_force", (abs(bx - box.x), abs(by - box.y)),
+        _worst("oracle", "box_vs_brute_force",
+               (abs(bx - closed["box"].x), abs(by - closed["box"].y)),
                4.0 * box_grid.resolution),
-        # Each closed form against its golden-section path (fence is covered
-        # in the half-split suite).
-        _worst("oracle", "closed_matches_numeric_all_problems", (
-            abs(problems.solve_rectangle_numeric(2400.0).x - rect.x) / rect.x,
-            *(abs(a - b) / box.x
-              for a, b in zip(problems.solve_box_numeric(1000.0)[:3], box[:3])),
-            abs(problems.solve_can_numeric(1000.0, Shape.circle()).r - can.r) / can.r,
-            abs(problems.solve_can_dual_numeric(sa, Shape.circle()).r - dual.r) / dual.r,
-            abs(problems.solve_rect_semicircle_numeric(1.0).x - semi.x) / semi.x,
-            *(abs(n - c) for n, c in zip(problems.solve_ellipse_semicircle_numeric()[:2], ellipse)),
-        ), ACCEPTANCE_TOL),
+        # Each closed form against its golden-section path, by the residual
+        # `solve` reports.
+        _worst("oracle", "closed_matches_numeric_all_problems",
+               (residuals["closed_numeric_gap"] for _, residuals in solved.values()),
+               ACCEPTANCE_TOL),
     ]
 
 
@@ -331,7 +329,7 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run(
-    suites: Iterable[str] | None = None, tol_override: float | None = None
+    suites: Iterable[str] | None = None, tol_override: float = ACCEPTANCE_TOL
 ) -> list[CheckResult]:
     """Run the named suites (all of them by default) in catalog order.
 
@@ -344,7 +342,5 @@ def run(
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
         results.extend(SUITES[name]())
-    if tol_override is None:
-        return results
     return [r._replace(tolerance=tol_override) if r.tolerance == ACCEPTANCE_TOL else r
             for r in results]

@@ -384,6 +384,36 @@ class TestEllipseCrossCheck:
         assert code == 1
 
 
+class TestFenceCrossCheck:
+    """`solve` and both `verify` suites take the fence's closed-vs-numeric gap
+    from one Problem.solve: moving the numeric y by 1e-5 fails all three."""
+
+    @pytest.fixture(autouse=True)
+    def shift_y(self, monkeypatch):
+        numeric = problems.solve_fence_numeric
+
+        def shifted(fence, layout):
+            sol = numeric(fence, layout)
+            return sol._replace(y=sol.y * (1.0 + 1e-5))
+        monkeypatch.setattr(problems, "solve_fence_numeric", shifted)
+
+    def test_solve_fails(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "fence", "--fence", "2400")
+        doc = strict_json(out)
+        assert doc["residuals"]["closed_numeric_gap"] == pytest.approx(1e-5, rel=1e-3)
+        assert code == 1
+
+    @pytest.mark.parametrize("suite, check", [
+        ("oracle", "closed_matches_numeric_all_problems"),
+        ("half-split", "closed_matches_numeric"),
+    ])
+    def test_verify_fails(self, capsys, suite, check):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        failed = [c["name"] for c in strict_json(out)["checks"] if not c["passed"]]
+        assert failed == [check]
+        assert code == 1
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "h2r", "--format", "text")

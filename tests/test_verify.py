@@ -3,6 +3,7 @@ import math
 import pytest
 
 from optishape import verify
+from optishape.problems import PROBLEMS
 
 
 @pytest.mark.parametrize(
@@ -30,3 +31,17 @@ def test_worst_residual_rule(residuals, worst):
 def test_every_suite_returns_a_list():
     for suite in verify.SUITES.values():
         assert type(suite()) is list
+
+
+# The oracle suite solves one instance of every catalog problem.
+def test_oracle_instances_cover_the_catalog():
+    assert list(verify._oracle_instances()) == list(PROBLEMS)
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_problem_missing_from_the_oracle_fails_loudly(monkeypatch, name):
+    instances = verify._oracle_instances
+    monkeypatch.setattr(verify, "_oracle_instances",
+                        lambda: {k: v for k, v in instances().items() if k != name})
+    with pytest.raises(KeyError, match=name):
+        verify.run(["oracle"])
