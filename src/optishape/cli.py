@@ -28,6 +28,9 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 
+# `curve` builds every row before it writes one, about 300 B a point.
+MAX_CURVE_POINTS = 10**6
+
 # verify.SUITES' names, kept here so that building the parser does not load
 # verify: only `optishape verify` runs it (a test keeps the two equal).
 VERIFY_SUITES = ("derivative", "half-split", "h2r", "duality", "equivalence",
@@ -141,6 +144,13 @@ def segment_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 2:
         raise argparse.ArgumentTypeError(f"segment counts start at 2: {text!r}")
+    return value
+
+
+def point_count(text: str) -> int:
+    value = _integer(text)
+    if value is None or not 2 <= value <= MAX_CURVE_POINTS:
+        raise argparse.ArgumentTypeError(f"takes an integer from 2 to {MAX_CURVE_POINTS}: {text!r}")
     return value
 
 
@@ -300,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     curve_sub = curve.add_subparsers(dest="curve_kind", required=True)
     p = curve_sub.add_parser("fence", help="fence area as a function of the vertical total")
     _add_inputs(p, problems.PROBLEMS["fence"].inputs)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=point_count, default=101,
+                   help=f"sample count, 2 to {MAX_CURVE_POINTS} (default 101)")
     p.add_argument("--out", default=None)
 
     return parser

@@ -537,6 +537,23 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    # `curve` builds every row before it writes one, so the count is capped.
+    @pytest.mark.parametrize("points, reason", [
+        (str(10**400), "does not fit in a float"),
+        (str(cli.MAX_CURVE_POINTS + 1), "takes an integer from 2 to 1000000"),
+        ("1", "takes an integer from 2 to 1000000"),
+    ], ids=["10**400", "cap+1", "1"])
+    def test_curve_points_out_of_range(self, capsys, points, reason):
+        code, out, err = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert f"argument --points: {reason}" in err
+        assert "Traceback" not in err
+
+    def test_curve_points_cap_is_accepted(self):
+        assert cli.point_count(str(cli.MAX_CURVE_POINTS)) == cli.MAX_CURVE_POINTS
+        assert cli.point_count("2") == 2
+
     # The CLI looks solvers up on the problems module at call time, so a
     # patched (or traced) module attribute is the one that runs.
     @pytest.mark.parametrize(
