@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
@@ -35,3 +37,17 @@ def test_counts_only_lines_holding_code(tmp_path, capsys):
     assert count_code_lines.code_lines(path) == 8
     assert count_code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"     8 {path}\n     8 total\n"
+
+
+# A reader that closes the pipe before the counts are written (`| head -1`
+# closes it after one line) ends the run quietly.
+def test_closed_pipe_ends_quietly(tmp_path):
+    for i in range(3):
+        (tmp_path / f"m{i}.py").write_text(MODULE)
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "tools" / "count_code_lines.py"), str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the only read end: every write now fails
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 0

@@ -6,11 +6,13 @@ statement on its own.  Stdlib only.
 
 Usage: python tools/count_code_lines.py [PATH ...]   (default: src/optishape)
 
-Prints one line per file, then the total, like ``wc -l``.
+Prints one line per file, then the total, like ``wc -l``.  A reader that
+closes the pipe early (``| head -1``) ends the run quietly, with exit 0.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import sys
 import tokenize
@@ -49,4 +51,12 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads the rest.  Point stdout at devnull, so that the
+        # interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
