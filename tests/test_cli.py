@@ -510,11 +510,13 @@ class TestExitCodes:
             (("solve", "can", "--volume", "1", "--base", str(10**400)), "does not fit"),
             (("solve", "can-dual", "--surface-area", "1", "--base", str(10**400)), "does not fit"),
             (("curve", "fence", "--fence", "1", "--h-segments", str(10**400)), "does not fit"),
+            (("curve", "fence", "--fence", "1", "--points", str(10**400)), "does not fit"),
             (("solve", "fence", "--fence", "1", "--v-segments", "9" * 5000), "too many digits"),
             (("solve", "can", "--volume", "1", "--base", "9" * 5000), "too many digits"),
         ],
         ids=["fence --v-segments", "fence --h-segments negative", "can --base", "can-dual --base",
-             "curve --h-segments", "fence --v-segments 5000 digits", "can --base 5000 digits"],
+             "curve --h-segments", "curve --points", "fence --v-segments 5000 digits",
+             "can --base 5000 digits"],
     )
     def test_count_past_the_float_range(self, capsys, argv, reason):
         code, out, err = run_cli(capsys, *argv)
@@ -538,16 +540,12 @@ class TestExitCodes:
         assert "error" in err
 
     # `curve` builds every row before it writes one, so the count is capped.
-    @pytest.mark.parametrize("points, reason", [
-        (str(10**400), "does not fit in a float"),
-        (str(cli.MAX_CURVE_POINTS + 1), "takes an integer from 2 to 1000000"),
-        ("1", "takes an integer from 2 to 1000000"),
-    ], ids=["10**400", "cap+1", "1"])
-    def test_curve_points_out_of_range(self, capsys, points, reason):
+    @pytest.mark.parametrize("points", [str(cli.MAX_CURVE_POINTS + 1), "1"], ids=["cap+1", "1"])
+    def test_curve_points_out_of_range(self, capsys, points):
         code, out, err = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", points)
         assert code == 2
         assert out == ""
-        assert f"argument --points: {reason}" in err
+        assert "argument --points: takes an integer from 2 to 1000000" in err
         assert "Traceback" not in err
 
     def test_curve_points_cap_is_accepted(self):
