@@ -80,7 +80,7 @@ def dumps(value: Any, indent: str = "") -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_text(doc: dict[str, Any], stream) -> None:
+def _emit_text(doc: dict[str, Any]) -> None:
     def walk(prefix: str, value: Any) -> None:
         if hasattr(value, "_asdict"):
             value = value._asdict()
@@ -91,19 +91,18 @@ def _emit_text(doc: dict[str, Any], stream) -> None:
             for i, v in enumerate(value):
                 walk(f"{prefix}[{i}]", v)
         elif isinstance(value, (int, float)):
-            print(f"{prefix} = {format_number(value)}", file=stream)
+            print(f"{prefix} = {format_number(value)}")
         else:
-            print(f"{prefix} = {value}", file=stream)
+            print(f"{prefix} = {value}")
 
     walk("", doc)
 
 
-def _emit(doc: dict[str, Any], fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(doc: dict[str, Any], fmt: str) -> None:
     if fmt == "json":
-        print(dumps(doc), file=stream)
+        print(dumps(doc))
     else:
-        _emit_text(doc, stream)
+        _emit_text(doc)
 
 
 # --------------------------------------------------------------------------

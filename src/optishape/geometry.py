@@ -60,9 +60,9 @@ class Point2(_Point2Fields):
         return super().__new__(cls, x, y)
 
 
-def _check_inradius(r: float) -> None:
-    if not r > 0:
-        raise ValueError(f"inradius must be positive, got {r}")
+def _check_positive(value: float, what: str) -> None:
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
 
 
 def area_coefficient(shape: Shape) -> float:
@@ -78,7 +78,7 @@ def area_coefficient(shape: Shape) -> float:
 
 def area(shape: Shape, r: float) -> float:
     """Enclosed area of the shape with inradius ``r``."""
-    _check_inradius(r)
+    _check_positive(r, "inradius")
     # (c*r)*r shares its rounded first factor with perimeter(), keeping
     # area/perimeter within a couple of ulp of r/2.
     return area_coefficient(shape) * r * r
@@ -86,7 +86,7 @@ def area(shape: Shape, r: float) -> float:
 
 def perimeter(shape: Shape, r: float) -> float:
     """Boundary length of the shape with inradius ``r`` (equals ``2*c*r``)."""
-    _check_inradius(r)
+    _check_positive(r, "inradius")
     return 2.0 * (area_coefficient(shape) * r)
 
 
@@ -98,7 +98,7 @@ def polygon_vertices(n: int, r: float) -> list[Point2]:
     """
     if n < 3:
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
-    _check_inradius(r)
+    _check_positive(r, "inradius")
     circumradius = r / math.cos(math.pi / n)
     step = 2.0 * math.pi / n
     start = -math.pi / n

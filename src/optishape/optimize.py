@@ -14,7 +14,6 @@ from typing import Callable, NamedTuple
 # 1/phi, the bracket shrink factor per golden-section iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 500
 
 
@@ -35,11 +34,18 @@ class Solution1D(NamedTuple):
     achieved_interval: float
 
 
+def _check_bracket(lo: float, hi: float, tol: float) -> None:
+    if lo >= hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 def golden_section_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = DEFAULT_TOL,
+    tol: float,
 ) -> Solution1D:
     """Minimize a unimodal function on [lo, hi] by golden-section search.
 
@@ -55,10 +61,7 @@ def golden_section_min(
         lower-argument side of the bracket is kept, so results are
         deterministic.
     """
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_bracket(lo, hi, tol)
     c = hi - (hi - lo) * INV_PHI
     d = lo + (hi - lo) * INV_PHI
     fc = f(c)
@@ -98,17 +101,14 @@ def bisect_boundary(
     pred: Callable[[float], bool],
     lo: float,
     hi: float,
-    tol: float = DEFAULT_TOL,
+    tol: float,
 ) -> float:
     """Locate the true/false boundary of a monotone predicate.
 
     Requires pred(lo) true and pred(hi) false; returns x within tol of the
     crossing point.
     """
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_bracket(lo, hi, tol)
     if not pred(lo):
         raise BracketError(f"pred({lo}) must be true at the lower end")
     if pred(hi):

@@ -26,31 +26,25 @@ class EvaluationError(ValueError):
 class _GridSpecFields(NamedTuple):
     lo: float
     hi: float
-    points: int = 100_000
-    refine_rounds: int = 2
+    points: int
 
 
 class GridSpec(_GridSpecFields):
     """Search interval, first-scan density and target resolution.
 
-    The first scan evaluates ``points`` nodes across [lo, hi].
-    ``refine_rounds`` only sets the target ``resolution``: the cell that
-    ``refine_rounds`` rounds of ``points``-fold shrinking would reach.  The
-    refinement itself uses 21-node windows, as many rounds as it takes to
-    get there.
+    The first scan evaluates ``points`` nodes across [lo, hi].  The
+    refinement then re-grids 21-node windows, as many rounds as it takes to
+    shrink the cell ``points``-fold once more, to ``resolution``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: float, hi: float, points: int = 100_000,
-                refine_rounds: int = 2) -> "GridSpec":
+    def __new__(cls, lo: float, hi: float, points: int) -> "GridSpec":
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
         if points < 3:
             raise ValueError(f"need at least 3 grid points, got {points}")
-        if refine_rounds < 0:
-            raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
-        self = super().__new__(cls, lo, hi, points, refine_rounds)
+        self = super().__new__(cls, lo, hi, points)
         try:
             resolution = self.resolution
         except OverflowError:  # the node count is past the float range
@@ -62,12 +56,10 @@ class GridSpec(_GridSpecFields):
 
     @property
     def resolution(self) -> float:
-        """Final cell size the refinement reaches, at most.
-
-        Equals ``(hi - lo) / ((points - 1) * points**refine_rounds)``, which
-        stays below twice ``(hi - lo) / points**(refine_rounds + 1)``.
-        """
-        return (self.hi - self.lo) / ((self.points - 1) * self.points**self.refine_rounds)
+        """Final cell size the refinement reaches, at most:
+        ``(hi - lo) / ((points - 1) * points)``, the first scan's cell
+        shrunk ``points``-fold."""
+        return (self.hi - self.lo) / ((self.points - 1) * self.points)
 
 
 def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, float]:

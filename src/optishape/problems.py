@@ -33,7 +33,7 @@ import sys
 from functools import lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .geometry import Point2, Shape, area_coefficient, linspace
+from .geometry import Point2, Shape, _check_positive, area_coefficient, linspace
 from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
 
 
@@ -41,20 +41,20 @@ class InfeasibleError(ValueError):
     """No candidate in the search domain satisfies the constraints."""
 
 
-# Default tolerances.  Every numeric search runs once, on a unit instance
+# Search tolerances.  Every numeric search runs once, on a unit instance
 # whose answer is of order 1, so these are fixed absolute tolerances (the
 # cans scale theirs by the base's unit radius, which stays within 0.31..0.55)
-# and an extreme input scale can no longer round them to 0.  Outer searches
-# resolve arguments to ~1e-8 relative, an order tighter than the 1e-6 the
-# cross-checks claim.  The frontier bisection runs much tighter still: where
-# it stops within its bracket jumps from one b to the next, so its error e
-# perturbs the outer objective like noise and drags the argmin by
-# ~sqrt(e/curvature); e must stay below ~1e-13 for the b search to stay
-# inside 1e-7.
+# and an extreme input scale can no longer round them to 0.  A plain search
+# resolves its argument to OUTER_REL_TOL.  An outer search whose objective is
+# itself a search (the box's x, the ellipse's b) stops at NESTED_TOL, ~1e-8
+# relative, an order tighter than the 1e-6 the cross-checks claim.  The
+# frontier bisection runs much tighter still: where it stops within its
+# bracket jumps from one b to the next, so its error e perturbs the outer
+# objective like noise and drags the argmin by ~sqrt(e/curvature); e must
+# stay below ~1e-13 for the b search to stay inside 1e-7.
 INNER_TOL = 5e-14
 OUTER_REL_TOL = 1e-10
-BOX_REL_TOL = 1e-8  # the box's outer search; its inner searches run 100x tighter
-ELLIPSE_B_TOL = 1e-8
+NESTED_TOL = 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -99,11 +99,6 @@ def _fence_solution(total_fence: float, layout: FenceLayout, vertical_total: flo
     return FenceSolution(x, y, vertical_total, total_fence - vertical_total, x * y)
 
 
-def _check_positive(value: float, what: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{what} must be positive, got {value}")
-
-
 def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
     """Maximize the fenced rectangle's area for a given total fence length.
 
@@ -117,9 +112,15 @@ def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
 
 
 def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float], float]:
-    """Negated field area as a function of the vertical total L."""
+    """Negated field area as a function of the vertical total L.
+
+    A count past 2**500 is first divided by an exact power of two, to below
+    2**500, so that the area of a huge layout (about 1/(4*v*h) at fence 1)
+    does not underflow; that only scales the objective, not its argmin.
+    Smaller counts are used as they are.
+    """
     # Float counts: float/int division is much slower than float/float.
-    v, h = float(layout.v_segments), float(layout.h_segments)
+    v, h = (math.ldexp(c, -max(0, math.frexp(c)[1] - 500)) for c in map(float, layout))
     return lambda L: -(L / v) * ((total_fence - L) / h)
 
 
@@ -147,8 +148,9 @@ def fence_area_curve(
     _check_positive(total_fence, "total fence length")
     if n_points < 2:
         raise ValueError(f"need at least 2 sample points, got {n_points}")
-    # _fence_objective's product without its per-point call and negation;
-    # negation is exact, so the bits (+0.0 at both ends too) are the same.
+    # _fence_objective's product without its per-point call, negation and
+    # the rescaling of counts past 2**500; negation is exact, so below that
+    # the bits (+0.0 at both ends too) are the same.
     v, h = float(layout.v_segments), float(layout.h_segments)
     return [(L, (L / v) * ((total_fence - L) / h))
             for L in linspace(0.0, total_fence, n_points)]
@@ -215,9 +217,9 @@ def _solve_unit_box() -> BoxSolution:
     sa_for = _box_objective(1.0)
 
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0, tol=BOX_REL_TOL * 1e-2)
+        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0, tol=OUTER_REL_TOL)
 
-    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0, tol=BOX_REL_TOL).argmin
+    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0, tol=NESTED_TOL).argmin
     y = best_y(x).argmin
     z = 1.0 / (x * y)
     return BoxSolution(x, y, z, 2.0 * (x * y + x * z + y * z))
@@ -541,7 +543,7 @@ def _solve_unit_ellipse_semicircle() -> EllipseSolution:
     def neg_area(b: float) -> float:
         return -math.pi * b * max_a_for_b(b)
 
-    b = golden_section_min(neg_area, 1e-4, 0.5, tol=ELLIPSE_B_TOL).argmin
+    b = golden_section_min(neg_area, 1e-4, 0.5, tol=NESTED_TOL).argmin
     return _unit_ellipse(max_a_for_b(b), b)
 
 

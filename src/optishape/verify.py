@@ -240,7 +240,7 @@ def containment_max_theta_scan(a: float, b: float) -> float:
     """
     _, neg_max = oracle.brute_min(
         lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
-        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049, refine_rounds=1),
+        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049),
     )
     return -neg_max
 
@@ -268,7 +268,7 @@ def _oracle_instances() -> dict[str, tuple]:
 
 
 def _suite_oracle() -> list[CheckResult]:
-    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, refine_rounds=1)
+    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001)
     objective = lambda name, *instance: problems.PROBLEMS[name].objective(*instance)
 
     instances = _oracle_instances()
@@ -280,7 +280,7 @@ def _suite_oracle() -> list[CheckResult]:
     ellipse = closed["ellipse-semicircle"]
     hexagon = Shape.regular_polygon(6)
     # Box: 2D scan with z eliminated by the volume constraint.
-    box_grid = oracle.GridSpec(4.0, 20.0, points=201, refine_rounds=1)
+    box_grid = oracle.GridSpec(4.0, 20.0, points=201)
     bx, by, _ = oracle.brute_min_2d(objective("box", 1000.0), box_grid, box_grid)
 
     return [
@@ -300,7 +300,7 @@ def _suite_oracle() -> list[CheckResult]:
                       objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
-                      oracle.GridSpec(1e-4, 0.5, points=2001, refine_rounds=1)),
+                      oracle.GridSpec(1e-4, 0.5, points=2001)),
         CheckResult("oracle", "ellipse_containment_vs_theta_scan",
                     abs(problems.containment_max(ellipse.a, ellipse.b)
                         - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),

@@ -145,6 +145,23 @@ class TestSolve:
         assert "problem = fence" in out
 
 
+def fits_in_float(n):
+    try:
+        float(n)
+    except OverflowError:
+        return False
+    return True
+
+
+def integer_flag(minimum):
+    """Counts from ``minimum`` to int(sys.float_info.max), log-uniform, and
+    one draw in ten past the float range, up to 4300 digits."""
+    fits = st.floats(math.log2(minimum), 1024.0, exclude_max=True).map(
+        lambda e: max(minimum, int(2.0**e)))
+    past = st.integers(int(sys.float_info.max) + 1, 10**4300 - 1)
+    return st.integers(0, 9).flatmap(lambda k: past if k == 0 else fits)
+
+
 class TestExtremeScales:
     """Inputs near the ends of the float range: a verified answer with strict
     JSON, or exit 3 with the field that does not fit printed as null."""
@@ -162,8 +179,15 @@ class TestExtremeScales:
             ("solve", "can", "--volume", "1e308", "--base", "7"),
             ("solve", "can", "--volume", "5e-324"),
             ("solve", "can-dual", "--surface-area", "5e-324"),
+            # both counts huge: the fence's unit area would underflow
+            ("solve", "fence", "--fence", "1", "--v-segments", str(10**160),
+             "--h-segments", str(10**160)),
+            ("solve", "fence", "--fence", "1", "--v-segments", str(10**200),
+             "--h-segments", str(10**200)),
+            ("solve", "fence", "--fence", "1e308", "--v-segments", str(int(sys.float_info.max)),
+             "--h-segments", str(int(sys.float_info.max))),
         ],
-        ids=lambda argv: " ".join(argv[1:]),
+        ids=lambda argv: " ".join(a if len(a) < 20 else f"<{len(a)} digits>" for a in argv[1:]),
     )
     def test_verified_answer(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -199,23 +223,29 @@ class TestExtremeScales:
         assert code == 1
 
     # Every input the CLI accepts gives a verified answer or exit 3, and
-    # strict JSON either way.
+    # strict JSON either way; a count that does not fit in a float exits 2.
     @given(
         kind=st.sampled_from([*PROBLEMS, "curve"]),
         exponent=st.floats(min_value=-323.3, max_value=308.25),
-        v=st.integers(2, 50),
-        h=st.integers(2, 50),
-        base=st.sampled_from(["circle", "3", "4", "7", "12"]),
+        v=integer_flag(2),
+        h=integer_flag(2),
+        base=st.one_of(st.just("circle"), integer_flag(3)),
+        points=st.integers(2, 50),
     )
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_scale_gives_an_answer_or_exit_3(self, capsys, kind, exponent, v, h, base):
+    def test_any_scale_gives_an_answer_or_exit_3(self, capsys, kind, exponent, v, h, base, points):
         name = "fence" if kind == "curve" else kind
-        argv = ["curve", "fence"] if kind == "curve" else ["solve", kind]
+        argv = ["curve", "fence", "--points", str(points)] if kind == "curve" else ["solve", kind]
+        counts = {"--v-segments": v, "--h-segments": h, "--base": base}
         for spec in PROBLEMS[name].inputs:
-            value = {"--v-segments": v, "--h-segments": h, "--base": base}.get(spec.flag)
-            argv += [spec.flag, str(value) if value else repr(10.0 ** exponent)]
+            argv += [spec.flag, str(counts.get(spec.flag, repr(10.0 ** exponent)))]
         code, out, err = run_cli(capsys, *argv)
+        oversized = [spec.flag for spec in PROBLEMS[name].inputs
+                     if isinstance(counts.get(spec.flag), int) and not fits_in_float(counts[spec.flag])]
+        if oversized:  # argparse names the first flag it refuses
+            assert (code, out) == (2, "") and f"argument {oversized[0]}: does not fit" in err
+            return
         assert code in (0, 3), (argv, out, err)
         if kind == "curve" and code == 0:
             rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -226,6 +256,10 @@ class TestExtremeScales:
             assert doc["diagnostic"].startswith("the answer does not fit in a float")
         elif kind != "curve":
             assert all(r <= 1e-6 for r in doc["residuals"].values()), argv
+
+    @given(n=st.integers(2, cli.MAX_CURVE_POINTS))
+    def test_every_curve_point_count_up_to_the_cap_parses(self, n):
+        assert cli.point_count(str(n)) == n
 
     def test_overflowing_curve_writes_no_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location(
     "count_code_lines", ROOT / "tools" / "count_code_lines.py")
@@ -51,3 +53,19 @@ def test_closed_pipe_ends_quietly(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 0
+
+
+# A mistyped path, or a file that is not Python, is an error, not 0 lines.
+@pytest.mark.parametrize("name, create, problem", [
+    ("optishap", False, "no such file or directory"),
+    ("README.md", True, "not a .py file"),
+], ids=["missing path", "non-Python file"])
+def test_wrong_path_exits_2(tmp_path, capsys, name, create, problem):
+    (tmp_path / "m.py").write_text(MODULE)
+    path = tmp_path / name
+    if create:
+        path.write_text("# Title\n\nSome `code`.\n")
+    assert count_code_lines.main([str(tmp_path / "m.py"), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: {problem}\n"

@@ -37,9 +37,9 @@ class TestGoldenSection:
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 1.0, 1.0)
+            golden_section_min(lambda x: x, 1.0, 1.0, tol=1e-10)
         with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 2.0, 1.0)
+            golden_section_min(lambda x: x, 2.0, 1.0, tol=1e-10)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
@@ -51,8 +51,8 @@ class TestGoldenSection:
 
     def test_deterministic(self):
         f = lambda x: math.cos(x) + 0.1 * x
-        first = golden_section_min(f, 0.0, 6.0)
-        second = golden_section_min(f, 0.0, 6.0)
+        first = golden_section_min(f, 0.0, 6.0, tol=1e-10)
+        second = golden_section_min(f, 0.0, 6.0, tol=1e-10)
         assert first == second
 
     def test_recovers_random_targets(self):
@@ -61,6 +61,19 @@ class TestGoldenSection:
             t = rng.uniform(0.05, 4.95)
             sol = golden_section_min(lambda x: (x - t) ** 2, 0.0, 5.0, tol=1e-10)
             assert abs(sol.argmin - t) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "search, f", [(golden_section_min, lambda x: x), (bisect_boundary, lambda x: x <= 0.5)],
+    ids=["golden", "bisect"],
+)
+def test_searches_share_the_bracket_checks(search, f):
+    with pytest.raises(ValueError, match=r"need lo < hi, got \[1.0, 1.0\]"):
+        search(f, 1.0, 1.0, tol=1e-10)
+    with pytest.raises(ValueError, match="tolerance must be positive, got 0.0"):
+        search(f, 0.0, 1.0, tol=0.0)
+    with pytest.raises(TypeError):  # no default tolerance
+        search(f, 0.0, 1.0)
 
 
 class TestQuadraticVertex:
@@ -87,9 +100,9 @@ class TestBisectBoundary:
 
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
-            bisect_boundary(lambda v: False, 0.0, 1.0)
+            bisect_boundary(lambda v: False, 0.0, 1.0, tol=1e-10)
         with pytest.raises(BracketError):
-            bisect_boundary(lambda v: True, 0.0, 1.0)
+            bisect_boundary(lambda v: True, 0.0, 1.0, tol=1e-10)
 
     @given(c=st.floats(min_value=0.1, max_value=1.9))
     @settings(max_examples=100, deadline=None)

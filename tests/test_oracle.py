@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import optishape.oracle
+from optishape.geometry import linspace
 from optishape.oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
 from optishape.problems import ellipse_fits
 
@@ -26,88 +27,78 @@ def counting(f):
 
 class TestGridSpec:
     def test_resolution_formula(self):
-        grid = GridSpec(0.0, 1.0, points=100, refine_rounds=3)
-        assert grid.resolution == 1.0 / (99 * 100**3)
+        grid = GridSpec(0.0, 1.0, points=100)
+        assert grid.resolution == 1.0 / (99 * 100)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            GridSpec(1.0, 1.0)
+            GridSpec(1.0, 1.0, 101)
         with pytest.raises(ValueError):
             GridSpec(0.0, 1.0, points=2)
-        with pytest.raises(ValueError):
-            GridSpec(0.0, 1.0, refine_rounds=-1)
 
     @pytest.mark.parametrize(
-        "lo, hi, points, rounds",
-        [
-            (0.0, 1.0, 100000, 70),  # node count past the float range
-            (0.0, 1e-300, 100000, 5),  # resolution underflows to 0
-            (-1e308, 1e308, 101, 1),  # width overflows to inf
-        ],
+        "lo, hi, points",
+        [(0.0, 1.0, 10**155), (0.0, 1e-300, 10**13), (-1e308, 1e308, 101)],
+        ids=["too-many-nodes", "resolution-is-0", "width-is-inf"],
     )
-    def test_resolution_must_be_a_positive_finite_float(self, lo, hi, points, rounds):
+    def test_resolution_must_be_a_positive_finite_float(self, lo, hi, points):
         with pytest.raises(ValueError, match="positive finite resolution"):
-            GridSpec(lo, hi, points, rounds)
+            GridSpec(lo, hi, points)
 
     @given(
         points=st.integers(min_value=3, max_value=1000),
-        rounds=st.integers(min_value=0, max_value=4),
         width=st.floats(min_value=1e-3, max_value=1e6),
     )
     @settings(max_examples=100, deadline=None)
-    def test_resolution_bound(self, points, rounds, width):
-        grid = GridSpec(0.0, width, points=points, refine_rounds=rounds)
-        assert grid.resolution <= 2.0 * width / points ** (rounds + 1)
+    def test_resolution_bound(self, points, width):
+        grid = GridSpec(0.0, width, points=points)
+        assert grid.resolution <= 2.0 * width / points**2
 
 
 class TestBruteMin:
     def test_vee_function(self):
-        x, value = brute_min(lambda v: abs(v - 1.0), GridSpec(0.0, 2.0, 10001, 0))
+        x, value = brute_min(lambda v: abs(v - 1.0), GridSpec(0.0, 2.0, 10001))
         assert abs(x - 1.0) <= 2e-4
         assert value == pytest.approx(abs(x - 1.0))
 
-    def test_can_surface_area_default_grid(self):
+    def test_can_surface_area(self):
         x, _ = brute_min(
-            lambda r: 2.0 * math.pi * r * r + 2000.0 / r, GridSpec(0.5, 20.0)
+            lambda r: 2.0 * math.pi * r * r + 2000.0 / r, GridSpec(0.5, 20.0, 100_000)
         )
         assert x == pytest.approx(5.41926070139289, abs=1e-6)
 
     def test_fence_area_maximum(self):
         x, _ = brute_min(
             lambda L: -(L / 4.0) * ((2400.0 - L) / 2.0),
-            GridSpec(0.0, 2400.0, 10001, 1),
+            GridSpec(0.0, 2400.0, 10001),
         )
         assert x == pytest.approx(1200.0, abs=1e-4)
 
     def test_constant_ties_break_to_smallest_argument(self):
-        x, value = brute_min(lambda _: 1.0, GridSpec(2.0, 5.0, 101, 1))
+        x, value = brute_min(lambda _: 1.0, GridSpec(2.0, 5.0, 101))
         assert x == 2.0
         assert value == 1.0
 
     def test_nonfinite_value_is_an_error(self):
-        grid = GridSpec(0.0, 1.0, 11, 0)
+        grid = GridSpec(0.0, 1.0, 11)
         with pytest.raises(EvaluationError) as excinfo:
             brute_min(lambda x: math.inf if x < 0.35 else x, grid)
         assert "0.0" in str(excinfo.value)
 
     def test_refinement_tightens_argmin(self):
-        f = lambda x: (x - math.e / 3.0) ** 2
-        coarse = GridSpec(0.0, 2.0, 101, 0)
-        fine = GridSpec(0.0, 2.0, 101, 2)
-        x_coarse, _ = brute_min(f, coarse)
-        x_fine, _ = brute_min(f, fine)
-        assert abs(x_fine - math.e / 3.0) <= abs(x_coarse - math.e / 3.0)
-        assert abs(x_fine - math.e / 3.0) <= 4.0 * fine.resolution
+        x_star = math.e / 3.0
+        f = lambda x: (x - x_star) ** 2
+        grid = GridSpec(0.0, 2.0, 101)
+        x_scan = min(linspace(0.0, 2.0, 101), key=f)  # the first scan alone
+        x, _ = brute_min(f, grid)
+        assert abs(x - x_star) <= 4.0 * grid.resolution < abs(x_scan - x_star)
 
-    @pytest.mark.parametrize(
-        "points, rounds, k",
-        [(101, 0, 0), (101, 1, 3), (101, 2, 5), (5001, 1, 4), (2049, 1, 4)],
-    )
-    def test_refinement_evaluates_21_nodes_per_round(self, points, rounds, k):
-        # k rounds of tenfold shrinking: the first k with 10**k >= points**rounds
-        assert 10 ** (k - 1) < points**rounds <= 10**k
+    @pytest.mark.parametrize("points, k", [(101, 3), (5001, 4), (2049, 4)])
+    def test_refinement_evaluates_21_nodes_per_round(self, points, k):
+        # k rounds of tenfold shrinking: the first k with 10**k >= points
+        assert 10 ** (k - 1) < points <= 10**k
         f, calls = counting(lambda x: (x - math.e / 3.0) ** 2)
-        brute_min(f, GridSpec(0.0, 2.0, points, rounds))
+        brute_min(f, GridSpec(0.0, 2.0, points))
         assert len(calls) == points + k * 21
 
     @given(
@@ -115,40 +106,41 @@ class TestBruteMin:
         width=st.floats(min_value=1e-2, max_value=100.0),
         where=st.floats(min_value=0.0, max_value=1.0),
         points=st.integers(min_value=3, max_value=300),
-        rounds=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=100, deadline=None)
-    def test_quadratic_argmin_within_resolution(self, lo, width, where, points, rounds):
-        grid = GridSpec(lo, lo + width, points, rounds)
+    def test_quadratic_argmin_within_resolution(self, lo, width, where, points):
+        grid = GridSpec(lo, lo + width, points)
         x_star = min(grid.hi, lo + where * (grid.hi - lo))
         x, _ = brute_min(lambda x: (x - x_star) ** 2, grid)
         assert abs(x - x_star) <= grid.resolution
 
     @pytest.mark.parametrize("slope, end", [(1.0, 0.0), (-1.0, 1.0)])
     def test_minimum_at_an_end_clips_the_window(self, slope, end):
-        grid = GridSpec(0.0, 1.0, 101, 2)
+        grid = GridSpec(0.0, 1.0, 101)
         f, calls = counting(lambda x: slope * x)
         x, value = brute_min(f, grid)
         assert x == end
         assert value == slope * end
-        # a clipped window is one cell wide, so it shrinks faster than 5 rounds
-        assert len(calls) < 101 + 5 * 21
+        # a clipped window is one cell wide, so it shrinks twentyfold a round
+        # and takes fewer than the 3 rounds of an unclipped one
+        assert len(calls) < 101 + 3 * 21
 
     @pytest.mark.parametrize("x_star", [1.5, math.e / 2.0])
     def test_resolution_below_float_spacing_terminates(self, x_star):
-        grid = GridSpec(1.0, 2.0, 1001, 5)
+        # a window 1e-10 wide, so that points**2 cells are finer than floats
+        grid = GridSpec(x_star - 4e-11, x_star + 6e-11, 10001)
         assert grid.resolution < math.ulp(x_star) / 100.0
         f, calls = counting(lambda x: (x - x_star) ** 2)
         x, _ = brute_min(f, grid)
         assert abs(x - x_star) <= math.ulp(x_star)
-        # tenfold per round from a cell of 1e-3 down to under half an ulp
+        # tenfold per round from a cell of 1e-14 down to under half an ulp
         # (~1e-16), where the window collapses to the incumbent
-        assert len(calls) <= 1001 + 16 * 21
+        assert len(calls) <= 10001 + 5 * 21
 
 
 class TestBruteMin2D:
     def test_box_surface_area(self):
-        grid = GridSpec(0.5, 4.0, 1000, 0)
+        grid = GridSpec(0.5, 4.0, 1000)
         x, y, _ = brute_min_2d(
             lambda a, b: 2.0 * (a * b + 8.0 / b + 8.0 / a), grid, grid
         )
@@ -157,43 +149,43 @@ class TestBruteMin2D:
         assert abs(y - 2.0) <= cell
 
     def test_paraboloid(self):
-        grid = GridSpec(-1.0, 1.0, 101, 2)
+        grid = GridSpec(-1.0, 1.0, 101)
         x, y, value = brute_min_2d(lambda a, b: a * a + b * b, grid, grid)
         assert abs(x) <= 1e-5
         assert abs(y) <= 1e-5
         assert value == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "points, rounds_x, rounds_y, k",
+        "points_x, points_y, k",
         # the last case refines until the finer y axis reaches its resolution
-        [(11, 0, 0, 0), (11, 1, 1, 2), (201, 1, 1, 3), (11, 0, 2, 3)],
+        [(11, 11, 2), (201, 201, 3), (11, 201, 3)],
     )
-    def test_refinement_evaluates_21_by_21_nodes_per_round(self, points, rounds_x, rounds_y, k):
+    def test_refinement_evaluates_21_by_21_nodes_per_round(self, points_x, points_y, k):
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
-        brute_min_2d(f, GridSpec(4.0, 20.0, points, rounds_x), GridSpec(4.0, 20.0, points, rounds_y))
-        assert len(calls) == points**2 + k * 21**2
+        brute_min_2d(f, GridSpec(4.0, 20.0, points_x), GridSpec(4.0, 20.0, points_y))
+        assert len(calls) == points_x * points_y + k * 21**2
 
     @given(
         lo=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
         width=st.tuples(st.floats(1e-2, 100.0), st.floats(1e-2, 100.0)),
         where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
         points=st.integers(min_value=3, max_value=40),
-        rounds=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=50, deadline=None)
-    def test_quadratic_argmin_within_resolution(self, lo, width, where, points, rounds):
-        gx, gy = (GridSpec(l, l + w, points, rounds) for l, w in zip(lo, width))
+    def test_quadratic_argmin_within_resolution(self, lo, width, where, points):
+        gx, gy = (GridSpec(l, l + w, points) for l, w in zip(lo, width))
         x_star, y_star = (min(g.hi, g.lo + t * (g.hi - g.lo)) for g, t in zip((gx, gy), where))
         x, y, _ = brute_min_2d(lambda a, b: (a - x_star) ** 2 + (b - y_star) ** 2, gx, gy)
         assert abs(x - x_star) <= gx.resolution
         assert abs(y - y_star) <= gy.resolution
 
     def test_minimum_in_a_corner_clips_both_windows(self):
-        grid = GridSpec(0.0, 1.0, 11, 2)
+        grid = GridSpec(0.0, 1.0, 11)
         f, calls = counting(lambda a, b: a + b)
         x, y, _ = brute_min_2d(f, grid, grid)
         assert (x, y) == (0.0, 0.0)
-        assert len(calls) < 11**2 + 3 * 21**2
+        # fewer than the 2 rounds of unclipped windows
+        assert len(calls) < 11**2 + 2 * 21**2
 
     def test_inscribed_ellipse_area(self):
         # penalized objective over the feasible set; the unrefined grid puts
@@ -205,20 +197,20 @@ class TestBruteMin2D:
             return -math.pi * a * b
         a, b, value = brute_min_2d(
             objective,
-            GridSpec(1e-6, 1.0, 500, 0),
-            GridSpec(1e-6, 0.5, 500, 0),
+            GridSpec(1e-6, 1.0, 500),
+            GridSpec(1e-6, 0.5, 500),
         )
         assert a == pytest.approx(SQRT6_3, abs=0.02)
         assert b == pytest.approx(SQRT2_3, abs=0.02)
         assert -value == pytest.approx(math.pi * SQRT6_3 * SQRT2_3, abs=5e-3)
 
     def test_constant_ties_break_lexicographically(self):
-        grid = GridSpec(0.0, 1.0, 11, 1)
+        grid = GridSpec(0.0, 1.0, 11)
         x, y, _ = brute_min_2d(lambda a, b: 0.0, grid, grid)
         assert (x, y) == (0.0, 0.0)
 
     def test_nonfinite_value_is_an_error(self):
-        grid = GridSpec(0.5, 1.0, 5, 0)
+        grid = GridSpec(0.5, 1.0, 5)
         with pytest.raises(EvaluationError):
             brute_min_2d(lambda a, b: math.nan, grid, grid)
 

@@ -111,7 +111,7 @@ class TestBox:
         sol = solve_box(1000.0)
         assert sol.x == pytest.approx(10.0, rel=1e-14)
         assert sol.surface_area == pytest.approx(600.0, rel=1e-12)
-        grid = GridSpec(5.0, 15.0, 301, 1)
+        grid = GridSpec(5.0, 15.0, 301)
         bx, by, _ = brute_min_2d(
             lambda x, y: 2.0 * (x * y + 1000.0 / y + 1000.0 / x), grid, grid
         )
@@ -177,6 +177,16 @@ class TestFence:
         sol = solve_fence(fence, FenceLayout(v, h))
         assert abs(sol.vertical_total - fence / 2.0) <= 1e-9 * fence
         assert abs(sol.horizontal_total - fence / 2.0) <= 1e-9 * fence
+
+    # 2**500 - 2**447 is the largest float below 2**500.
+    @given(v=st.integers(2, 2**500 - 2**447), h=st.integers(2, 2**500 - 2**447),
+           t=st.floats(0.0, 1.0), log10_fence=st.floats(-300.0, 300.0))
+    @settings(max_examples=200, deadline=None)
+    def test_objective_is_unscaled_below_2_to_the_500(self, v, h, t, log10_fence):
+        total = 10.0 ** log10_fence
+        L = t * total
+        want = -(L / float(v)) * ((total - L) / float(h))
+        assert problems._fence_objective(total, FenceLayout(v, h))(L).hex() == want.hex()
 
     def test_invalid_layout_rejected(self):
         with pytest.raises(ValueError):

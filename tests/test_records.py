@@ -15,8 +15,8 @@ from optishape.verify import CheckResult
 INSTANCES = {
     "Shape": (Shape.regular_polygon(6), "sides"),
     "Point2": (Point2(1.0, 2.0), "x"),
-    "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0), "argmin"),
-    "GridSpec": (GridSpec(0.0, 1.0), "points"),
+    "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0, tol=1e-10), "argmin"),
+    "GridSpec": (GridSpec(0.0, 1.0, 101), "points"),
     "FenceLayout": (FenceLayout(4, 2), "v_segments"),
     "FenceSolution": (solve_fence(2400.0, FenceLayout(4, 2)), "area"),
     "CanSolution": (solve_can(1000.0, Shape.circle()), "r"),
@@ -29,7 +29,7 @@ LAYOUTS = {
     "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
     "Solution1D": (("argmin", "value", "evaluations", "achieved_interval"), {}),
-    "GridSpec": (("lo", "hi", "points", "refine_rounds"), {"points": 100_000, "refine_rounds": 2}),
+    "GridSpec": (("lo", "hi", "points"), {}),
     "FenceLayout": (("v_segments", "h_segments"), {}),
     "FenceSolution": (("x", "y", "vertical_total", "horizontal_total", "area"), {}),
     "CanSolution": (("r", "h", "surface_area", "volume"), {}),
@@ -58,9 +58,9 @@ def test_field_layout(name):
 
 
 def test_checked_records_validate_keyword_arguments():
-    assert GridSpec(lo=0.0, hi=2.0, refine_rounds=0) == (0.0, 2.0, 100_000, 0)
+    assert GridSpec(lo=0.0, hi=2.0, points=101) == (0.0, 2.0, 101)
     with pytest.raises(ValueError, match="need lo < hi"):
-        GridSpec(lo=1.0, hi=1.0)
+        GridSpec(lo=1.0, hi=1.0, points=101)
     with pytest.raises(ValueError, match="at least 2 runs"):
         FenceLayout(v_segments=4, h_segments=1)
     with pytest.raises(ValueError, match="coordinates must be finite"):

@@ -7,7 +7,9 @@ statement on its own.  Stdlib only.
 Usage: python tools/count_code_lines.py [PATH ...]   (default: src/optishape)
 
 Prints one line per file, then the total, like ``wc -l``.  A reader that
-closes the pipe early (``| head -1``) ends the run quietly, with exit 0.
+closes the pipe early (``| head -1``) ends the run quietly, with exit 0.  A
+path that does not exist, or a file named directly that is not ``.py``,
+exits 2 with a message naming it, before anything is counted.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ def code_lines(path: pathlib.Path) -> int:
 
 def main(argv: list[str]) -> int:
     roots = [pathlib.Path(p) for p in argv] or [pathlib.Path("src/optishape")]
+    for r in roots:
+        problem = ("no such file or directory" if not r.exists()
+                   else "not a .py file" if r.is_file() and r.suffix != ".py" else None)
+        if problem:
+            print(f"error: {r}: {problem}", file=sys.stderr)
+            return 2
     files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
     total = 0
     for f in files:
