@@ -3,10 +3,13 @@ emit curve data for plotting.
 
 Exit status: 0 success, 1 verification failure or no verified answer (a
 numeric search did not converge), 2 usage error, 3 infeasible, or the answer
-does not fit in a float, 4 I/O error.  JSON output prints a non-finite
-number as null: a non-finite residual fails its check, and a non-finite
-solution field exits 3 with a diagnostic that names it, unless a check also
-failed, which exits 1.
+does not fit in a float, 4 a write error: stdout or ``curve --out`` could
+not be written.  A write error prints ``error: cannot write: ...`` on
+stderr, except a closed stdout pipe (the reader stopped reading), which
+exits 4 with nothing on stderr.  JSON output prints a non-finite number as
+null: a non-finite residual fails its check, and a non-finite solution
+field exits 3 with a diagnostic that names it, unless a check also failed,
+which exits 1.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -54,48 +58,39 @@ def dumps(value: Any, indent: str = "") -> str:
     """
     if hasattr(value, "_asdict"):
         value = value._asdict()
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{indent}  {json.dumps(str(k))}: {dumps(v, indent + "  ")}'
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f'{indent}  {dumps(v, indent + "  ")}' for v in value)
-        return "[\n" + inner + "\n" + indent + "]"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
+    if isinstance(value, (dict, list, tuple)):
+        # One layout for both kinds: a key prefix per item in an object, none
+        # in an array.
+        if isinstance(value, dict):
+            brackets, items = "{}", [(f"{json.dumps(str(k))}: ", v) for k, v in value.items()]
+        else:
+            brackets, items = "[]", [("", v) for v in value]
+        if not items:
+            return brackets
+        inner = ",\n".join(f'{indent}  {key}{dumps(v, indent + "  ")}' for key, v in items)
+        return f"{brackets[0]}\n{inner}\n{indent}{brackets[1]}"
     if isinstance(value, float) and not math.isfinite(value):
-        return "null"
+        value = None
+    if value is None or isinstance(value, (bool, str)):
+        return json.dumps(value)
     if isinstance(value, (int, float)):
         return format_number(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_text(doc: dict[str, Any]) -> None:
-    def walk(prefix: str, value: Any) -> None:
-        if hasattr(value, "_asdict"):
-            value = value._asdict()
-        if isinstance(value, dict):
-            for k, v in value.items():
-                walk(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(value, (list, tuple)):
-            for i, v in enumerate(value):
-                walk(f"{prefix}[{i}]", v)
-        elif isinstance(value, (int, float)):
-            print(f"{prefix} = {format_number(value)}")
-        else:
-            print(f"{prefix} = {value}")
-
-    walk("", doc)
+def _emit_text(value: Any, prefix: str = "") -> None:
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _emit_text(v, f"{prefix}.{k}" if prefix else str(k))
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _emit_text(v, f"{prefix}[{i}]")
+    elif isinstance(value, (int, float)):
+        print(f"{prefix} = {format_number(value)}")
+    else:
+        print(f"{prefix} = {value}")
 
 
 def _emit(doc: dict[str, Any], fmt: str) -> None:
@@ -265,13 +260,9 @@ def cmd_curve(args) -> int:
     lines = ["L,area"]
     lines.extend(f"{format_number(L)},{format_number(area)}" for L, area in rows)
     text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+    if args.out:  # a write error here takes main's one write-error path
+        with open(args.out, "w") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -316,15 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    commands = {"solve": cmd_solve, "verify": cmd_verify, "curve": cmd_curve}
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_curve(args)
+        return commands[args.command](args)
     except (InfeasibleError, ConvergenceError) as exc:
         _emit({"problem": getattr(args, "problem", args.command),
                "diagnostic": str(exc)}, getattr(args, "format", "json"))
@@ -332,6 +318,24 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # The one write-error path: stdout is flushed here, so that its error
+    # cannot surface at interpreter exit instead.
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        if exc.filename is None:  # an error on stdout names no file
+            # Whatever stdout still holds goes to devnull, so that the
+            # interpreter's flush at exit does not fail a second time.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a reader that left needs no message
+            print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -38,11 +38,6 @@ class Shape(_ShapeFields):
     def regular_polygon(cls, sides: int) -> "Shape":
         return cls(sides)
 
-    @property
-    def label(self) -> str:
-        """Short tag such as ``circle`` or ``6-gon``."""
-        return "circle" if self.sides is None else f"{self.sides}-gon"
-
 
 class _Point2Fields(NamedTuple):
     x: float

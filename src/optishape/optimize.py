@@ -66,7 +66,6 @@ def golden_section_min(
     d = lo + (hi - lo) * INV_PHI
     fc = f(c)
     fd = f(d)
-    evaluations = 2
     iterations = 0
     while hi - lo > tol:
         iterations += 1
@@ -87,9 +86,9 @@ def golden_section_min(
             fc = fd
             d = lo + (hi - lo) * INV_PHI
             fd = f(d)
-        evaluations += 1
     x = 0.5 * (lo + hi)
-    return Solution1D(x, f(x), evaluations + 1, hi - lo)
+    # f ran at the two first probes, once per iteration, and at x.
+    return Solution1D(x, f(x), iterations + 3, hi - lo)
 
 
 def quadratic_vertex(root1: float, root2: float) -> float:

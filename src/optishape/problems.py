@@ -638,16 +638,27 @@ def _can_residuals(sol: CanSolution, numeric: CanSolution, *_: Any) -> dict[str,
     }
 
 
-def _ellipse_residuals(*_: Any) -> dict[str, float]:
-    # Both solutions are unit ones rescaled, so the residuals are taken on
-    # the unit solutions: scale-free, and safe from under/overflow.
+def _ellipse_residuals(sol: EllipseSolution, _: EllipseSolution, radius: float) -> dict[str, float]:
+    # Both solutions are unit ones rescaled, so the first three residuals are
+    # taken on the unit solutions: scale-free, and safe from under/overflow.
     unit, unit_numeric = solve_ellipse_semicircle(1.0), solve_ellipse_semicircle_numeric(1.0)
+    # The rescale itself is checked at the requested radius, each term divided
+    # back to the unit first so that it cannot overflow.  A term is left out
+    # where a value in it is subnormal or 0 (too few digits to check) or inf;
+    # below a radius of about 3e-308 none is left, and the residual reads 0.
+    tiny = sys.float_info.min
+    at_radius = [abs((p.x / radius) ** 2 + (p.y / radius) ** 2 - 1.0)
+                 for p in sol.contacts if min(abs(p.x), abs(p.y)) >= tiny]
+    if not (abs(sol.area) < tiny or math.isinf(sol.area)):
+        at_radius.append(abs(sol.area / radius / radius
+                             - math.pi * (sol.a / radius) * (sol.b / radius)))
     return {
         "tangency_gap": abs(containment_max(unit.a, unit.b) - 1.0),
         "contact_circle_gap": worst_residual(
             abs(p.x * p.x + p.y * p.y - 1.0) for p in unit.contacts
         ),
         "closed_numeric_gap": worst_residual(abs(c - n) for c, n in zip(unit[:2], unit_numeric)),
+        "rescale_gap": worst_residual(at_radius or [0.0]),
     }
 
 

@@ -164,16 +164,12 @@ def _suite_duality() -> list[CheckResult]:
 
 def _ratio_gaps(base: Shape) -> Iterator[tuple[float, float]]:
     """(volume, surface) gaps of the prism/can ratio at a few (r, h)."""
-    circle = Shape.circle()
     ratio = problems.equivalence_ratio(base)
     c = geometry.area_coefficient(base)
     for r, h in ((0.3, 0.8), (1.0, 2.0), (5.0, 17.0)):
-        prism_v = c * r * r * h
-        can_v = geometry.area_coefficient(circle) * r * r * h
-        prism_sa = 2.0 * c * r * r + 2.0 * c * r * h
-        can_sa = (2.0 * geometry.area_coefficient(circle) * r * r
-                  + 2.0 * geometry.area_coefficient(circle) * r * h)
-        yield abs(prism_v / can_v - ratio) / ratio, abs(prism_sa / can_sa - ratio) / ratio
+        prism, can = problems._can_solution(c, r, h), problems._can_solution(math.pi, r, h)
+        yield (abs(prism.volume / can.volume - ratio) / ratio,
+               abs(prism.surface_area / can.surface_area - ratio) / ratio)
 
 
 def _suite_equivalence() -> list[CheckResult]:

@@ -1,6 +1,7 @@
 import gzip
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -383,6 +384,59 @@ class TestCurve:
         assert "cannot write" in err
 
 
+class TestWriteErrors:
+    """Every command writes through one path: a closed stdout pipe exits 4
+    with nothing on stderr, and any other write error exits 4 with one
+    message, whether or not Python buffers stdout."""
+
+    ARGVS = [
+        ("solve", "box", "--volume", "1"),
+        ("verify", "--suite", "h2r"),
+        ("curve", "fence", "--fence", "2400", "--points", "10"),
+        # far more than a pipe or stdout buffer holds: the write fails mid-command
+        ("curve", "fence", "--fence", "2400", "--points", "100000"),
+    ]
+
+    @staticmethod
+    def run(argv, stdout, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run([sys.executable, "-m", "optishape", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:2]) + f" {argv[-1]}")
+    def test_closed_pipe_exits_4_quietly(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(argv, write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (4, "")
+
+    needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                        reason="the platform has no /dev/full")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:2]) + f" {argv[-1]}")
+    def test_full_device_exits_4(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run(argv, full, unbuffered)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
+
+    # The file opens, and its write fails when it is closed.
+    @needs_dev_full
+    def test_curve_out_to_a_full_device_exits_4(self):
+        proc = self.run(("curve", "fence", "--fence", "2400", "--out", "/dev/full"),
+                        subprocess.DEVNULL, False)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
+
+
 class TestEllipseCrossCheck:
     """The closed form and the frontier search check each other: shifting
     either one's b by 1e-5 fails the checks that read it."""
@@ -415,6 +469,32 @@ class TestEllipseCrossCheck:
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         assert checks["closed_matches_numeric_all_problems"]["passed"] is False
+        assert code == 1
+
+
+class TestEllipseAtRadius:
+    """rescale_gap checks the answer at the radius asked for, which the other
+    ellipse residuals, taken on the unit solutions, cannot see."""
+
+    @pytest.mark.parametrize("radius, exit_code", [
+        ("5e-324", 0), ("1e-320", 0), ("1e-200", 0), ("3.7", 0), ("1e200", 3), ("1e308", 3),
+    ])
+    def test_every_radius_exits_0_or_3(self, capsys, radius, exit_code):
+        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle", "--radius", radius)
+        doc = strict_json(out)
+        assert code == exit_code, doc.get("diagnostic")
+        assert doc["residuals"]["rescale_gap"] <= 1e-6
+
+    # Both solvers rescale through rescale_ellipse, so a wrong degree there
+    # leaves the closed-vs-numeric gap at 0.
+    def test_area_scaled_by_the_wrong_degree_fails(self, capsys, monkeypatch):
+        rescale = problems.rescale_ellipse
+        monkeypatch.setattr(problems, "rescale_ellipse", lambda unit, radius:
+                            rescale(unit, radius)._replace(area=unit.area * radius))
+        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle", "--radius", "3.7")
+        doc = strict_json(out)
+        assert doc["residuals"]["rescale_gap"] > 0.5
+        assert doc["diagnostic"].endswith(": rescale_gap")
         assert code == 1
 
 

@@ -29,8 +29,7 @@ class TestShape:
 
     def test_circle_has_no_sides(self):
         assert CIRCLE.sides is None
-        assert CIRCLE.label == "circle"
-        assert HEXAGON.label == "6-gon"
+        assert HEXAGON.sides == 6
 
     def test_no_sides_is_the_circle(self):
         assert Shape() == Shape(None) == CIRCLE

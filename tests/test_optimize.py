@@ -25,6 +25,12 @@ class TestGoldenSection:
         assert sol.achieved_interval <= 1e-10
         assert sol.evaluations >= 1
 
+    @pytest.mark.parametrize("tol", [10.0, 1.0, 1e-3, 1e-10])
+    def test_evaluations_count_every_call(self, tol):
+        calls = []
+        sol = golden_section_min(lambda x: calls.append(x) or (x - 2.0) ** 2, 0.0, 5.0, tol=tol)
+        assert sol.evaluations == len(calls)
+
     def test_can_surface_area(self):
         sol = golden_section_min(
             lambda r: 2.0 * math.pi * r * r + 2000.0 / r, 0.1, 50.0, tol=1e-10

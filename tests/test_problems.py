@@ -748,10 +748,15 @@ LENGTH_SCALE = {"box": lambda v: v ** (1.0 / 3.0), "can": lambda v: v ** (1.0 / 
                 "can-dual": math.sqrt}
 
 
+def _arg_id(x):
+    if isinstance(x, FenceLayout):
+        return f"{x.v_segments}x{x.h_segments}"
+    return "circle" if x.sides is None else f"{x.sides}-gon"
+
+
 def _key_id(key):
     name, *extra = key
-    return " ".join([name, *(x.label if isinstance(x, Shape) else f"{x.v_segments}x{x.h_segments}"
-                             for x in extra)])
+    return " ".join([name, *map(_arg_id, extra)])
 
 
 def _hex(values):
@@ -807,6 +812,40 @@ class TestUnitInstance:
         assert searches > 0
         numeric(1e5, *extra)
         assert len(calls) == searches
+
+    # What each unit search costs, as (golden-section searches, the
+    # evaluations they report, bisections, their predicate calls).  The box
+    # runs an inner search per evaluation of its outer one; the ellipse runs
+    # a frontier bisection per evaluation, and one more for its answer.
+    UNIT_SEARCH_COUNTS = {
+        "rectangle": (1, 50, 0, 0), "box": (50, 2890, 0, 0), "fence": (1, 51, 0, 0),
+        "can": (1, 58, 0, 0), "can-dual": (1, 51, 0, 0), "rect-semicircle": (1, 51, 0, 0),
+        "ellipse-semicircle": (1, 40, 41, 1927),
+    }
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_unit_search_counts(self, monkeypatch, name):
+        getattr(problems, "_solve_unit_" + name.replace("-", "_")).cache_clear()
+        evaluations, predicate_calls = [], []
+        golden, bisect = problems.golden_section_min, problems.bisect_boundary
+
+        def counted_golden(*args, **kwargs):
+            sol = golden(*args, **kwargs)
+            evaluations.append(sol.evaluations)
+            return sol
+
+        def counted_bisect(pred, *args, **kwargs):
+            predicate_calls.append(0)
+
+            def counted_pred(x):
+                predicate_calls[-1] += 1
+                return pred(x)
+            return bisect(counted_pred, *args, **kwargs)
+        monkeypatch.setattr(problems, "golden_section_min", counted_golden)
+        monkeypatch.setattr(problems, "bisect_boundary", counted_bisect)
+        _solvers(name)[1](1.0, *EXTRA_ARGS.get(name, ()))
+        assert (len(evaluations), sum(evaluations), len(predicate_calls),
+                sum(predicate_calls)) == self.UNIT_SEARCH_COUNTS[name]
 
     def test_every_fence_layout_stays_cached(self, monkeypatch):
         problems._solve_unit_fence.cache_clear()
