@@ -17,7 +17,6 @@ from .optimize import (
     bisect_boundary,
     central_diff,
     golden_section_min,
-    quadratic_vertex,
 )
 from .oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
 from .problems import (

@@ -6,10 +6,13 @@ numeric search did not converge), 2 usage error, 3 infeasible, or the answer
 does not fit in a float, 4 a write error: stdout or ``curve --out`` could
 not be written.  A write error prints ``error: cannot write: ...`` on
 stderr, except a closed stdout pipe (the reader stopped reading), which
-exits 4 with nothing on stderr.  JSON output prints a non-finite number as
-null: a non-finite residual fails its check, and a non-finite solution
-field exits 3 with a diagnostic that names it, unless a check also failed,
-which exits 1.
+exits 4 with nothing on stderr.  ``--help`` writes through the same path,
+but from Python 3.11 argparse discards a write error of its own: with
+stdout unbuffered, ``--help`` then exits 0 with nothing on stderr.  ``main``
+returns the exit code, for ``--help`` and usage errors too.  JSON output
+prints a non-finite number as null: a non-finite residual fails its check,
+and a non-finite solution field exits 3 with a diagnostic that names it,
+unless a check also failed, which exits 1.
 """
 
 from __future__ import annotations
@@ -179,12 +182,11 @@ def _add_inputs(parser: argparse.ArgumentParser, inputs) -> None:
 # solve
 
 
-def _solve_report(args) -> dict[str, Any]:
-    """The report skeleton for the requested problem: no diagnostic yet."""
+def cmd_solve(args) -> int:
     problem = problems.PROBLEMS[args.problem]
     values = [getattr(args, spec.key) for spec in problem.inputs]
     sol, residuals = problem.solve(*values)
-    return {
+    report = {
         "problem": problem.name,
         "inputs": {
             spec.key: _base_tag(v) if isinstance(v, Shape) else v
@@ -194,13 +196,9 @@ def _solve_report(args) -> dict[str, Any]:
         "method": "closed_form",
         "residuals": residuals,
     }
-
-
-def cmd_solve(args) -> int:
-    report = _solve_report(args)
-    failed = sorted(k for k, v in report["residuals"].items() if not v <= args.tol)
+    failed = sorted(k for k, v in residuals.items() if not v <= args.tol)
     # Contacts are points, which cannot hold a non-finite coordinate.
-    overflowed = [k for k, v in report["solution"]._asdict().items()
+    overflowed = [k for k, v in sol._asdict().items()
                   if isinstance(v, float) and not math.isfinite(v)]
     diagnostics = []
     if failed:
@@ -307,10 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def _run(argv: list[str] | None) -> int:
     commands = {"solve": cmd_solve, "verify": cmd_verify, "curve": cmd_curve}
     try:
+        args = build_parser().parse_args(argv)
         return commands[args.command](args)
+    except SystemExit as exc:  # argparse leaves --help and a usage error this way
+        return exc.code
     except (InfeasibleError, ConvergenceError) as exc:
         _emit({"problem": getattr(args, "problem", args.command),
                "diagnostic": str(exc)}, getattr(args, "format", "json"))
@@ -321,11 +322,10 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # The one write-error path: stdout is flushed here, so that its error
-    # cannot surface at interpreter exit instead.
+    # The one write-error path, --help included: stdout is flushed here, so
+    # that its error cannot surface at interpreter exit instead.
     try:
-        code = _run(args)
+        code = _run(argv)
         sys.stdout.flush()
     except OSError as exc:
         if exc.filename is None:  # an error on stdout names no file

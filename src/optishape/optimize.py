@@ -1,9 +1,8 @@
 """Scalar minimization and bracketing utilities.
 
 Golden-section search for unimodal objectives, boundary bisection for
-monotone predicates, central differences, and the closed-form vertex of a
-downward parabola.  Everything is deterministic: identical inputs produce
-the same Solution1D, bit for bit.
+monotone predicates and central differences.  Everything is deterministic:
+identical inputs produce the same Solution1D, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,11 +88,6 @@ def golden_section_min(
     x = 0.5 * (lo + hi)
     # f ran at the two first probes, once per iteration, and at x.
     return Solution1D(x, f(x), iterations + 3, hi - lo)
-
-
-def quadratic_vertex(root1: float, root2: float) -> float:
-    """Abscissa of a parabola's vertex, halfway between its two roots."""
-    return 0.5 * (root1 + root2)
 
 
 def bisect_boundary(

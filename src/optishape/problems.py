@@ -20,10 +20,11 @@ wrong closed form or a wrong rescale still shows as a closed-vs-numeric
 gap; the one exception is the ellipse, whose closed-form unit contacts are
 computed once and rescaled like its numeric answer.
 
-``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs,
-residuals and objective drive the ``solve`` command and the ``verify``
-oracle suite, and ``Problem.solve`` is the one closed-vs-numeric
-cross-check both of them run.
+``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs and
+residuals drive the ``solve`` command and the ``verify`` oracle suite, and
+``Problem.solve`` is the one closed-vs-numeric cross-check both of them run.
+Each ``_<stem>_objective`` is the function its unit search minimizes; the
+oracle suite scans the same function by brute force.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .geometry import Point2, Shape, _check_positive, area_coefficient, linspace
-from .optimize import BracketError, bisect_boundary, golden_section_min, quadratic_vertex
+from .optimize import BracketError, bisect_boundary, golden_section_min
 
 
 class InfeasibleError(ValueError):
@@ -107,8 +108,7 @@ def solve_fence(total_fence: float, layout: FenceLayout) -> FenceSolution:
     exactly half the fence goes to the vertical runs, half to the horizontal.
     """
     _check_positive(total_fence, "total fence length")
-    vertical_total = quadratic_vertex(0.0, total_fence)
-    return _fence_solution(total_fence, layout, vertical_total)
+    return _fence_solution(total_fence, layout, 0.5 * total_fence)
 
 
 def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float], float]:
@@ -578,16 +578,13 @@ class Problem(NamedTuple):
     ``solve_<stem>_numeric``, which ``solve`` runs.  ``solver_args`` turns
     the input values, in ``inputs`` order, into the solvers' arguments;
     ``residuals(closed, numeric, *solver_args)`` gives the report's
-    residuals; ``objective(*instance)`` returns the function the numeric
-    solver minimizes (for the cans the instance holds the base's area
-    coefficient in place of the base).
+    residuals.
     """
 
     name: str
     help: str
     inputs: tuple[Input, ...]
     residuals: Callable[..., dict[str, float]]
-    objective: Callable[..., Callable[..., float]] | None = None
     solver_args: Callable[..., tuple] = lambda *values: values
 
     @property
@@ -671,7 +668,6 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "square_gap": _relative(abs(sol.x - sol.y), sol.x),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), sol.x),
         },
-        objective=_rectangle_objective,
     ),
     Problem(
         "box", "smallest-surface box with a given volume",
@@ -680,7 +676,6 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "cube_gap": worst_residual((abs(sol.x - sol.y), abs(sol.y - sol.z))) / sol.x,
             "closed_numeric_gap": worst_residual(abs(a - b) for a, b in zip(sol[:3], num)) / sol.x,
         },
-        objective=_box_objective,
     ),
     Problem(
         "fence", "partitioned rectangular field of maximal area",
@@ -691,7 +686,6 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "closed_numeric_gap": _relative(
                 worst_residual((abs(sol.x - num.x), abs(sol.y - num.y))), max(sol.x, sol.y)),
         },
-        objective=_fence_objective,
         solver_args=lambda fence, v, h: (fence, FenceLayout(v, h)),
     ),
     Problem(
@@ -700,14 +694,12 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
          Input("--base", "base", Shape, Shape.circle(),
                help="'circle' or a polygon side count (default circle)")),
         _can_residuals,
-        objective=_can_objective,
     ),
     Problem(
         "can-dual", "largest-volume can/prism with a given surface area",
         (Input("--surface-area", "surface_area", float),
          Input("--base", "base", Shape, Shape.circle())),
         _can_residuals,
-        objective=_can_dual_objective,
     ),
     Problem(
         "rect-semicircle", "largest rectangle inscribed in a semicircle",
@@ -716,7 +708,6 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "xy_gap": _relative(abs(sol.x - sol.y), radius),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), radius),
         },
-        objective=_rect_semicircle_objective,
     ),
     Problem(
         "ellipse-semicircle", "largest ellipse inscribed in a semicircle",

@@ -265,7 +265,6 @@ def _oracle_instances() -> dict[str, tuple]:
 
 def _suite_oracle() -> list[CheckResult]:
     grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001)
-    objective = lambda name, *instance: problems.PROBLEMS[name].objective(*instance)
 
     instances = _oracle_instances()
     # Indexed by every catalog name, so a problem missing here fails loudly.
@@ -277,23 +276,24 @@ def _suite_oracle() -> list[CheckResult]:
     hexagon = Shape.regular_polygon(6)
     # Box: 2D scan with z eliminated by the volume constraint.
     box_grid = oracle.GridSpec(4.0, 20.0, points=201)
-    bx, by, _ = oracle.brute_min_2d(objective("box", 1000.0), box_grid, box_grid)
+    bx, by, _ = oracle.brute_min_2d(problems._box_objective(1000.0), box_grid, box_grid)
 
     return [
         _oracle_check("rectangle_vs_brute_force", closed["rectangle"].x,
-                      objective("rectangle", 2400.0), grid(1.0, 1199.0)),
+                      problems._rectangle_objective(2400.0), grid(1.0, 1199.0)),
         _oracle_check("fence_vs_brute_force", closed["fence"].vertical_total,
-                      objective("fence", 2400.0, problems.FenceLayout(4, 2)), grid(0.0, 2400.0)),
+                      problems._fence_objective(2400.0, problems.FenceLayout(4, 2)),
+                      grid(0.0, 2400.0)),
         _oracle_check("can_circle_vs_brute_force", closed["can"].r,
-                      objective("can", 1000.0, math.pi), grid(1.0, 20.0)),
+                      problems._can_objective(1000.0, math.pi), grid(1.0, 20.0)),
         _oracle_check("can_hexagon_vs_brute_force", problems.solve_can(1000.0, hexagon).r,
-                      objective("can", 1000.0, geometry.area_coefficient(hexagon)),
+                      problems._can_objective(1000.0, geometry.area_coefficient(hexagon)),
                       grid(1.0, 20.0)),
         _oracle_check("can_dual_vs_brute_force", closed["can-dual"].r,
-                      objective("can-dual", sa, math.pi),
+                      problems._can_dual_objective(sa, math.pi),
                       grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
         _oracle_check("rect_semicircle_vs_brute_force", closed["rect-semicircle"].x,
-                      objective("rect-semicircle", 1.0), grid(0.0, 1.0)),
+                      problems._rect_semicircle_objective(1.0), grid(0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
                       oracle.GridSpec(1e-4, 0.5, points=2001)),

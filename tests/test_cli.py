@@ -27,11 +27,10 @@ def strict_json(text):
 
 
 def run_cli(capsys, *args):
-    """Run the CLI in-process; returns (exit_code, stdout, stderr)."""
-    try:
-        code = cli.main(list(args))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    """Run the CLI in-process; returns (exit_code, stdout, stderr).  main
+    returns argparse's code for --help and usage errors too; it never raises
+    SystemExit."""
+    code = cli.main(list(args))
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -408,13 +407,17 @@ class TestWriteErrors:
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:2]) + f" {argv[-1]}")
     def test_closed_pipe_exits_4_quietly(self, argv, unbuffered):
+        proc = self.into_closed_pipe(argv, unbuffered)
+        assert (proc.returncode, proc.stderr) == (4, "")
+
+    @classmethod
+    def into_closed_pipe(cls, argv, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = self.run(argv, write_end, unbuffered)
+            return cls.run(argv, write_end, unbuffered)
         finally:
             os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (4, "")
 
     needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
                                         reason="the platform has no /dev/full")
@@ -435,6 +438,32 @@ class TestWriteErrors:
                         subprocess.DEVNULL, False)
         assert proc.returncode == 4
         assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
+
+    # --help takes the same path, but argparse writes it, and from Python 3.11
+    # argparse discards its own write error: unbuffered, the write fails
+    # there, and --help exits 0 with nothing on stderr.  Buffered, or on 3.10,
+    # the error reaches main's flush.
+    HELP_ARGVS = [("solve", "box", "--help"), ("--help",)]
+    HELP_SWALLOWS_ERRORS = sys.version_info >= (3, 11)
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_into_a_closed_pipe(self, argv, unbuffered):
+        proc = self.into_closed_pipe(argv, unbuffered)
+        want = 0 if unbuffered and self.HELP_SWALLOWS_ERRORS else 4
+        assert (proc.returncode, proc.stderr) == (want, "")
+
+    @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_into_a_full_device(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = self.run(argv, full, unbuffered)
+        if unbuffered and self.HELP_SWALLOWS_ERRORS:
+            assert (proc.returncode, proc.stderr) == (0, "")
+        else:
+            assert (proc.returncode, proc.stderr) == (
+                4, "error: cannot write: [Errno 28] No space left on device\n")
 
 
 class TestEllipseCrossCheck:

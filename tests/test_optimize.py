@@ -10,7 +10,6 @@ from optishape.optimize import (
     bisect_boundary,
     central_diff,
     golden_section_min,
-    quadratic_vertex,
 )
 
 # independently verified against a 1e7-point brute-force grid before freezing
@@ -80,19 +79,6 @@ def test_searches_share_the_bracket_checks(search, f):
         search(f, 0.0, 1.0, tol=0.0)
     with pytest.raises(TypeError):  # no default tolerance
         search(f, 0.0, 1.0)
-
-
-class TestQuadraticVertex:
-    def test_fence_roots(self):
-        assert quadratic_vertex(0.0, 2400.0) == 1200.0
-
-    def test_simple(self):
-        assert quadratic_vertex(3.0, 5.0) == 4.0
-
-    @given(h=st.floats(min_value=0.0, max_value=1e12))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_roots_give_zero(self, h):
-        assert quadratic_vertex(-h, h) == 0.0
 
 
 class TestBisectBoundary:

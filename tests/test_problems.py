@@ -3,7 +3,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import optishape
 from optishape import problems
@@ -177,6 +177,16 @@ class TestFence:
         sol = solve_fence(fence, FenceLayout(v, h))
         assert abs(sol.vertical_total - fence / 2.0) <= 1e-9 * fence
         assert abs(sol.horizontal_total - fence / 2.0) <= 1e-9 * fence
+
+    # The vertex of the area parabola, halfway between its roots 0 and the
+    # fence: exact at every positive float, subnormals included.
+    @given(fence=st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max),
+           v=st.integers(min_value=2, max_value=50), h=st.integers(min_value=2, max_value=50))
+    @example(fence=math.ulp(0.0), v=4, h=2)
+    @example(fence=sys.float_info.max, v=4, h=2)
+    @settings(max_examples=200, deadline=None)
+    def test_half_split_is_exact(self, fence, v, h):
+        assert solve_fence(fence, FenceLayout(v, h)).vertical_total.hex() == (fence / 2).hex()
 
     # 2**500 - 2**447 is the largest float below 2**500.
     @given(v=st.integers(2, 2**500 - 2**447), h=st.integers(2, 2**500 - 2**447),

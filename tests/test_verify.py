@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from optishape import verify
+from optishape import problems, verify
 from optishape.problems import PROBLEMS
 
 
@@ -45,3 +45,13 @@ def test_problem_missing_from_the_oracle_fails_loudly(monkeypatch, name):
                         lambda: {k: v for k, v in instances().items() if k != name})
     with pytest.raises(KeyError, match=name):
         verify.run(["oracle"])
+
+
+# The oracle scans the objective the solver's unit search minimizes, looked
+# up in problems when the suite runs: moving its minimum fails the check.
+def test_oracle_scans_the_solvers_own_objective(monkeypatch):
+    problems.solve_rectangle_numeric(1.0)  # the unit search's cache stays as it is
+    monkeypatch.setattr(problems, "_rectangle_objective",
+                        lambda perimeter: lambda x: (x - perimeter / 3.0) ** 2)
+    failed = [c.name for c in verify.run(["oracle"]) if not c.passed]
+    assert failed == ["rectangle_vs_brute_force"]
