@@ -6,13 +6,11 @@ numeric search did not converge), 2 usage error, 3 infeasible, or the answer
 does not fit in a float, 4 a write error: stdout or ``curve --out`` could
 not be written.  A write error prints ``error: cannot write: ...`` on
 stderr, except a closed stdout pipe (the reader stopped reading), which
-exits 4 with nothing on stderr.  ``--help`` writes through the same path,
-but from Python 3.11 argparse discards a write error of its own: with
-stdout unbuffered, ``--help`` then exits 0 with nothing on stderr.  ``main``
-returns the exit code, for ``--help`` and usage errors too.  JSON output
-prints a non-finite number as null: a non-finite residual fails its check,
-and a non-finite solution field exits 3 with a diagnostic that names it,
-unless a check also failed, which exits 1.
+exits 4 with nothing on stderr.  ``--help`` writes through the same path.
+``main`` returns the exit code, for ``--help`` and usage errors too.  JSON
+output prints a non-finite number as null: a non-finite residual fails its
+check, and a non-finite solution field exits 3 with a diagnostic that names
+it, unless a check also failed, which exits 1.
 """
 
 from __future__ import annotations
@@ -270,13 +268,24 @@ def cmd_curve(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes a message bound for stdout (``--help``) itself: from Python
+    3.11 argparse discards the write error, which main's write path needs."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="optishape",
         description="Solve classic geometric optimization problems and verify "
         "their structural invariants.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--tol", type=positive_float, default=problems.ACCEPTANCE_TOL,
                         help="override the acceptance tolerance (default 1e-6)")

@@ -4,9 +4,11 @@ against.
 Deliberately independent of the optimize module: nothing here brackets or
 bisects, it just evaluates dense grids and re-grids around the incumbent.
 After the first (global) scan, each refinement round re-grids the +/- one-cell
-neighborhood of the best point with 21 nodes per axis, so the cell shrinks at
-least tenfold per round.  Rounds repeat until the cell is at or below the
-grid's ``resolution``.
+neighborhood of the best point, clipped to the grid, with 21 nodes per axis,
+so the cell shrinks at least tenfold per round.  A round's best point
+replaces the incumbent if its value is lower, or equal at smaller
+coordinates (compared as a tuple).  Rounds repeat while any axis's cell is
+larger than its grid's ``resolution``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,20 @@ def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, floa
     return best_x, best_y
 
 
+def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec], best: tuple) -> tuple:
+    """Refine the first scan's ``best`` = (*coordinates, value) on any number
+    of axes, one grid per axis, as the module docstring describes."""
+    cells = [(g.hi - g.lo) / (g.points - 1) for g in grids]
+    while any(cell > g.resolution for g, cell in zip(grids, cells)):
+        windows = [(max(g.lo, x - cell), min(g.hi, x + cell))
+                   for g, x, cell in zip(grids, best, cells)]
+        new = scan(*(linspace(lo, hi, _WINDOW_NODES) for lo, hi in windows))
+        if new[-1] < best[-1] or (new[-1] == best[-1] and new[:-1] < best[:-1]):
+            best = new
+        cells = [(hi - lo) / (_WINDOW_NODES - 1) for lo, hi in windows]
+    return best
+
+
 def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float]:
     """Exhaustive minimization of f over the grid, with refinement.
 
@@ -85,18 +101,8 @@ def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float
     to ``grid.resolution`` for any function whose global minimum the initial
     grid resolves.
     """
-    xs = linspace(grid.lo, grid.hi, grid.points)
-    best_x, best_y = _scan(f, xs)
-    cell = (grid.hi - grid.lo) / (grid.points - 1)
-    resolution = grid.resolution
-    while cell > resolution:
-        window_lo = max(grid.lo, best_x - cell)
-        window_hi = min(grid.hi, best_x + cell)
-        x, y = _scan(f, linspace(window_lo, window_hi, _WINDOW_NODES))
-        if y < best_y or (y == best_y and x < best_x):
-            best_x, best_y = x, y
-        cell = (window_hi - window_lo) / (_WINDOW_NODES - 1)
-    return best_x, best_y
+    best = _scan(f, linspace(grid.lo, grid.hi, grid.points))
+    return _refine(lambda xs: _scan(f, xs), [grid], best)
 
 
 def brute_min_2d(
@@ -123,21 +129,4 @@ def brute_min_2d(
 
     xs = linspace(grid_x.lo, grid_x.hi, grid_x.points)
     ys = linspace(grid_y.lo, grid_y.hi, grid_y.points)
-    best_x, best_y, best_v = scan(xs, ys)
-    cell_x = (grid_x.hi - grid_x.lo) / (grid_x.points - 1)
-    cell_y = (grid_y.hi - grid_y.lo) / (grid_y.points - 1)
-    resolution_x, resolution_y = grid_x.resolution, grid_y.resolution
-    while cell_x > resolution_x or cell_y > resolution_y:
-        wx_lo = max(grid_x.lo, best_x - cell_x)
-        wx_hi = min(grid_x.hi, best_x + cell_x)
-        wy_lo = max(grid_y.lo, best_y - cell_y)
-        wy_hi = min(grid_y.hi, best_y + cell_y)
-        x, y, v = scan(
-            linspace(wx_lo, wx_hi, _WINDOW_NODES),
-            linspace(wy_lo, wy_hi, _WINDOW_NODES),
-        )
-        if v < best_v or (v == best_v and (x, y) < (best_x, best_y)):
-            best_x, best_y, best_v = x, y, v
-        cell_x = (wx_hi - wx_lo) / (_WINDOW_NODES - 1)
-        cell_y = (wy_hi - wy_lo) / (_WINDOW_NODES - 1)
-    return best_x, best_y, best_v
+    return _refine(scan, [grid_x, grid_y], scan(xs, ys))

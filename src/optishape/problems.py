@@ -400,12 +400,12 @@ def containment_max(a: float, b: float) -> float:
     qa = b * b - a * a
     qb = 2.0 * b * b
     qc = a * a + b * b
-    candidates = [-1.0, 1.0]
+    peak = max(qa - qb + qc, qa + qb + qc)  # s = -1 and s = 1, exactly
     if qa < 0.0:
         s = -qb / (2.0 * qa)
         if -1.0 < s < 1.0:
-            candidates.append(s)
-    return max(qa * s * s + qb * s + qc for s in candidates)
+            peak = max(peak, qa * s * s + qb * s + qc)
+    return peak
 
 
 def ellipse_fits(a: float, b: float) -> bool:

@@ -439,19 +439,15 @@ class TestWriteErrors:
         assert proc.returncode == 4
         assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
 
-    # --help takes the same path, but argparse writes it, and from Python 3.11
-    # argparse discards its own write error: unbuffered, the write fails
-    # there, and --help exits 0 with nothing on stderr.  Buffered, or on 3.10,
-    # the error reaches main's flush.
+    # --help takes the same path: the parser writes stdout's messages itself,
+    # so that argparse (from Python 3.11) cannot discard their write error.
     HELP_ARGVS = [("solve", "box", "--help"), ("--help",)]
-    HELP_SWALLOWS_ERRORS = sys.version_info >= (3, 11)
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
     def test_help_into_a_closed_pipe(self, argv, unbuffered):
         proc = self.into_closed_pipe(argv, unbuffered)
-        want = 0 if unbuffered and self.HELP_SWALLOWS_ERRORS else 4
-        assert (proc.returncode, proc.stderr) == (want, "")
+        assert (proc.returncode, proc.stderr) == (4, "")
 
     @needs_dev_full
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -459,11 +455,8 @@ class TestWriteErrors:
     def test_help_into_a_full_device(self, argv, unbuffered):
         with open("/dev/full", "w") as full:
             proc = self.run(argv, full, unbuffered)
-        if unbuffered and self.HELP_SWALLOWS_ERRORS:
-            assert (proc.returncode, proc.stderr) == (0, "")
-        else:
-            assert (proc.returncode, proc.stderr) == (
-                4, "error: cannot write: [Errno 28] No space left on device\n")
+        assert (proc.returncode, proc.stderr) == (
+            4, "error: cannot write: [Errno 28] No space left on device\n")
 
 
 class TestEllipseCrossCheck:

@@ -90,6 +90,10 @@ class TestBisectBoundary:
         x = bisect_boundary(lambda v: v * v <= 2.0, 0.0, 2.0, tol=1e-10)
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
+    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self):
+        x = bisect_boundary(lambda v: v < 1.0, 0.5, 2.0, tol=1e-300)
+        assert abs(x - 1.0) <= math.ulp(1.0)
+
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
             bisect_boundary(lambda v: False, 0.0, 1.0, tol=1e-10)

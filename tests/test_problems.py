@@ -557,6 +557,14 @@ class TestIntersectEllipseCircle:
     def test_interior_ellipse_has_no_intersections(self):
         assert intersect_ellipse_circle(0.1, 0.1) == []
 
+    def test_interior_ellipse_with_no_real_root(self):
+        # the quadratic in y has a negative discriminant
+        assert intersect_ellipse_circle(0.3, 0.2) == []
+
+    def test_underflowing_axes_leave_no_quadratic(self):
+        # a^2 and b^2 underflow to 0, so the quadratic in y has no terms left
+        assert intersect_ellipse_circle(1e-200, 1e-200) == []
+
     def test_equal_axes_tangent_at_top(self):
         points = intersect_ellipse_circle(0.5, 0.5)
         assert len(points) == 1

@@ -55,3 +55,9 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
                         lambda perimeter: lambda x: (x - perimeter / 3.0) ** 2)
     failed = [c.name for c in verify.run(["oracle"]) if not c.passed]
     assert failed == ["rectangle_vs_brute_force"]
+
+
+def test_unknown_suite_lists_the_suites():
+    listed = ", ".join(verify.SUITES)
+    with pytest.raises(ValueError, match=f"unknown suite 'nope'; choose from {listed}$"):
+        verify.run(["nope"])
