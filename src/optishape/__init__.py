@@ -1,24 +1,13 @@
 """Closed-form and numeric solvers for classic geometric optimization
-problems, plus the machinery to verify their structural patterns."""
+problems, plus the machinery to verify their structural patterns.
 
-from .geometry import (
-    Point2,
-    Shape,
-    area,
-    area_coefficient,
-    perimeter,
-    polygon_vertices,
-    shoelace_area,
-)
-from .optimize import (
-    BracketError,
-    ConvergenceError,
-    Solution1D,
-    bisect_boundary,
-    central_diff,
-    golden_section_min,
-)
-from .oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
+The package namespace holds the catalog: its solvers, their inputs, their
+results and their errors.  Every other name lives in its own module
+(``optishape.oracle.brute_min``, ``optishape.optimize.golden_section_min``).
+"""
+
+from .geometry import Point2, Shape
+from .optimize import ConvergenceError
 from .problems import (
     BoxSolution,
     CanSolution,
@@ -28,13 +17,7 @@ from .problems import (
     InfeasibleError,
     RectangleSolution,
     SemicircleRectSolution,
-    containment_max,
-    ellipse_fits,
-    equivalence_ratio,
     fence_area_curve,
-    intersect_ellipse_circle,
-    max_a_for_b,
-    rescale_ellipse,
     solve_box,
     solve_box_numeric,
     solve_can,

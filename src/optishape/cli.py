@@ -256,7 +256,7 @@ def cmd_curve(args) -> int:
     lines = ["L,area"]
     lines.extend(f"{format_number(L)},{format_number(area)}" for L, area in rows)
     text = "\n".join(lines) + "\n"
-    if args.out:  # a write error here takes main's one write-error path
+    if args.out is not None:  # a write error here takes main's one write-error path
         with open(args.out, "w") as handle:
             handle.write(text)
     else:

@@ -313,6 +313,12 @@ class TestJsonContract:
         assert first[0] == 0
         assert run_cli(capsys, *argv) == first
 
+    def test_empty_containers_and_unknown_types(self):
+        assert cli.dumps({}) == "{}"
+        assert cli.dumps([]) == "[]"
+        with pytest.raises(TypeError, match="cannot serialize object"):
+            cli.dumps(object())
+
     def test_seventeen_significant_digits(self):
         assert cli.format_number(math.pi) == "3.1415926535897931"
         assert cli.format_number(300.0) == "300"
@@ -381,6 +387,14 @@ class TestCurve:
         )
         assert code == 4
         assert "cannot write" in err
+
+    # An empty --out still names a file: it fails to open, and nothing falls
+    # through to stdout.
+    def test_empty_out_path_exits_4(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "fence", "--fence", "2400", "--out", "")
+        assert code == 4
+        assert out == ""
+        assert err == "error: cannot write: [Errno 2] No such file or directory: ''\n"
 
 
 class TestWriteErrors:
@@ -635,6 +649,27 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "solve", "can", "--volume", "1", "--base", "2")
         assert code == 2
 
+    # Each flag checker names what it refuses, with the flag, and prints no
+    # traceback.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "can", "--volume", "abc"), "not a number: 'abc'"),
+            (("solve", "fence", "--fence", "1", "--v-segments", "2.5"), "not an integer: '2.5'"),
+            (("solve", "fence", "--fence", "1", "--v-segments", "1"),
+             "segment counts start at 2: '1'"),
+            (("solve", "can", "--volume", "1", "--base", "square"),
+             "--base takes 'circle' or an integer >= 3, got 'square'"),
+        ],
+        ids=["not a number", "not an integer", "one segment", "named base"],
+    )
+    def test_flag_checker_messages(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: {message}" in err
+        assert "Traceback" not in err
+
     # A count that does not fit in a float is refused while parsing, with the
     # flag named, instead of overflowing in a solver; so is one with more
     # digits than int() converts.
@@ -757,6 +792,18 @@ class TestRuntimeDependencies:
     )
     def test_cli_does_not_load_dataclasses(self, argv):
         assert self.probe(self.RUN_CLI + "print('dataclasses' in sys.modules)\n", *argv) == "False"
+
+    # The package namespace holds only the catalog, so importing it loads
+    # neither the oracle nor verify; only `optishape verify` needs them.
+    def test_import_loads_only_the_solver_layers(self):
+        assert self.probe(
+            "import sys, optishape\n"
+            "print(sorted(m for m in sys.modules if m.startswith('optishape.')))"
+        ) == "['optishape.geometry', 'optishape.optimize', 'optishape.problems']"
+
+    def test_solve_does_not_load_the_oracle(self):
+        assert self.probe(self.RUN_CLI + "print('optishape.oracle' in sys.modules)\n",
+                          "solve", "rectangle", "--fence", "2400") == "False"
 
     # Only `optishape verify` loads verify.
     @pytest.mark.parametrize(

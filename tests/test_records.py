@@ -3,7 +3,7 @@ field layout."""
 
 import pytest
 
-import optishape
+from optishape import geometry, optimize, oracle, problems
 from optishape.geometry import Point2, Shape
 from optishape.optimize import golden_section_min
 from optishape.oracle import GridSpec
@@ -24,7 +24,7 @@ INSTANCES = {
     "CheckResult": (CheckResult("suite", "name", 0.0, 1.0), "tolerance"),
 }
 
-# Field names in order, and defaults, of every record the package exports.
+# Field names in order, and defaults, of every record in the layer modules.
 LAYOUTS = {
     "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
@@ -51,7 +51,10 @@ def test_fields_cannot_be_assigned(name):
 
 @pytest.mark.parametrize("name", list(LAYOUTS))
 def test_field_layout(name):
-    record = getattr(optishape, name)
+    # Looked up on the layer modules, where each is one object however many
+    # modules import it: the package exports only the catalog's records.
+    (record,) = {getattr(m, name) for m in (geometry, optimize, oracle, problems)
+                 if hasattr(m, name)}
     fields, defaults = LAYOUTS[name]
     assert record._fields == fields
     assert record._field_defaults == defaults
