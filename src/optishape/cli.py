@@ -42,11 +42,15 @@ VERIFY_SUITES = ("derivative", "half-split", "h2r", "duality", "equivalence",
                  "coincidence", "oracle")
 
 
+# 17 significant digits print every float losslessly.
+FLOAT_FORMAT = "%.17g"
+# One `curve` row: format_number's bytes for a row that holds no -0.0.
+CSV_ROW = f"{FLOAT_FORMAT},{FLOAT_FORMAT}\n"
+
+
 def format_number(x: float | int) -> str:
-    """Render a number losslessly: 17 significant digits for floats."""
-    if isinstance(x, bool) or not isinstance(x, float):
-        return repr(x)
-    return format(x + 0.0, ".17g")  # +0.0 normalizes -0.0
+    """Render a number losslessly: FLOAT_FORMAT for floats, repr otherwise."""
+    return FLOAT_FORMAT % (x + 0.0) if isinstance(x, float) else repr(x)  # +0.0 normalizes -0.0
 
 
 def dumps(value: Any, indent: str = "") -> str:
@@ -253,9 +257,9 @@ def cmd_curve(args) -> int:
     for i, (_, area) in enumerate(rows):
         if not math.isfinite(area):
             raise InfeasibleError(f"the answer does not fit in a float: area at row {i}")
-    lines = ["L,area"]
-    lines.extend(f"{format_number(L)},{format_number(area)}" for L, area in rows)
-    text = "\n".join(lines) + "\n"
+    # format_number's bytes: L is never -0.0, but an area is where a subnormal
+    # step rounds up and carries L past the fence.
+    text = "L,area\n" + "".join([CSV_ROW % (L, area + 0.0) for L, area in rows])
     if args.out is not None:  # a write error here takes main's one write-error path
         with open(args.out, "w") as handle:
             handle.write(text)

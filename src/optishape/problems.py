@@ -451,60 +451,25 @@ class EllipseSolution(NamedTuple):
     contacts: tuple[Point2, ...]
 
 
-# Roots of the contact quadratic closer than this merge into one tangency.
-_MERGE_TOL = 1e-4
-
-
-def _quadratic_roots(qa: float, qb: float, qc: float) -> list[float]:
-    """Real roots of qa*y^2 + qb*y + qc = 0; roots closer than _MERGE_TOL
-    collapse to the vertex (tangency) double root."""
-    if qa == 0.0:
-        if qb == 0.0:
-            return []
-        return [-qc / qb]
-    disc = qb * qb - 4.0 * qa * qc
-    separation = math.sqrt(abs(disc)) / abs(qa)
-    if separation <= _MERGE_TOL:
-        return [-qb / (2.0 * qa)]
-    if disc < 0.0:
-        return []
-    # Citardauq pairing avoids cancellation when the roots differ in size.
-    q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-    return [q / qa, qc / q]
-
-
-_TANGENT_X_EPS = 1e-6
-
-
 def intersect_ellipse_circle(a: float, b: float) -> list[Point2]:
-    """Intersections of the ellipse x^2/a^2 + (y-b)^2/b^2 = 1 with the unit
-    upper semicircle.
+    """Arc contacts of the ellipse x^2/a^2 + (y-b)^2/b^2 = 1 tangent to the
+    unit upper semicircle, sorted by x.
 
     Substituting x^2 = 1 - y^2 into the ellipse equation leaves the quadratic
-    (a^2 - b^2)*y^2 - 2*a^2*b*y + b^2 = 0; real roots with 0 <= y <= 1 yield
-    the intersection heights.  Roots closer than _MERGE_TOL are treated as the
-    tangency double root, so near-tangent ellipses report their two mirrored
-    contact points (or the single top contact at x = 0) instead of four
-    crossings split by rounding noise.  Points come back sorted by x.
+    (a^2 - b^2)*y^2 - 2*a^2*b*y + b^2 = 0.  A tangent ellipse makes its root
+    double, so the contact height is the quadratic's vertex and the contacts
+    are the two mirrored points of the arc at that height.  The ellipse must
+    be tangent, with a > b: both unit ellipses the solvers build are.  An
+    ellipse that is not tangent gets points on the arc but off the ellipse.
     """
     _check_positive(a, "semi-axis a")
     _check_positive(b, "semi-axis b")
     qa = a * a - b * b
-    qb = -2.0 * a * a * b
-    qc = b * b
-    points: list[Point2] = []
-    for y in _quadratic_roots(qa, qb, qc):
-        if not 0.0 <= y <= 1.0 + _TANGENT_X_EPS:
-            continue
-        y = min(y, 1.0)
-        x = math.sqrt(max(1.0 - y * y, 0.0))
-        if x <= _TANGENT_X_EPS:
-            points.append(Point2(0.0, y))
-        else:
-            points.append(Point2(-x, y))
-            points.append(Point2(x, y))
-    points.sort(key=lambda p: (p.x, p.y))
-    return points
+    _check_positive(qa, "a^2 - b^2 (a tangent ellipse has a > b)")
+    # The vertex -qb / (2*qa) with qb = -2*a^2*b; negation is exact.
+    y = min(2.0 * a * a * b / (2.0 * qa), 1.0)
+    x = math.sqrt(max(1.0 - y * y, 0.0))
+    return [Point2(-x, y), Point2(x, y)]
 
 
 def _unit_ellipse(a: float, b: float) -> EllipseSolution:

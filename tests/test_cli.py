@@ -7,11 +7,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from optishape import cli, problems
 from optishape.optimize import ConvergenceError
-from optishape.problems import PROBLEMS, InfeasibleError
+from optishape.problems import PROBLEMS, FenceLayout, InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
 # solve, verify and help output saved before the problem catalog became one
@@ -395,6 +395,39 @@ class TestCurve:
         assert code == 4
         assert out == ""
         assert err == "error: cannot write: [Errno 2] No such file or directory: ''\n"
+
+    # Each row prints with one CSV_ROW format and the bytes of format_number,
+    # -0.0 included: an area reads -0.0 where a subnormal step rounds up and
+    # carries L past the fence.  A fence whose area overflows exits 3 and
+    # writes no CSV.
+    @given(
+        fence=st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
+                        st.integers(1, 2**20).map(lambda k: k * 5e-324)),
+        points=st.integers(2, 300),
+        v=integer_flag(2).filter(fits_in_float),
+        h=integer_flag(2).filter(fits_in_float),
+    )
+    @example(fence=5e-324, points=300, v=2, h=2)
+    @example(fence=1e-320, points=300, v=3, h=7)  # its last 9 areas are -0.0
+    @example(fence=sys.float_info.max, points=3, v=2, h=2)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rows_print_as_format_number(self, capsys, fence, points, v, h):
+        rows = problems.fence_area_curve(fence, FenceLayout(v, h), points)
+        code, out, err = run_cli(capsys, "curve", "fence", "--fence", repr(fence),
+                                 "--v-segments", str(v), "--h-segments", str(h),
+                                 "--points", str(points))
+        assert err == ""
+        if not all(math.isfinite(area) for _, area in rows):
+            assert code == 3
+            assert strict_json(out)["diagnostic"].startswith("the answer does not fit in a float")
+            return
+        assert code == 0
+        for L, area in rows:
+            assert math.copysign(1.0, L) == 1.0
+            assert math.copysign(1.0, area) == 1.0 or L > fence
+        assert out.splitlines() == ["L,area"] + [
+            f"{cli.format_number(L)},{cli.format_number(area)}" for L, area in rows]
 
 
 class TestWriteErrors:

@@ -547,38 +547,37 @@ class TestIntersectEllipseCircle:
         assert points[0].y == pytest.approx(SQRT2_2, abs=1e-9)
         assert points[1].y == pytest.approx(SQRT2_2, abs=1e-9)
 
-    def test_top_tangency(self):
-        # substituting shows the double root y = 1 by hand
-        points = intersect_ellipse_circle(SQRT2_2, 0.5)
-        assert len(points) == 1
-        assert points[0].x == 0.0
-        assert points[0].y == pytest.approx(1.0, abs=1e-9)
-
-    def test_interior_ellipse_has_no_intersections(self):
-        assert intersect_ellipse_circle(0.1, 0.1) == []
-
-    def test_interior_ellipse_with_no_real_root(self):
-        # the quadratic in y has a negative discriminant
-        assert intersect_ellipse_circle(0.3, 0.2) == []
-
-    def test_underflowing_axes_leave_no_quadratic(self):
-        # a^2 and b^2 underflow to 0, so the quadratic in y has no terms left
-        assert intersect_ellipse_circle(1e-200, 1e-200) == []
-
-    def test_equal_axes_tangent_at_top(self):
-        points = intersect_ellipse_circle(0.5, 0.5)
-        assert len(points) == 1
-        assert points[0] .y == pytest.approx(1.0, abs=1e-12)
-
-    def test_crossing_ellipse_has_four_points_on_both_curves(self):
-        a, b = 0.95, 0.45
+    def test_frontier_ellipse_contacts_lie_on_both_curves(self):
+        a, b = max_a_for_b(0.3), 0.3
         points = intersect_ellipse_circle(a, b)
-        assert len(points) == 4
-        xs = [p.x for p in points]
-        assert xs == sorted(xs)
+        assert [p.x for p in points] == [-points[1].x, points[1].x] and points[1].x > 0.0
         for p in points:
-            assert abs(p.x**2 + p.y**2 - 1.0) <= 1e-9
-            assert abs(p.x**2 / a**2 + (p.y - b) ** 2 / b**2 - 1.0) <= 1e-9
+            assert abs(p.x**2 + p.y**2 - 1.0) <= 1e-12
+            assert abs(p.x**2 / a**2 + (p.y - b) ** 2 / b**2 - 1.0) <= 1e-6
+
+    # The contact is the vertex of a quadratic whose leading term is
+    # a^2 - b^2, so an ellipse that is not wider than tall has none; an
+    # a^2 - b^2 that underflows to 0 is refused the same way.
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 0.4), (1e-200, 1e-200),
+                                      (1e-200, 1e-201), (5e-324, 5e-324)])
+    def test_axes_not_wider_than_tall_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a tangent ellipse has a > b"):
+            intersect_ellipse_circle(a, b)
+
+    @given(a=st.floats(min_value=5e-324, max_value=1e308),
+           b=st.floats(min_value=5e-324, max_value=1e308))
+    def test_any_positive_axes_give_two_contacts_or_a_value_error(self, a, b):
+        if a <= b:
+            with pytest.raises(ValueError):
+                intersect_ellipse_circle(a, b)
+            return
+        try:
+            points = intersect_ellipse_circle(a, b)
+        except ValueError:  # a^2 - b^2 underflows to 0, or a^2 overflows to a NaN contact
+            return
+        assert len(points) == 2 and points[0] == (-points[1].x, points[1].y)
+        assert 0.0 <= points[1].y <= 1.0
+        assert abs(points[1].x ** 2 + points[1].y ** 2 - 1.0) <= 1e-15
 
     def test_nonpositive_axes_rejected(self):
         with pytest.raises(ValueError):

@@ -61,3 +61,17 @@ def test_unknown_suite_lists_the_suites():
     listed = ", ".join(verify.SUITES)
     with pytest.raises(ValueError, match=f"unknown suite 'nope'; choose from {listed}$"):
         verify.run(["nope"])
+
+
+# The ellipse's contacts are taken from its tangency, so an ellipse off the
+# frontier gets arc points that miss it: the coincidence suite must catch a
+# unit ellipse nudged off the numeric answer along either axis.
+@pytest.mark.parametrize("a_scale, b_scale", [
+    (1 - 1e-7, 1.0), (1 - 1e-3, 1.0), (1 + 1e-5, 1.0), (1.0, 1 + 1e-4), (1.0, 1 - 1e-6),
+])
+def test_coincidence_fails_an_ellipse_off_the_frontier(monkeypatch, a_scale, b_scale):
+    unit = problems._solve_unit_ellipse_semicircle()
+    nudged = problems._unit_ellipse(unit.a * a_scale, unit.b * b_scale)
+    monkeypatch.setattr(problems, "_solve_unit_ellipse_semicircle", lambda: nudged)
+    failed = [c.name for c in verify.run(["coincidence"]) if not c.passed]
+    assert "contacts_on_ellipse" in failed
