@@ -257,9 +257,7 @@ def cmd_curve(args) -> int:
     for i, (_, area) in enumerate(rows):
         if not math.isfinite(area):
             raise InfeasibleError(f"the answer does not fit in a float: area at row {i}")
-    # format_number's bytes: L is never -0.0, but an area is where a subnormal
-    # step rounds up and carries L past the fence.
-    text = "L,area\n" + "".join([CSV_ROW % (L, area + 0.0) for L, area in rows])
+    text = "L,area\n" + "".join([CSV_ROW % row for row in rows])
     if args.out is not None:  # a write error here takes main's one write-error path
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -13,6 +13,7 @@ curve and the brute-force oracle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 
@@ -125,16 +126,18 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     """``n`` evenly spaced points from ``lo`` to ``hi``, both included.
 
     Point ``i`` is ``lo + i*step`` and the last one is pinned to ``hi``, so
-    the values match ``numpy.linspace`` bit for bit.  When ``step``
-    underflows to zero (subnormal spans), the points are ``lo + i/(n-1)*span``
-    instead, again as numpy does, so tiny spans keep their interior points.
+    the values match ``numpy.linspace`` bit for bit while ``step`` is a
+    normal float.  A subnormal ``step`` has too few bits to add up
+    ``i*step`` without overshooting ``hi``, and one of 0 loses the interior,
+    so there the points are ``lo + i/(n-1)*span``: nondecreasing and inside
+    ``[lo, hi]``, where numpy's can pass ``hi``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     div = n - 1
     span = hi - lo
     step = span / div
-    if step == 0.0:
+    if step < sys.float_info.min:
         xs = [lo + i / div * span for i in range(n)]
     else:
         xs = [lo + i * step for i in range(n)]

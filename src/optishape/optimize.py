@@ -33,11 +33,9 @@ class Solution1D(NamedTuple):
     achieved_interval: float
 
 
-def _check_bracket(lo: float, hi: float, tol: float) -> None:
+def _check_bracket(lo: float, hi: float) -> None:
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
 
 
 def golden_section_min(
@@ -60,7 +58,9 @@ def golden_section_min(
         lower-argument side of the bracket is kept, so results are
         deterministic.
     """
-    _check_bracket(lo, hi, tol)
+    _check_bracket(lo, hi)
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
     c = hi - (hi - lo) * INV_PHI
     d = lo + (hi - lo) * INV_PHI
     fc = f(c)
@@ -90,31 +90,26 @@ def golden_section_min(
     return Solution1D(x, f(x), iterations + 3, hi - lo)
 
 
-def bisect_boundary(
-    pred: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    tol: float,
-) -> float:
+def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> float:
     """Locate the true/false boundary of a monotone predicate.
 
-    Requires pred(lo) true and pred(hi) false; returns x within tol of the
-    crossing point.
+    Requires pred(lo) true and pred(hi) false.  Bisects until the bracket
+    spans adjacent floats, the last x with pred(x) true and the first with
+    it false, and returns their midpoint; it rounds to one of the two.
     """
-    _check_bracket(lo, hi, tol)
+    _check_bracket(lo, hi)
     if not pred(lo):
         raise BracketError(f"pred({lo}) must be true at the lower end")
     if pred(hi):
         raise BracketError(f"pred({hi}) must be false at the upper end")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # bracket already spans adjacent floats
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if pred(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

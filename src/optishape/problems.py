@@ -49,11 +49,8 @@ class InfeasibleError(ValueError):
 # resolves its argument to OUTER_REL_TOL.  An outer search whose objective is
 # itself a search (the box's x, the ellipse's b) stops at NESTED_TOL, ~1e-8
 # relative, an order tighter than the 1e-6 the cross-checks claim.  The
-# frontier bisection runs much tighter still: where it stops within its
-# bracket jumps from one b to the next, so its error e perturbs the outer
-# objective like noise and drags the argmin by ~sqrt(e/curvature); e must
-# stay below ~1e-13 for the b search to stay inside 1e-7.
-INNER_TOL = 5e-14
+# ellipse frontier's bisection takes no tolerance: it runs to adjacent
+# floats, so the only noise the b search sees is containment_max's rounding.
 OUTER_REL_TOL = 1e-10
 NESTED_TOL = 1e-8
 
@@ -379,10 +376,6 @@ def solve_rect_semicircle_numeric(radius: float) -> SemicircleRectSolution:
     return SemicircleRectSolution(u.x * s, u.y * s, u.area * s * s)
 
 
-# Slack on the squared-radius containment test: tangent ellipses must count
-# as inscribed despite rounding in the containment maximum.
-CONTAINMENT_SLACK = 1e-12
-
 # The family of candidate ellipses is x^2/a^2 + (y-b)^2/b^2 = 1: centered at
 # (0, b), so already tangent to the diameter at the origin.  Only the arc
 # constraint (all points inside the unit circle) has to be tested.
@@ -414,18 +407,17 @@ def ellipse_fits(a: float, b: float) -> bool:
 
     The candidate family touches the diameter at the origin by construction,
     so only containment in the unit disk is checked: containment_max(a, b)
-    must not exceed 1.
+    must not exceed 1, with no slack.  The closed-form ellipse's maximum is
+    exactly 1.0, so the tangent ellipse fits.
     """
     _check_positive(a, "semi-axis a")
     _check_positive(b, "semi-axis b")
-    return containment_max(a, b) <= 1.0 + CONTAINMENT_SLACK
-
-
-_MIN_SEMI_AXIS = 1e-9
+    return containment_max(a, b) <= 1.0
 
 
 def max_a_for_b(b: float) -> float:
-    """Largest horizontal semi-axis a such that ellipse_fits(a, b).
+    """Largest horizontal semi-axis a such that ellipse_fits(a, b), to an ulp:
+    the bisection ends on the adjacent floats around that frontier.
 
     Defined for 0 < b <= 1/2; above that even a sliver-thin ellipse pokes
     out of the disk at its top point (0, 2b) and InfeasibleError is raised.
@@ -433,9 +425,7 @@ def max_a_for_b(b: float) -> float:
     if not 0 < b < 1:
         raise ValueError(f"semi-axis b must lie in (0, 1), got {b}")
     try:
-        return bisect_boundary(
-            lambda a: ellipse_fits(a, b), _MIN_SEMI_AXIS, 1.0, tol=INNER_TOL
-        )
+        return bisect_boundary(lambda a: ellipse_fits(a, b), math.ulp(0.0), 1.0)
     except BracketError as exc:
         raise InfeasibleError(
             f"no ellipse of height 2*b = {2 * b} fits in the unit half-disk"

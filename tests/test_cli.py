@@ -396,10 +396,9 @@ class TestCurve:
         assert out == ""
         assert err == "error: cannot write: [Errno 2] No such file or directory: ''\n"
 
-    # Each row prints with one CSV_ROW format and the bytes of format_number,
-    # -0.0 included: an area reads -0.0 where a subnormal step rounds up and
-    # carries L past the fence.  A fence whose area overflows exits 3 and
-    # writes no CSV.
+    # Each row prints with one CSV_ROW format and the bytes of format_number.
+    # Every L lies in [0, fence], subnormal steps included, so no area is
+    # -0.0.  A fence whose area overflows exits 3 and writes no CSV.
     @given(
         fence=st.one_of(st.floats(min_value=5e-324, max_value=sys.float_info.max),
                         st.integers(1, 2**20).map(lambda k: k * 5e-324)),
@@ -408,7 +407,7 @@ class TestCurve:
         h=integer_flag(2).filter(fits_in_float),
     )
     @example(fence=5e-324, points=300, v=2, h=2)
-    @example(fence=1e-320, points=300, v=3, h=7)  # its last 9 areas are -0.0
+    @example(fence=1e-320, points=300, v=3, h=7)  # its steps are subnormal
     @example(fence=sys.float_info.max, points=3, v=2, h=2)
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -424,8 +423,8 @@ class TestCurve:
             return
         assert code == 0
         for L, area in rows:
-            assert math.copysign(1.0, L) == 1.0
-            assert math.copysign(1.0, area) == 1.0 or L > fence
+            assert math.copysign(1.0, L) == 1.0 and L <= fence
+            assert math.copysign(1.0, area) == 1.0
         assert out.splitlines() == ["L,area"] + [
             f"{cli.format_number(L)},{cli.format_number(area)}" for L, area in rows]
 

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from optishape.geometry import (
     Point2,
@@ -199,11 +200,36 @@ class TestLinspace:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_bit_for_bit(self, lo, span, n):
+        # only where the step is a normal float: at subnormal steps numpy's
+        # points can pass hi, and linspace's stay inside (next test)
         np = pytest.importorskip("numpy")
         hi = lo + span
-        if not lo < hi:
+        if not lo < hi or (hi - lo) / (n - 1) < sys.float_info.min:
             return
         assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+    def test_rounded_up_subnormal_step_stays_inside(self):
+        # 1e-320 / 300 is subnormal and rounds up, so lo + i*step, as numpy
+        # takes it, passes hi from point 290 on
+        xs = linspace(0.0, 1e-320, 301)
+        assert max(xs) == xs[-1] == 1e-320
+        assert xs == sorted(xs)
+
+    @given(
+        lo=st.one_of(st.just(0.0), st.floats(min_value=-1e-305, max_value=1e-305)),
+        n=st.integers(min_value=2, max_value=3000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_subnormal_steps_stay_inside_and_nondecreasing(self, lo, n, data):
+        # a span below n - 1 smallest normals, in steps of the smallest subnormal
+        span = data.draw(st.integers(1, (n - 1) * 2**52 - 1)) * math.ulp(0.0)
+        hi = lo + span
+        assume(lo < hi and (hi - lo) / (n - 1) < sys.float_info.min)
+        xs = linspace(lo, hi, n)
+        assert xs[0] == lo and xs[-1] == hi
+        assert all(lo <= x <= hi for x in xs)
+        assert xs == sorted(xs)
 
 
 class TestInvariants:

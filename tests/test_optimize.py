@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from optishape.optimize import (
     BracketError,
@@ -47,8 +47,10 @@ class TestGoldenSection:
             golden_section_min(lambda x: x, 2.0, 1.0, tol=1e-10)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tolerance must be positive, got 0.0"):
             golden_section_min(lambda x: x, 0.0, 1.0, tol=0.0)
+        with pytest.raises(TypeError):  # no default tolerance
+            golden_section_min(lambda x: x, 0.0, 1.0)
 
     def test_iteration_cap(self):
         with pytest.raises(ConvergenceError):
@@ -69,45 +71,63 @@ class TestGoldenSection:
 
 
 @pytest.mark.parametrize(
-    "search, f", [(golden_section_min, lambda x: x), (bisect_boundary, lambda x: x <= 0.5)],
+    "search",
+    [lambda lo, hi: golden_section_min(lambda x: x, lo, hi, tol=1e-10),
+     lambda lo, hi: bisect_boundary(lambda x: x <= 0.5, lo, hi)],
     ids=["golden", "bisect"],
 )
-def test_searches_share_the_bracket_checks(search, f):
+def test_searches_share_the_bracket_checks(search):
     with pytest.raises(ValueError, match=r"need lo < hi, got \[1.0, 1.0\]"):
-        search(f, 1.0, 1.0, tol=1e-10)
-    with pytest.raises(ValueError, match="tolerance must be positive, got 0.0"):
-        search(f, 0.0, 1.0, tol=0.0)
-    with pytest.raises(TypeError):  # no default tolerance
-        search(f, 0.0, 1.0)
+        search(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"need lo < hi, got \[2.0, 1.0\]"):
+        search(2.0, 1.0)
+
+
+def _crossing_pair(pred, x):
+    """The adjacent floats (lo, hi) with pred(lo) true and pred(hi) false
+    that x is one of, or None."""
+    lo = x if pred(x) else math.nextafter(x, -math.inf)
+    hi = math.nextafter(lo, math.inf)
+    return (lo, hi) if pred(lo) and not pred(hi) else None
 
 
 class TestBisectBoundary:
     def test_step_predicate(self):
-        x = bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0, tol=1e-12)
-        assert abs(x - 1.0) <= 1e-12
+        x = bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0)
+        assert x in (1.0, math.nextafter(1.0, math.inf))
 
     def test_sqrt_two(self):
-        x = bisect_boundary(lambda v: v * v <= 2.0, 0.0, 2.0, tol=1e-10)
-        assert x == pytest.approx(math.sqrt(2.0), abs=1e-10)
+        x = bisect_boundary(lambda v: v * v <= 2.0, 0.0, 2.0)
+        assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
-    def test_tolerance_below_the_float_spacing_stops_at_adjacent_floats(self):
-        x = bisect_boundary(lambda v: v < 1.0, 0.5, 2.0, tol=1e-300)
-        assert abs(x - 1.0) <= math.ulp(1.0)
+    # The bisection runs until the bracket spans adjacent floats and returns
+    # their midpoint, which rounds to one of them.
+    @given(
+        c=st.floats(min_value=1e-300, max_value=1e300),
+        lo=st.sampled_from([0.0, math.ulp(0.0), 1e-300]),
+    )
+    @example(c=1.0, lo=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_ends_on_adjacent_floats(self, c, lo):
+        pred = lambda v: v * v * v <= c
+        x = bisect_boundary(pred, lo, 2.0 * max(c, 1.0))
+        assert _crossing_pair(pred, x) is not None
+
+    def test_takes_no_tolerance(self):
+        with pytest.raises(TypeError):
+            bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0, tol=1e-12)
 
     def test_bad_bracket(self):
         with pytest.raises(BracketError):
-            bisect_boundary(lambda v: False, 0.0, 1.0, tol=1e-10)
+            bisect_boundary(lambda v: False, 0.0, 1.0)
         with pytest.raises(BracketError):
-            bisect_boundary(lambda v: True, 0.0, 1.0, tol=1e-10)
+            bisect_boundary(lambda v: True, 0.0, 1.0)
 
     @given(c=st.floats(min_value=0.1, max_value=1.9))
     @settings(max_examples=100, deadline=None)
     def test_monotone_crossing_bracketing(self, c):
-        tol = 1e-9
-        pred = lambda v: v <= c
-        x = bisect_boundary(pred, 0.0, 2.0, tol=tol)
-        assert pred(x - 2.0 * tol)
-        assert not pred(x + 2.0 * tol)
+        x = bisect_boundary(lambda v: v <= c, 0.0, 2.0)
+        assert x in (c, math.nextafter(c, math.inf))
 
 
 class TestCentralDiff:
