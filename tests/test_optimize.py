@@ -83,14 +83,6 @@ def test_searches_share_the_bracket_checks(search):
         search(2.0, 1.0)
 
 
-def _crossing_pair(pred, x):
-    """The adjacent floats (lo, hi) with pred(lo) true and pred(hi) false
-    that x is one of, or None."""
-    lo = x if pred(x) else math.nextafter(x, -math.inf)
-    hi = math.nextafter(lo, math.inf)
-    return (lo, hi) if pred(lo) and not pred(hi) else None
-
-
 class TestBisectBoundary:
     def test_step_predicate(self):
         x = bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0)
@@ -101,7 +93,8 @@ class TestBisectBoundary:
         assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
     # The bisection runs until the bracket spans adjacent floats and returns
-    # their midpoint, which rounds to one of them.
+    # their midpoint, which rounds to one of them: x or the float below it
+    # is the last true one, and the float above that is false.
     @given(
         c=st.floats(min_value=1e-300, max_value=1e300),
         lo=st.sampled_from([0.0, math.ulp(0.0), 1e-300]),
@@ -111,7 +104,8 @@ class TestBisectBoundary:
     def test_ends_on_adjacent_floats(self, c, lo):
         pred = lambda v: v * v * v <= c
         x = bisect_boundary(pred, lo, 2.0 * max(c, 1.0))
-        assert _crossing_pair(pred, x) is not None
+        last_true = x if pred(x) else math.nextafter(x, -math.inf)
+        assert pred(last_true) and not pred(math.nextafter(last_true, math.inf))
 
     def test_takes_no_tolerance(self):
         with pytest.raises(TypeError):
