@@ -143,8 +143,6 @@ def fence_area_curve(
 ) -> list[tuple[float, float]]:
     """Sample (L, area) along the fence parabola at uniform L in [0, total]."""
     _check_positive(total_fence, "total fence length")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 sample points, got {n_points}")
     # _fence_objective's product without its per-point call, negation and
     # the rescaling of counts past 2**500; negation is exact, so below that
     # the bits (+0.0 at both ends too) are the same.

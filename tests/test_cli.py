@@ -1,3 +1,4 @@
+import gc
 import gzip
 import json
 import math
@@ -848,3 +849,29 @@ class TestRuntimeDependencies:
     def test_only_verify_loads_verify(self, argv, loaded):
         assert self.probe(self.RUN_CLI + "print('optishape.verify' in sys.modules)\n",
                           *argv) == loaded
+
+    # A CLI process freezes its heap after import, so the collector, the
+    # one at interpreter exit included, skips that heap.
+    def test_cli_process_freezes_its_heap(self):
+        assert self.probe(self.RUN_CLI + "import gc\nprint(gc.get_freeze_count() > 0)\n",
+                          "solve", "rectangle", "--fence", "3") == "True"
+
+    # Only the process entry freezes: in-process callers of cli.main keep an
+    # ordinary collector.
+    def test_main_in_process_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        code, _, _ = run_cli(capsys, "solve", "rectangle", "--fence", "3")
+        assert (code, gc.get_freeze_count()) == (0, before)
+
+    # The entry leaves the interpreter's exit path intact: cProfile prints
+    # its report after the module has run.
+    def test_runs_under_cprofile(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "optishape",
+             "solve", "rectangle", "--fence", "40"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report, end = json.JSONDecoder().raw_decode(proc.stdout)
+        assert report["solution"]["area"] == 100.0
+        assert "function calls" in proc.stdout[end:]
