@@ -13,8 +13,6 @@ check, and a non-finite solution field exits 3 with a diagnostic that names
 it, unless a check also failed, which exits 1.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

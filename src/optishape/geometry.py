@@ -10,8 +10,6 @@ Also home to ``linspace``, the evenly spaced sample grid shared by the fence
 curve and the brute-force oracle.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple, Sequence
@@ -57,8 +55,8 @@ class Point2(_Point2Fields):
 
 
 def _check_positive(value: float, what: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{what} must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def area_coefficient(shape: Shape) -> float:

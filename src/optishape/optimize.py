@@ -5,8 +5,6 @@ monotone predicates and central differences.  Everything is deterministic:
 identical inputs produce the same Solution1D, bit for bit.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple
 

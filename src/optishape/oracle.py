@@ -11,8 +11,6 @@ coordinates (compared as a tuple).  Rounds repeat while any axis's cell is
 larger than its grid's ``resolution``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable, NamedTuple, Sequence
 

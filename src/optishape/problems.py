@@ -18,7 +18,10 @@ too large for a float reads inf instead of raising, and scale 1 keeps the
 unit answer's bits.  The closed forms run at the requested scale, so a
 wrong closed form or a wrong rescale still shows as a closed-vs-numeric
 gap; the one exception is the ellipse, whose closed-form unit contacts are
-computed once and rescaled like its numeric answer.
+computed once and rescaled like its numeric answer.  Every unit answer is
+kept by ``functools.cache``, one entry of about 350 B per distinct base or
+layout a caller passes (0.84 MB for all 2401 fence layouts with v, h in
+2..50).
 
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs and
 residuals drive the ``solve`` command and the ``verify`` oracle suite, and
@@ -27,11 +30,9 @@ Each ``_<stem>_objective`` is the function its unit search minimizes; the
 oracle suite scans the same function by brute force.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from functools import lru_cache
+from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .geometry import Point2, Shape, _check_positive, area_coefficient, linspace
@@ -121,9 +122,7 @@ def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float
     return lambda L: -(L / v) * ((total_fence - L) / h)
 
 
-# Unbounded: a layout is two ints, so the cache holds one entry (about 350 B)
-# per distinct layout a caller passes; all 2401 of v, h in 2..50 take 0.84 MB.
-@lru_cache(maxsize=None)
+@cache
 def _solve_unit_fence(layout: FenceLayout) -> FenceSolution:
     sol = golden_section_min(_fence_objective(1.0, layout), 0.0, 1.0, tol=OUTER_REL_TOL)
     return _fence_solution(1.0, layout, sol.argmin)
@@ -174,7 +173,7 @@ def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
     return lambda x: -x * (half - x)
 
 
-@lru_cache
+@cache
 def _solve_unit_rectangle() -> RectangleSolution:
     x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5, tol=OUTER_REL_TOL).argmin
     return RectangleSolution(x, 0.5 - x, x * (0.5 - x))
@@ -207,7 +206,7 @@ def _box_objective(volume: float) -> Callable[[float, float], float]:
     return lambda x, y: 2.0 * (x * y + volume / y + volume / x)
 
 
-@lru_cache
+@cache
 def _solve_unit_box() -> BoxSolution:
     sa_for = _box_objective(1.0)
 
@@ -268,7 +267,7 @@ def _can_objective(volume: float, c: float) -> Callable[[float], float]:
     return lambda r: two_c * r * r + two_v / r
 
 
-@lru_cache
+@cache
 def _solve_unit_can(base: Shape) -> CanSolution:
     c = area_coefficient(base)
     r0 = (1.0 / (2.0 * c)) ** (1.0 / 3.0)  # the bracket and tolerance follow the base
@@ -305,7 +304,7 @@ def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], floa
     return lambda r: -r * (surface_area - two_c * r * r) / 2.0
 
 
-@lru_cache
+@cache
 def _solve_unit_can_dual(base: Shape) -> CanSolution:
     c = area_coefficient(base)
     r_max = math.sqrt(1.0 / (2.0 * c))  # the bracket and tolerance follow the base
@@ -359,7 +358,7 @@ def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
     return lambda x: -2.0 * x * math.sqrt(r2 - x * x)
 
 
-@lru_cache
+@cache
 def _solve_unit_rect_semicircle() -> SemicircleRectSolution:
     x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0, tol=OUTER_REL_TOL).argmin
     y = math.sqrt(1.0 - x * x)
@@ -473,7 +472,7 @@ def rescale_ellipse(unit: EllipseSolution, radius: float) -> EllipseSolution:
                            tuple(Point2(p.x * radius, p.y * radius) for p in unit.contacts))
 
 
-@lru_cache(maxsize=1)
+@cache
 def _closed_unit_ellipse() -> EllipseSolution:
     return _unit_ellipse(math.sqrt(6.0) / 3.0, math.sqrt(2.0) / 3.0)
 
@@ -489,7 +488,7 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
     return rescale_ellipse(_closed_unit_ellipse(), radius)
 
 
-@lru_cache(maxsize=1)
+@cache
 def _solve_unit_ellipse_semicircle() -> EllipseSolution:
     # The top point (0, 2b) caps the feasible b at 1/2; the degenerate flat
     # end is clamped at 1e-4 rather than rejected.

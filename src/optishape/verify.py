@@ -7,8 +7,6 @@ worst observed residual against a fixed tolerance.  Output order and all
 randomness are fixed, so runs are reproducible.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from typing import Callable, Iterable, Iterator, NamedTuple

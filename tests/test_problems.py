@@ -812,6 +812,21 @@ def _solvers(name):
     return getattr(problems, stem), getattr(problems, stem + "_numeric")
 
 
+# The CLI refuses an infinite flag when it parses it; in the library every
+# solver and the fence curve refuse an infinite scale as they refuse 0.
+INFINITE_SCALE_ARGS = {
+    **{solver: EXTRA_ARGS.get(name, ()) for name, p in PROBLEMS.items()
+       for solver in (p.stem, p.stem + "_numeric")},
+    "fence_area_curve": (FenceLayout(2, 2), 3),
+}
+
+
+@pytest.mark.parametrize("solver", list(INFINITE_SCALE_ARGS))
+def test_infinite_scale_rejected(solver):
+    with pytest.raises(ValueError, match="positive and finite"):
+        getattr(problems, solver)(math.inf, *INFINITE_SCALE_ARGS[solver])
+
+
 class TestUnitInstance:
     @pytest.mark.parametrize("key", list(UNIT_BITS), ids=_key_id)
     def test_scale_one_returns_the_unit_search_bits(self, key):
@@ -888,6 +903,12 @@ class TestUnitInstance:
         _solvers(name)[1](1.0, *EXTRA_ARGS.get(name, ()))
         assert (len(evaluations), sum(evaluations), len(predicate_calls),
                 sum(predicate_calls)) == self.UNIT_SEARCH_COUNTS[name]
+
+    def test_every_unit_answer_stays_cached(self):
+        caches = {name: f for name, f in vars(problems).items()
+                  if name.startswith("_solve_unit_") or name == "_closed_unit_ellipse"}
+        assert len(caches) == len(PROBLEMS) + 1
+        assert {name: f.cache_info().maxsize for name, f in caches.items()} == dict.fromkeys(caches)
 
     def test_every_fence_layout_stays_cached(self, monkeypatch):
         problems._solve_unit_fence.cache_clear()

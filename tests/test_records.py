@@ -1,9 +1,11 @@
 """Every result and value type is an immutable named tuple with a fixed
 field layout."""
 
+from typing import ForwardRef
+
 import pytest
 
-from optishape import geometry, optimize, oracle, problems
+from optishape import geometry, optimize, oracle, problems, verify
 from optishape.geometry import Point2, Shape
 from optishape.optimize import golden_section_min
 from optishape.oracle import GridSpec
@@ -24,7 +26,8 @@ INSTANCES = {
     "CheckResult": (CheckResult("suite", "name", 0.0, 1.0), "tolerance"),
 }
 
-# Field names in order, and defaults, of every record in the layer modules.
+# Field names in order, and defaults, of every record in the layer modules
+# but `Problem`, whose one default is a function.
 LAYOUTS = {
     "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
@@ -37,6 +40,8 @@ LAYOUTS = {
     "RectangleSolution": (("x", "y", "area"), {}),
     "BoxSolution": (("x", "y", "z", "surface_area"), {}),
     "SemicircleRectSolution": (("x", "y", "area"), {}),
+    "Input": (("flag", "key", "type", "default", "help"), {"default": None, "help": None}),
+    "CheckResult": (("suite", "name", "residual", "tolerance"), {}),
 }
 
 
@@ -53,11 +58,16 @@ def test_fields_cannot_be_assigned(name):
 def test_field_layout(name):
     # Looked up on the layer modules, where each is one object however many
     # modules import it: the package exports only the catalog's records.
-    (record,) = {getattr(m, name) for m in (geometry, optimize, oracle, problems)
+    (record,) = {getattr(m, name) for m in (geometry, optimize, oracle, problems, verify)
                  if hasattr(m, name)}
     fields, defaults = LAYOUTS[name]
     assert record._fields == fields
     assert record._field_defaults == defaults
+    # Evaluated where they are written, not kept as strings for typing to
+    # resolve later.
+    annotations = next(vars(c)["__annotations__"] for c in record.__mro__ if "_fields" in vars(c))
+    assert list(annotations) == list(fields)
+    assert not any(isinstance(a, (str, ForwardRef)) for a in annotations.values())
 
 
 def test_checked_records_validate_keyword_arguments():
