@@ -7,7 +7,6 @@ results and their errors.  Every other name lives in its own module
 """
 
 from .geometry import Point2, Shape
-from .optimize import ConvergenceError
 from .problems import (
     BoxSolution,
     CanSolution,

@@ -1,16 +1,15 @@
 """Command-line front end: solve catalog problems, verify invariants, and
 emit curve data for plotting.
 
-Exit status: 0 success, 1 verification failure or no verified answer (a
-numeric search did not converge), 2 usage error, 3 infeasible, or the answer
-does not fit in a float, 4 a write error: stdout or ``curve --out`` could
-not be written.  A write error prints ``error: cannot write: ...`` on
-stderr, except a closed stdout pipe (the reader stopped reading), which
-exits 4 with nothing on stderr.  ``--help`` writes through the same path.
-``main`` returns the exit code, for ``--help`` and usage errors too.  JSON
-output prints a non-finite number as null: a non-finite residual fails its
-check, and a non-finite solution field exits 3 with a diagnostic that names
-it, unless a check also failed, which exits 1.
+Exit status: 0 success, 1 a failed residual or verify check, 2 usage error,
+3 infeasible, or the answer does not fit in a float, 4 a write error: stdout
+or ``curve --out`` could not be written.  A write error prints ``error:
+cannot write: ...`` on stderr, except a closed stdout pipe (the reader
+stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
+through the same path.  ``main`` returns the exit code, for ``--help`` and
+usage errors too.  JSON output prints a non-finite number as null: a
+non-finite residual fails its check, and a non-finite solution field exits 3
+with a diagnostic that names it, unless a check also failed, which exits 1.
 """
 
 import argparse
@@ -22,7 +21,6 @@ from typing import Any
 
 from . import problems
 from .geometry import Shape
-from .optimize import ConvergenceError
 from .problems import FenceLayout, InfeasibleError
 
 EXIT_OK = 0
@@ -321,10 +319,10 @@ def _run(argv: list[str] | None) -> int:
         return commands[args.command](args)
     except SystemExit as exc:  # argparse leaves --help and a usage error this way
         return exc.code
-    except (InfeasibleError, ConvergenceError) as exc:
+    except InfeasibleError as exc:
         _emit({"problem": getattr(args, "problem", args.command),
                "diagnostic": str(exc)}, getattr(args, "format", "json"))
-        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_CHECK_FAILED
+        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,11 +11,10 @@ from typing import Callable, NamedTuple
 # 1/phi, the bracket shrink factor per golden-section iteration.
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-DEFAULT_MAX_ITER = 500
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration cap before converging."""
+# The square root of the float epsilon.  Near a smooth minimum f moves with
+# the square of the step, so its values tell arguments apart only to about
+# this relative width (Brent 1973; Numerical Recipes 10.1).
+RESOLUTION = 2.0 ** -26
 
 
 class BracketError(ValueError):
@@ -32,24 +31,25 @@ class Solution1D(NamedTuple):
 
 
 def _check_bracket(lo: float, hi: float) -> None:
-    if lo >= hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
 
 
 def golden_section_min(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float,
 ) -> Solution1D:
     """Minimize a unimodal function on [lo, hi] by golden-section search.
 
     Args:
         f: objective; unimodality on the bracket is the caller's duty.
-        lo, hi: bracket endpoints, lo < hi.  Only interior points are evaluated.
-        tol: absolute tolerance on the argument; the final bracket width.
-            Needing more than DEFAULT_MAX_ITER iterations raises
-            ConvergenceError.
+        lo, hi: finite bracket endpoints, lo < hi.  Only interior points are
+            evaluated.
+
+    The search stops once the bracket is at most RESOLUTION times its
+    larger end in magnitude, or once its two probes no longer lie strictly
+    inside it.  Each iteration strictly shrinks the bracket, so it ends.
 
     Returns:
         Solution1D with the bracket midpoint as argmin.  On exact ties the
@@ -57,20 +57,13 @@ def golden_section_min(
         deterministic.
     """
     _check_bracket(lo, hi)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     c = hi - (hi - lo) * INV_PHI
     d = lo + (hi - lo) * INV_PHI
     fc = f(c)
     fd = f(d)
     iterations = 0
-    while hi - lo > tol:
+    while hi - lo > RESOLUTION * max(abs(lo), abs(hi)) and lo < c < d < hi:
         iterations += 1
-        if iterations > DEFAULT_MAX_ITER:
-            raise ConvergenceError(
-                f"no convergence to tol={tol} within {DEFAULT_MAX_ITER} iterations "
-                f"(bracket width {hi - lo})"
-            )
         if fc <= fd:
             hi = d
             d = c

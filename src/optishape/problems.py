@@ -43,19 +43,6 @@ class InfeasibleError(ValueError):
     """No candidate in the search domain satisfies the constraints."""
 
 
-# Search tolerances.  Every numeric search runs once, on a unit instance
-# whose answer is of order 1, so these are fixed absolute tolerances (the
-# cans scale theirs by the base's unit radius, which stays within 0.31..0.55)
-# and an extreme input scale can no longer round them to 0.  A plain search
-# resolves its argument to OUTER_REL_TOL.  An outer search whose objective is
-# itself a search (the box's x, the ellipse's b) stops at NESTED_TOL, ~1e-8
-# relative, an order tighter than the 1e-6 the cross-checks claim.  The
-# ellipse frontier's bisection takes no tolerance: it runs to adjacent
-# floats, so the only noise the b search sees is containment_max's rounding.
-OUTER_REL_TOL = 1e-10
-NESTED_TOL = 1e-8
-
-
 # --------------------------------------------------------------------------
 # fence with partitions
 
@@ -124,7 +111,7 @@ def _fence_objective(total_fence: float, layout: FenceLayout) -> Callable[[float
 
 @cache
 def _solve_unit_fence(layout: FenceLayout) -> FenceSolution:
-    sol = golden_section_min(_fence_objective(1.0, layout), 0.0, 1.0, tol=OUTER_REL_TOL)
+    sol = golden_section_min(_fence_objective(1.0, layout), 0.0, 1.0)
     return _fence_solution(1.0, layout, sol.argmin)
 
 
@@ -175,7 +162,7 @@ def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
 
 @cache
 def _solve_unit_rectangle() -> RectangleSolution:
-    x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5, tol=OUTER_REL_TOL).argmin
+    x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5).argmin
     return RectangleSolution(x, 0.5 - x, x * (0.5 - x))
 
 
@@ -211,9 +198,9 @@ def _solve_unit_box() -> BoxSolution:
     sa_for = _box_objective(1.0)
 
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0, tol=OUTER_REL_TOL)
+        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0)
 
-    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0, tol=NESTED_TOL).argmin
+    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0).argmin
     y = best_y(x).argmin
     z = 1.0 / (x * y)
     return BoxSolution(x, y, z, 2.0 * (x * y + x * z + y * z))
@@ -270,9 +257,8 @@ def _can_objective(volume: float, c: float) -> Callable[[float], float]:
 @cache
 def _solve_unit_can(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    r0 = (1.0 / (2.0 * c)) ** (1.0 / 3.0)  # the bracket and tolerance follow the base
-    r = golden_section_min(_can_objective(1.0, c), 0.05 * r0, 20.0 * r0,
-                           tol=r0 * OUTER_REL_TOL).argmin
+    r0 = (1.0 / (2.0 * c)) ** (1.0 / 3.0)  # the bracket follows the base
+    r = golden_section_min(_can_objective(1.0, c), 0.05 * r0, 20.0 * r0).argmin
     return _can_solution(c, r, 1.0 / (c * r * r))
 
 
@@ -307,9 +293,8 @@ def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], floa
 @cache
 def _solve_unit_can_dual(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    r_max = math.sqrt(1.0 / (2.0 * c))  # the bracket and tolerance follow the base
-    r = golden_section_min(_can_dual_objective(1.0, c), r_max * 1e-6, r_max,
-                           tol=r_max * OUTER_REL_TOL).argmin
+    r_max = math.sqrt(1.0 / (2.0 * c))  # the bracket follows the base
+    r = golden_section_min(_can_dual_objective(1.0, c), r_max * 1e-6, r_max).argmin
     return _can_solution(c, r, (1.0 - 2.0 * c * r * r) / (2.0 * c * r))
 
 
@@ -360,7 +345,7 @@ def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
 
 @cache
 def _solve_unit_rect_semicircle() -> SemicircleRectSolution:
-    x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0, tol=OUTER_REL_TOL).argmin
+    x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0).argmin
     y = math.sqrt(1.0 - x * x)
     return SemicircleRectSolution(x, y, 2.0 * x * y)
 
@@ -451,8 +436,10 @@ def intersect_ellipse_circle(a: float, b: float) -> list[Point2]:
     """
     _check_positive(a, "semi-axis a")
     _check_positive(b, "semi-axis b")
+    if not a > b:
+        raise ValueError(f"a tangent ellipse has a > b, got a={a}, b={b}")
     qa = a * a - b * b
-    _check_positive(qa, "a^2 - b^2 (a tangent ellipse has a > b)")
+    _check_positive(qa, "a^2 - b^2")
     # The vertex -qb / (2*qa) with qb = -2*a^2*b; negation is exact.
     y = min(2.0 * a * a * b / (2.0 * qa), 1.0)
     x = math.sqrt(max(1.0 - y * y, 0.0))
@@ -495,7 +482,7 @@ def _solve_unit_ellipse_semicircle() -> EllipseSolution:
     def neg_area(b: float) -> float:
         return -math.pi * b * max_a_for_b(b)
 
-    b = golden_section_min(neg_area, 1e-4, 0.5, tol=NESTED_TOL).argmin
+    b = golden_section_min(neg_area, 1e-4, 0.5).argmin
     return _unit_ellipse(max_a_for_b(b), b)
 
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from optishape import cli, problems
-from optishape.optimize import ConvergenceError
 from optishape.problems import PROBLEMS, FenceLayout, InfeasibleError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -773,17 +772,6 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         assert "diagnostic" in json.loads(out)
-
-    # A numeric search that runs out of iterations leaves no verified answer.
-    def test_convergence_error_maps_to_1(self, capsys, monkeypatch):
-        def raiser(*args):
-            raise ConvergenceError("no convergence within 500 iterations")
-        monkeypatch.setattr(problems, "solve_rectangle_numeric", raiser)
-        code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "40")
-        assert strict_json(out) == {
-            "problem": "rectangle", "diagnostic": "no convergence within 500 iterations"
-        }
-        assert code == 1
 
 
 class TestRuntimeDependencies:

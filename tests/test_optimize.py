@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from optishape.optimize import (
+    INV_PHI,
+    RESOLUTION,
     BracketError,
-    ConvergenceError,
     bisect_boundary,
     central_diff,
     golden_section_min,
@@ -17,70 +18,128 @@ CUBE_ROOT_500 = 7.937005259840997
 CAN_OPTIMAL_R = 5.41926070139289  # (500/pi)^(1/3)
 
 
+def final_bracket(probes, lo, hi, sol):
+    """The ends of the bracket a search stopped on, found among its first
+    ends and its probes: the two that lie achieved_interval apart around
+    argmin."""
+    points = {lo, hi, *probes}
+    width = sol.achieved_interval
+    for p in points:
+        for q in (p + width, math.nextafter(p + width, -math.inf),
+                  math.nextafter(p + width, math.inf)):
+            if q in points and q - p == width and 0.5 * (p + q) == sol.argmin:
+                return p, q
+    raise AssertionError(f"no two probes bound {sol}")
+
+
+def probes_met(probes, lo, hi):
+    """Whether the two live probes of a stopped search fail lo < c < d < hi.
+    Every earlier probe became a bracket end, so the live ones are the probes
+    strictly inside the final bracket; the newest is c when it sits where c
+    is placed."""
+    newest = probes[-1]
+    older = [x for x in probes[:-1] if lo < x < hi and x != newest]
+    if not older:  # the probes coincide, or the older one left the bracket
+        return True
+    c, d = (newest, older[-1]) if newest == hi - (hi - lo) * INV_PHI else (older[-1], newest)
+    return not lo < c < d < hi
+
+
 class TestGoldenSection:
     def test_exact_vertex(self):
-        sol = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0, tol=1e-10)
-        assert abs(sol.argmin - 2.0) <= 1e-10
-        assert sol.achieved_interval <= 1e-10
+        sol = golden_section_min(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
+        assert abs(sol.argmin - 2.0) <= sol.achieved_interval <= RESOLUTION * 2.0 * (1.0 + 1e-6)
         assert sol.evaluations >= 1
 
-    @pytest.mark.parametrize("tol", [10.0, 1.0, 1e-3, 1e-10])
-    def test_evaluations_count_every_call(self, tol):
+    def test_evaluations_count_every_call(self):
         calls = []
-        sol = golden_section_min(lambda x: calls.append(x) or (x - 2.0) ** 2, 0.0, 5.0, tol=tol)
+        sol = golden_section_min(lambda x: calls.append(x) or (x - 2.0) ** 2, 0.0, 5.0)
         assert sol.evaluations == len(calls)
 
     def test_can_surface_area(self):
-        sol = golden_section_min(
-            lambda r: 2.0 * math.pi * r * r + 2000.0 / r, 0.1, 50.0, tol=1e-10
-        )
+        sol = golden_section_min(lambda r: 2.0 * math.pi * r * r + 2000.0 / r, 0.1, 50.0)
         assert sol.argmin == pytest.approx(CAN_OPTIMAL_R, abs=1e-7)
 
     def test_square_prism_surface_area(self):
-        sol = golden_section_min(lambda x: 2.0 * x * x + 2000.0 / x, 0.1, 50.0, tol=1e-10)
+        sol = golden_section_min(lambda x: 2.0 * x * x + 2000.0 / x, 0.1, 50.0)
         assert sol.argmin == pytest.approx(CUBE_ROOT_500, abs=1e-7)
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 1.0, 1.0, tol=1e-10)
+            golden_section_min(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
-            golden_section_min(lambda x: x, 2.0, 1.0, tol=1e-10)
+            golden_section_min(lambda x: x, 2.0, 1.0)
 
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError, match="tolerance must be positive, got 0.0"):
-            golden_section_min(lambda x: x, 0.0, 1.0, tol=0.0)
-        with pytest.raises(TypeError):  # no default tolerance
-            golden_section_min(lambda x: x, 0.0, 1.0)
-
-    def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
-            golden_section_min(lambda x: (x - 0.5) ** 2, 0.0, 1.0, tol=1e-300)
+    def test_takes_no_tolerance(self):
+        with pytest.raises(TypeError):
+            golden_section_min(lambda x: x, 0.0, 1.0, tol=1e-10)
 
     def test_deterministic(self):
         f = lambda x: math.cos(x) + 0.1 * x
-        first = golden_section_min(f, 0.0, 6.0, tol=1e-10)
-        second = golden_section_min(f, 0.0, 6.0, tol=1e-10)
+        first = golden_section_min(f, 0.0, 6.0)
+        second = golden_section_min(f, 0.0, 6.0)
         assert first == second
 
     def test_recovers_random_targets(self):
         rng = random.Random(7)
         for _ in range(1000):
             t = rng.uniform(0.05, 4.95)
-            sol = golden_section_min(lambda x: (x - t) ** 2, 0.0, 5.0, tol=1e-10)
-            assert abs(sol.argmin - t) <= 1e-10
+            sol = golden_section_min(lambda x: (x - t) ** 2, 0.0, 5.0)
+            assert abs(sol.argmin - t) <= sol.achieved_interval <= RESOLUTION * 5.0
+
+    # The search stops once its bracket is RESOLUTION times its larger end
+    # wide, or once its probes no longer lie strictly inside it in order; the
+    # target never leaves the bracket.  |x - t| orders any two probes on one
+    # side of t, so its values resolve every argument.
+    @given(ends=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=3, max_size=3,
+                         unique=True))
+    @example(ends=[0.0, 1e-300, 1.0])
+    @example(ends=[-1.0, 0.0, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_stops_where_the_values_stop_resolving_the_argument(self, ends):
+        lo, mid, hi = sorted(ends)
+        for t in (lo, mid, hi):  # the target inside the bracket, and at each end
+            probes = []
+            sol = golden_section_min(lambda x: probes.append(x) or abs(x - t), lo, hi)
+            probes.pop()  # the last call evaluates argmin
+            a, b = final_bracket(probes, lo, hi, sol)
+            assert (sol.achieved_interval <= RESOLUTION * max(abs(a), abs(b))
+                    or probes_met(probes, a, b))
+            assert abs(sol.argmin - t) <= sol.achieved_interval
+
+    # A minimum at the bracket end 0 is never RESOLUTION-wide relative to
+    # that end, so the search runs until its probes meet among the smallest
+    # subnormals, past any old iteration cap.
+    def test_minimum_at_zero_ends_without_a_cap(self):
+        sol = golden_section_min(lambda x: x, 0.0, 1.0)
+        assert sol == (5e-324, 5e-324, 1549, 1e-323)
+
+    def test_nan_objective_ends(self):
+        calls = []
+        sol = golden_section_min(lambda x: calls.append(x) or math.nan, 0.0, 1.0)
+        assert math.isnan(sol.value) and sol.evaluations == len(calls) < 100
+        assert sol.achieved_interval <= RESOLUTION
 
 
 @pytest.mark.parametrize(
     "search",
-    [lambda lo, hi: golden_section_min(lambda x: x, lo, hi, tol=1e-10),
+    [lambda lo, hi: golden_section_min(lambda x: x, lo, hi),
      lambda lo, hi: bisect_boundary(lambda x: x <= 0.5, lo, hi)],
     ids=["golden", "bisect"],
 )
 def test_searches_share_the_bracket_checks(search):
-    with pytest.raises(ValueError, match=r"need lo < hi, got \[1.0, 1.0\]"):
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[1.0, 1.0\]"):
         search(1.0, 1.0)
-    with pytest.raises(ValueError, match=r"need lo < hi, got \[2.0, 1.0\]"):
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[2.0, 1.0\]"):
         search(2.0, 1.0)
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[0.0, inf\]"):
+        search(0.0, math.inf)
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[-inf, 2.0\]"):
+        search(-math.inf, 2.0)
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[0.0, nan\]"):
+        search(0.0, math.nan)
+    with pytest.raises(ValueError, match=r"need finite lo < hi, got \[nan, 1.0\]"):
+        search(math.nan, 1.0)
 
 
 class TestBisectBoundary:

@@ -581,13 +581,20 @@ class TestIntersectEllipseCircle:
             assert abs(p.x**2 / a**2 + (p.y - b) ** 2 / b**2 - 1.0) <= 1e-6
 
     # The contact is the vertex of a quadratic whose leading term is
-    # a^2 - b^2, so an ellipse that is not wider than tall has none; an
-    # a^2 - b^2 that underflows to 0 is refused the same way.
+    # a^2 - b^2, so an ellipse that is not wider than tall has none.
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 0.4), (1e-200, 1e-200),
-                                      (1e-200, 1e-201), (5e-324, 5e-324)])
+                                      (5e-324, 5e-324)])
     def test_axes_not_wider_than_tall_rejected(self, a, b):
         with pytest.raises(ValueError, match="a tangent ellipse has a > b"):
             intersect_ellipse_circle(a, b)
+
+    # Where a > b holds but a^2 - b^2 underflows to 0 or a^2 overflows, the
+    # error names the difference of squares, not the axes' order.
+    @pytest.mark.parametrize("a, b", [(1e-200, 1e-201), (1e200, 1.0)])
+    def test_squares_out_of_range_rejected(self, a, b):
+        with pytest.raises(ValueError, match=r"a\^2 - b\^2 must be positive and finite") as exc:
+            intersect_ellipse_circle(a, b)
+        assert "a > b" not in str(exc.value)
 
     @given(a=st.floats(min_value=5e-324, max_value=1e308),
            b=st.floats(min_value=5e-324, max_value=1e308))
@@ -598,7 +605,7 @@ class TestIntersectEllipseCircle:
             return
         try:
             points = intersect_ellipse_circle(a, b)
-        except ValueError:  # a^2 - b^2 underflows to 0, or a^2 overflows to a NaN contact
+        except ValueError:  # a^2 - b^2 underflows to 0 or overflows
             return
         assert len(points) == 2 and points[0] == (-points[1].x, points[1].y)
         assert 0.0 <= points[1].y <= 1.0

@@ -17,7 +17,7 @@ from optishape.verify import CheckResult
 INSTANCES = {
     "Shape": (Shape.regular_polygon(6), "sides"),
     "Point2": (Point2(1.0, 2.0), "x"),
-    "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0, tol=1e-10), "argmin"),
+    "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0), "argmin"),
     "GridSpec": (GridSpec(0.0, 1.0, 101), "points"),
     "FenceLayout": (FenceLayout(4, 2), "v_segments"),
     "FenceSolution": (solve_fence(2400.0, FenceLayout(4, 2)), "area"),
