@@ -668,42 +668,40 @@ def test_every_problem_has_closed_and_numeric_solvers(name):
 
 
 # Each numeric solver searches once on the unit instance and rescales that
-# answer.  At scale 1 the rescale is exact, so these are the bits the
-# at-scale searches returned before the unit-instance design.
+# answer.  At scale 1 the rescale is exact, so these are the bits the unit
+# searches return.
 UNIT_BITS = {
-    ("rectangle",): (0.2499999996955762, 0.2500000003044238, 0.0625),
-    ("box",): (0.9999999832609454, 0.9999999907283972, 1.000000026010658, 6.000000000000002),
-    ("fence", FenceLayout(4, 2)): (0.12499999984060164, 0.2500000003187967,
-                                   0.4999999993624066, 0.5000000006375934, 0.03125),
-    ("fence", FenceLayout(2, 2)): (0.2499999996812033, 0.2500000003187967,
-                                   0.4999999993624066, 0.5000000006375934, 0.0625),
-    ("fence", FenceLayout(5, 3)): (0.09999999893114271, 0.1666666684480955,
-                                   0.49999999465571354, 0.5000000053442865,
+    ("rectangle",): (0.25, 0.25, 0.0625),
+    ("box",): (0.9999999856902472, 0.9999999935516326, 1.0000000207581206, 6.0),
+    ("fence", FenceLayout(4, 2)): (0.125, 0.25, 0.5, 0.5, 0.03125),
+    ("fence", FenceLayout(2, 2)): (0.25, 0.25, 0.5, 0.5, 0.0625),
+    ("fence", FenceLayout(5, 3)): (0.09999999912597393, 0.1666666681233768,
+                                   0.49999999562986963, 0.5000000043701304,
                                    0.016666666666666666),
-    ("fence", FenceLayout(11, 40)): (0.04545454527542981, 0.0125000000492568,
-                                     0.49999999802972794, 0.5000000019702721,
-                                     0.0005681818181818182),
-    ("can", CIRCLE): (0.5419260633061092, 1.083852167611298, 5.535810445932086, 1.0),
-    ("can", Shape.regular_polygon(3)): (0.45824321197099793, 0.9164864261132137,
-                                        6.546741815830328, 1.0),
-    ("can", SQUARE): (0.4999999935798397, 1.0000000256806418, 6.000000000000001, 1.0),
-    ("can", HEXAGON): (0.524557525982351, 1.0491150863355412, 5.7191057579816205, 1.0),
-    ("can", Shape.regular_polygon(12)): (0.5377479519299349, 1.0754959306138459,
-                                         5.578821759073732, 0.9999999999999999),
-    ("can-dual", CIRCLE): (0.23032943046427973, 0.46065887602822314, 1.0,
+    ("fence", FenceLayout(11, 40)): (0.045454545454545456, 0.0125, 0.5, 0.5,
+                                     0.0005681818181818183),
+    ("can", CIRCLE): (0.5419260666447508, 1.0838521542567308, 5.535810445932086,
+                      0.9999999999999999),
+    ("can", Shape.regular_polygon(3)): (0.4582432116043691, 0.9164864275797291,
+                                        6.5467418158303285, 1.0),
+    ("can", SQUARE): (0.4999999928451237, 1.0000000286195059, 6.000000000000001, 1.0),
+    ("can", HEXAGON): (0.5245575283282845, 1.0491150769518067, 5.71910575798162, 1.0),
+    ("can", Shape.regular_polygon(12)): (0.5377479529213347, 1.0754959266482467,
+                                         5.578821759073733, 1.0),
+    ("can-dual", CIRCLE): (0.230329430172806, 0.46065887719411813, 1.0,
                            0.07677647766029677),
-    ("can-dual", Shape.regular_polygon(3)): (0.1790949879138249, 0.3581899801682425, 1.0,
-                                             0.05969832954575233),
-    ("can-dual", SQUARE): (0.2041241429029771, 0.40824829977968086, 1.0,
+    ("can-dual", Shape.regular_polygon(3)): (0.17909498780942268, 0.3581899805858514, 1.0,
+                                             0.05969832954575234),
+    ("can-dual", SQUARE): (0.20412414274333157, 0.40824830041826293, 1.0,
                            0.06804138174397716),
-    ("can-dual", HEXAGON): (0.2193456664724992, 0.43869134706249574, 1.0,
-                            0.07311522294180513),
-    ("can-dual", Shape.regular_polygon(12)): (0.2276708987420667, 0.455341808816172, 1.0,
+    ("can-dual", HEXAGON): (0.21934566615124076, 0.43869134834752954, 1.0,
+                            0.07311522294180511),
+    ("can-dual", Shape.regular_polygon(12)): (0.22767089957837203, 0.4553418054709506, 1.0,
                                               0.07589030021024659),
-    ("rect-semicircle",): (0.7071067769913632, 0.7071067853817319, 1.0),
-    ("ellipse-semicircle",): (0.8164965814161393, 0.4714045205090462, 1.2091995761561454,
-                              ((-0.7071067824554823, 0.7071067799176127),
-                               (0.7071067824554823, 0.7071067799176127))),
+    ("rect-semicircle",): (0.7071067798427677, 0.7071067825303273, 1.0),
+    ("ellipse-semicircle",): (0.8164965844773682, 0.4714045187416449, 1.2091995761561454,
+                              ((-0.7071067904087879, 0.707106771964307),
+                               (0.7071067904087879, 0.707106771964307))),
 }
 
 # The numeric solvers and the closed ellipse carry a unit answer to the
@@ -714,64 +712,64 @@ UNIT_BITS = {
 # each solver writes out must give the same bits.
 INF = math.inf
 SCALED_BITS = {
-    ("solve_rectangle_numeric", 3.7): (0.924999998873632, 0.9250000011263682, 0.8556250000000001),
-    ("solve_rectangle_numeric", 1e-300): (2.499999996955762e-301, 2.5000000030442384e-301, 0.0),
-    ("solve_rectangle_numeric", 1e+300): (2.4999999969557624e+299, 2.5000000030442382e+299, INF),
-    ("solve_rectangle_numeric", 0.37): (0.0924999998873632, 0.09250000011263682, 0.00855625),
-    ("solve_box_numeric", 3.7): (1.546680347882068, 1.5466803594318292, 1.5466804140022097,
-                                 14.353321071669622),
-    ("solve_box_numeric", 1e-300): (9.999999832609582e-101, 9.9999999072841e-101,
-                                    1.0000000260106709e-100, 6.000000000000155e-200),
-    ("solve_box_numeric", 1e+300): (9.999999832609327e+99, 9.999999907283845e+99,
-                                    1.0000000260106452e+100, 5.999999999999848e+200),
-    ("solve_box_numeric", 0.37): (0.7179054231897737, 0.7179054285506978, 0.7179054538800247,
-                                  3.0923292833970653),
-    ("solve_fence_numeric", 3.7): (0.36999999604522804, 0.6166666732579533, 1.8499999802261402,
-                                   1.85000001977386, 0.22816666666666668),
-    ("solve_fence_numeric", 1e-300): (9.99999989311427e-302, 1.666666684480955e-301,
-                                      4.999999946557136e-301, 5.0000000534428645e-301, 0.0),
-    ("solve_fence_numeric", 1e+300): (9.999999893114272e+298, 1.666666684480955e+299,
-                                      4.999999946557136e+299, 5.0000000534428645e+299, INF),
-    ("solve_fence_numeric", 0.37): (0.036999999604522806, 0.06166666732579533,
-                                    0.18499999802261402, 0.18500000197738597,
+    ("solve_rectangle_numeric", 3.7): (0.925, 0.925, 0.8556250000000001),
+    ("solve_rectangle_numeric", 1e-300): (2.5e-301, 2.5e-301, 0.0),
+    ("solve_rectangle_numeric", 1e+300): (2.5e+299, 2.5e+299, INF),
+    ("solve_rectangle_numeric", 0.37): (0.0925, 0.0925, 0.00855625),
+    ("solve_box_numeric", 3.7): (1.5466803516394216, 1.546680363798472, 1.546680405878213,
+                                 14.353321071669617),
+    ("solve_box_numeric", 1e-300): (9.9999998569026e-101, 9.999999935516455e-101,
+                                    1.0000000207581334e-100, 6.000000000000154e-200),
+    ("solve_box_numeric", 1e+300): (9.999999856902343e+99, 9.999999935516197e+99,
+                                    1.0000000207581077e+100, 5.999999999999846e+200),
+    ("solve_box_numeric", 0.37): (0.7179054249337826, 0.7179054305775139, 0.7179054501091995,
+                                  3.0923292833970644),
+    ("solve_fence_numeric", 3.7): (0.36999999676610357, 0.6166666720564942, 1.8499999838305177,
+                                   1.8500000161694825, 0.22816666666666668),
+    ("solve_fence_numeric", 1e-300): (9.999999912597394e-302, 1.666666681233768e-301,
+                                      4.999999956298696e-301, 5.000000043701304e-301, 0.0),
+    ("solve_fence_numeric", 1e+300): (9.999999912597394e+298, 1.666666681233768e+299,
+                                      4.999999956298697e+299, 5.000000043701304e+299, INF),
+    ("solve_fence_numeric", 0.37): (0.03699999967661036, 0.061666667205649416,
+                                    0.18499999838305176, 0.18500000161694824,
                                     0.0022816666666666667),
-    ("solve_can_numeric", 3.7): (0.8113228303513167, 1.622645713863336, 13.681360197857439,
+    ("solve_can_numeric", 3.7): (0.8113228339797262, 1.622645699349698, 13.681360197857439,
                                  3.6999999999999993),
-    ("solve_can_numeric", 1e-300): (5.245575259823577e-101, 1.0491150863355547e-100,
+    ("solve_can_numeric", 1e-300): (5.2455752832829127e-101, 1.0491150769518202e-100,
                                     5.719105757981767e-200, 1.0000000000000385e-300),
-    ("solve_can_numeric", 1e+300): (5.245575259823443e+99, 1.0491150863355277e+100,
-                                    5.719105757981473e+200, 9.999999999999615e+299),
-    ("solve_can_numeric", 0.37): (0.3765826989813787, 0.7531654226377698, 2.947559701708555,
+    ("solve_can_numeric", 1e+300): (5.245575283282778e+99, 1.0491150769517933e+100,
+                                    5.7191057579814727e+200, 9.999999999999615e+299),
+    ("solve_can_numeric", 0.37): (0.3765827006655372, 0.7531654159011357, 2.947559701708555,
                                   0.37000000000000005),
-    ("solve_can_dual_numeric", 3.7): (0.421919813686179, 0.8438396545279063, 3.7,
-                                      0.5203677757949279),
-    ("solve_can_dual_numeric", 1e-300): (2.193456664724992e-151, 4.3869134706249574e-151, 1e-300,
+    ("solve_can_dual_numeric", 3.7): (0.42191981306822607, 0.8438396569997182, 3.7,
+                                      0.5203677757949278),
+    ("solve_can_dual_numeric", 1e-300): (2.1934566615124075e-151, 4.386913483475296e-151, 1e-300,
                                          0.0),
-    ("solve_can_dual_numeric", 1e+300): (2.193456664724992e+149, 4.386913470624957e+149,
+    ("solve_can_dual_numeric", 1e+300): (2.1934566615124077e+149, 4.386913483475295e+149,
                                          9.999999999999999e+299, INF),
-    ("solve_can_dual_numeric", 0.37): (0.13342276012022086, 0.26684552882778007,
+    ("solve_can_dual_numeric", 0.37): (0.13342275992480698, 0.26684552960943564,
                                        0.36999999999999994, 0.016455473924678075),
-    ("solve_rect_semicircle_numeric", 3.7): (2.616295074868044, 2.616295105912408,
+    ("solve_rect_semicircle_numeric", 3.7): (2.6162950854182405, 2.616295095362211,
                                              13.690000000000001),
-    ("solve_rect_semicircle_numeric", 1e-300): (7.071067769913632e-301, 7.071067853817319e-301,
+    ("solve_rect_semicircle_numeric", 1e-300): (7.071067798427677e-301, 7.071067825303274e-301,
                                                 0.0),
-    ("solve_rect_semicircle_numeric", 1e+300): (7.071067769913631e+299, 7.071067853817319e+299,
+    ("solve_rect_semicircle_numeric", 1e+300): (7.071067798427677e+299, 7.071067825303273e+299,
                                                 INF),
-    ("solve_rect_semicircle_numeric", 0.37): (0.26162950748680436, 0.2616295105912408, 0.1369),
+    ("solve_rect_semicircle_numeric", 0.37): (0.26162950854182404, 0.2616295095362211, 0.1369),
     ("solve_ellipse_semicircle_numeric", 3.7): (
-        3.0210373512397157, 1.744196725883471, 16.553942197577634,
-        ((-2.6162950950852846, 2.616295085695167), (2.6162950950852846, 2.616295085695167))),
+        3.0210373625662625, 1.7441967193440862, 16.553942197577634,
+        ((-2.6162951245125154, 2.616295056267936), (2.6162951245125154, 2.616295056267936))),
     ("solve_ellipse_semicircle_numeric", 1e-300): (
-        8.164965814161393e-301, 4.714045205090462e-301, 0.0,
-        ((-7.0710678245548234e-301, 7.071067799176128e-301),
-         (7.0710678245548234e-301, 7.071067799176128e-301))),
+        8.164965844773682e-301, 4.7140451874164494e-301, 0.0,
+        ((-7.071067904087879e-301, 7.0710677196430705e-301),
+         (7.071067904087879e-301, 7.0710677196430705e-301))),
     ("solve_ellipse_semicircle_numeric", 1e+300): (
-        8.164965814161393e+299, 4.714045205090462e+299, INF,
-        ((-7.071067824554823e+299, 7.071067799176127e+299),
-         (7.071067824554823e+299, 7.071067799176127e+299))),
+        8.164965844773682e+299, 4.714045187416449e+299, INF,
+        ((-7.07106790408788e+299, 7.071067719643071e+299),
+         (7.07106790408788e+299, 7.071067719643071e+299))),
     ("solve_ellipse_semicircle_numeric", 0.37): (
-        0.30210373512397154, 0.1744196725883471, 0.16553942197577629,
-        ((-0.2616295095085284, 0.2616295085695167), (0.2616295095085284, 0.2616295085695167))),
+        0.30210373625662623, 0.1744196719344086, 0.16553942197577629,
+        ((-0.2616295124512515, 0.2616295056267936), (0.2616295124512515, 0.2616295056267936))),
     ("solve_ellipse_semicircle", 3.7): (
         3.021037349432586, 1.7441967269268175, 16.55394219757763,
         ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227))),
@@ -882,9 +880,9 @@ class TestUnitInstance:
     # runs an inner search per evaluation of its outer one; the ellipse runs
     # a frontier bisection per evaluation, and one more for its answer.
     UNIT_SEARCH_COUNTS = {
-        "rectangle": (1, 50, 0, 0), "box": (50, 2890, 0, 0), "fence": (1, 51, 0, 0),
-        "can": (1, 58, 0, 0), "can-dual": (1, 51, 0, 0), "rect-semicircle": (1, 51, 0, 0),
-        "ellipse-semicircle": (1, 40, 41, 2255),
+        "rectangle": (1, 42, 0, 0), "box": (49, 2313, 0, 0), "fence": (1, 42, 0, 0),
+        "can": (1, 47, 0, 0), "can-dual": (1, 42, 0, 0), "rect-semicircle": (1, 42, 0, 0),
+        "ellipse-semicircle": (1, 41, 42, 2310),
     }
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
