@@ -62,7 +62,9 @@ def golden_section_min(
     fc = f(c)
     fd = f(d)
     iterations = 0
-    while hi - lo > RESOLUTION * max(abs(lo), abs(hi)) and lo < c < d < hi:
+    # With lo < hi, the larger end in magnitude is hi or -lo.  A conditional
+    # picks it: max() and abs() calls cost more than the evaluations saved.
+    while hi - lo > RESOLUTION * (hi if hi > -lo else -lo) and lo < c < d < hi:
         iterations += 1
         if fc <= fd:
             hi = d
