@@ -51,9 +51,12 @@ class TestGoldenSection:
         assert abs(sol.argmin - 2.0) <= sol.achieved_interval <= RESOLUTION * 2.0 * (1.0 + 1e-6)
         assert sol.evaluations >= 1
 
-    def test_evaluations_count_every_call(self):
+    # The stop is relative to the bracket, so the count holds at every scale.
+    @pytest.mark.parametrize("scale", [10.0, 1.0, 1e-3, 1e-10])
+    def test_evaluations_count_every_call(self, scale):
         calls = []
-        sol = golden_section_min(lambda x: calls.append(x) or (x - 2.0) ** 2, 0.0, 5.0)
+        sol = golden_section_min(lambda x: calls.append(x) or (x - 2.0 * scale) ** 2,
+                                 0.0, 5.0 * scale)
         assert sol.evaluations == len(calls)
 
     def test_can_surface_area(self):
