@@ -3,7 +3,8 @@ against.
 
 Deliberately independent of the optimize module: nothing here brackets or
 bisects, it just evaluates dense grids and re-grids around the incumbent.
-After the first (global) scan, each refinement round re-grids the +/- one-cell
+All of it is one loop of rounds.  Round zero is the global scan, ``points``
+nodes across each grid's [lo, hi]; each later round re-grids the +/- one-cell
 neighborhood of the best point, clipped to the grid, with 21 nodes per axis,
 so the cell shrinks at least tenfold per round.  A round's best point
 replaces the incumbent if its value is lower, or equal at smaller
@@ -32,9 +33,9 @@ class _GridSpecFields(NamedTuple):
 class GridSpec(_GridSpecFields):
     """Search interval, first-scan density and target resolution.
 
-    The first scan evaluates ``points`` nodes across [lo, hi].  The
-    refinement then re-grids 21-node windows, as many rounds as it takes to
-    shrink the cell ``points``-fold once more, to ``resolution``.
+    Round zero, the first scan, evaluates ``points`` nodes across [lo, hi].
+    The later rounds re-grid 21-node windows, as many as it takes to shrink
+    the cell ``points``-fold once more, to ``resolution``.
     """
 
     __slots__ = ()
@@ -76,31 +77,33 @@ def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, floa
     return best_x, best_y
 
 
-def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec], best: tuple) -> tuple:
-    """Refine the first scan's ``best`` = (*coordinates, value) on any number
-    of axes, one grid per axis, as the module docstring describes."""
-    cells = [(g.hi - g.lo) / (g.points - 1) for g in grids]
-    while any(cell > g.resolution for g, cell in zip(grids, cells)):
-        windows = [(max(g.lo, x - cell), min(g.hi, x + cell))
-                   for g, x, cell in zip(grids, best, cells)]
-        new = scan(*(linspace(lo, hi, _WINDOW_NODES) for lo, hi in windows))
+def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec]) -> tuple:
+    """Best (*coordinates, value) on any number of axes, one grid per axis,
+    as the module docstring describes: round zero scans each grid's
+    ``points`` nodes across [lo, hi], and every later round its window."""
+    best, windows = (math.inf,), [(g.lo, g.hi, g.points) for g in grids]
+    while True:
+        new = scan(*(linspace(*window) for window in windows))
         if new[-1] < best[-1] or (new[-1] == best[-1] and new[:-1] < best[:-1]):
             best = new
-        cells = [(hi - lo) / (_WINDOW_NODES - 1) for lo, hi in windows]
-    return best
+        cells = [(hi - lo) / (n - 1) for lo, hi, n in windows]
+        if all(cell <= g.resolution for g, cell in zip(grids, cells)):
+            return best
+        windows = [(max(g.lo, x - cell), min(g.hi, x + cell), _WINDOW_NODES)
+                   for g, x, cell in zip(grids, best, cells)]
 
 
 def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float]:
     """Exhaustive minimization of f over the grid, with refinement.
 
-    Scans ``grid.points`` nodes, then re-grids the +/- one-cell window around
-    the incumbent (clipped to [lo, hi]) with 21 nodes while the cell is larger
-    than ``grid.resolution``.  Returns (argmin, value).  The argmin is accurate
-    to ``grid.resolution`` for any function whose global minimum the initial
-    grid resolves.
+    Supplies the scan of one axis to the rounds the module docstring
+    describes: ``grid.points`` nodes first, then 21-node windows around the
+    incumbent (clipped to [lo, hi]) while the cell is larger than
+    ``grid.resolution``.  Returns (argmin, value).  The argmin is accurate
+    to ``grid.resolution`` for any function whose global minimum the first
+    scan resolves.
     """
-    best = _scan(f, linspace(grid.lo, grid.hi, grid.points))
-    return _refine(lambda xs: _scan(f, xs), [grid], best)
+    return _refine(lambda xs: _scan(f, xs), [grid])
 
 
 def brute_min_2d(
@@ -110,9 +113,10 @@ def brute_min_2d(
 ) -> tuple[float, float, float]:
     """Exhaustive 2D minimization with refinement around the incumbent.
 
-    Refines both axes with 21 x 21 windows until each cell is at or below its
-    grid's resolution.  Returns (x, y, value); ties break to the smallest x,
-    then smallest y.
+    Supplies the scan of the x-by-y node product to the same rounds: each
+    grid's ``points`` nodes first, then 21 x 21 windows until each cell is
+    at or below its grid's resolution.  Returns (x, y, value); ties break to
+    the smallest x, then smallest y.
     """
     def scan(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
         best = (0.0, 0.0, math.inf)
@@ -125,6 +129,4 @@ def brute_min_2d(
                     best = (x, y, v)
         return best
 
-    xs = linspace(grid_x.lo, grid_x.hi, grid_x.points)
-    ys = linspace(grid_y.lo, grid_y.hi, grid_y.points)
-    return _refine(scan, [grid_x, grid_y], scan(xs, ys))
+    return _refine(scan, [grid_x, grid_y])
