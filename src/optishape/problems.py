@@ -197,10 +197,12 @@ def _box_objective(volume: float) -> Callable[[float, float], float]:
 def _solve_unit_box() -> BoxSolution:
     sa_for = _box_objective(1.0)
 
+    # Each search starts at its domain's end 0.  Edges have no upper bound;
+    # 20.0, far past the unit cube's edge 1, stands in for it.
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), 0.05, 20.0)
+        return golden_section_min(lambda y: sa_for(x, y), 0.0, 20.0)
 
-    x = golden_section_min(lambda x: best_y(x).value, 0.05, 20.0).argmin
+    x = golden_section_min(lambda x: best_y(x).value, 0.0, 20.0).argmin
     y = best_y(x).argmin
     z = 1.0 / (x * y)
     return BoxSolution(x, y, z, 2.0 * (x * y + x * z + y * z))
@@ -257,8 +259,9 @@ def _can_objective(volume: float, c: float) -> Callable[[float], float]:
 @cache
 def _solve_unit_can(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    r0 = (1.0 / (2.0 * c)) ** (1.0 / 3.0)  # the bracket follows the base
-    r = golden_section_min(_can_objective(1.0, c), 0.05 * r0, 20.0 * r0).argmin
+    # As for the box, 20.0 stands in for the unbounded end: every base's
+    # unit radius is at most the circle's, about 0.54.
+    r = golden_section_min(_can_objective(1.0, c), 0.0, 20.0).argmin
     return _can_solution(c, r, 1.0 / (c * r * r))
 
 
@@ -293,8 +296,8 @@ def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], floa
 @cache
 def _solve_unit_can_dual(base: Shape) -> CanSolution:
     c = area_coefficient(base)
-    r_max = math.sqrt(1.0 / (2.0 * c))  # the bracket follows the base
-    r = golden_section_min(_can_dual_objective(1.0, c), r_max * 1e-6, r_max).argmin
+    r_max = math.sqrt(1.0 / (2.0 * c))  # the two bases alone use up the area: h = 0
+    r = golden_section_min(_can_dual_objective(1.0, c), 0.0, r_max).argmin
     return _can_solution(c, r, (1.0 - 2.0 * c * r * r) / (2.0 * c * r))
 
 
@@ -477,12 +480,12 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
 
 @cache
 def _solve_unit_ellipse_semicircle() -> EllipseSolution:
-    # The top point (0, 2b) caps the feasible b at 1/2; the degenerate flat
-    # end is clamped at 1e-4 rather than rejected.
+    # The top point (0, 2b) caps the feasible b at 1/2.  The search never
+    # evaluates its ends, so the flat end b = 0 needs no clamp.
     def neg_area(b: float) -> float:
         return -math.pi * b * max_a_for_b(b)
 
-    b = golden_section_min(neg_area, 1e-4, 0.5).argmin
+    b = golden_section_min(neg_area, 0.0, 0.5).argmin
     return _unit_ellipse(max_a_for_b(b), b)
 
 

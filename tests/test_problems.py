@@ -909,6 +909,28 @@ class TestUnitInstance:
         assert (len(evaluations), sum(evaluations), len(predicate_calls),
                 sum(predicate_calls)) == self.UNIT_SEARCH_COUNTS[name]
 
+    # Every unit search brackets its whole domain, whatever the answer: from
+    # 0 to the domain's upper end, or to 20.0 where the domain (the box's
+    # edges, the can's radius) has none.  The can-dual's radius ends where
+    # the two bases use up the unit surface area.
+    DOMAIN_HI = {"rectangle": 0.5, "box": 20.0, "fence": 1.0, "can": 20.0,
+                 "rect-semicircle": 1.0, "ellipse-semicircle": 0.5}
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_unit_searches_bracket_their_domain(self, monkeypatch, name):
+        calls = count_calls(monkeypatch, "golden_section_min")
+        unit = getattr(problems, "_solve_unit_" + name.replace("-", "_"))
+        for base in SWEEP_BASES:
+            unit.cache_clear()
+            calls.clear()
+            extra = (base,) if name in ("can", "can-dual") else EXTRA_ARGS.get(name, ())
+            _solvers(name)[1](1.0, *extra)
+            if name == "can-dual":
+                hi = math.sqrt(1.0 / (2.0 * area_coefficient(base)))
+            else:
+                hi = self.DOMAIN_HI[name]
+            assert calls and {args[1:] for args in calls} == {(0.0, hi)}
+
     def test_every_unit_answer_stays_cached(self):
         caches = {name: f for name, f in vars(problems).items()
                   if name.startswith("_solve_unit_") or name == "_closed_unit_ellipse"}
