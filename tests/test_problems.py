@@ -672,7 +672,7 @@ def test_every_problem_has_closed_and_numeric_solvers(name):
 # searches return.
 UNIT_BITS = {
     ("rectangle",): (0.25, 0.25, 0.0625),
-    ("box",): (0.9999999856902472, 0.9999999935516326, 1.0000000207581206, 6.0),
+    ("box",): (0.999999990006512, 0.999999990006512, 1.0000000199869763, 6.0),
     ("fence", FenceLayout(4, 2)): (0.125, 0.25, 0.5, 0.5, 0.03125),
     ("fence", FenceLayout(2, 2)): (0.25, 0.25, 0.5, 0.5, 0.0625),
     ("fence", FenceLayout(5, 3)): (0.09999999912597393, 0.1666666681233768,
@@ -680,28 +680,28 @@ UNIT_BITS = {
                                    0.016666666666666666),
     ("fence", FenceLayout(11, 40)): (0.045454545454545456, 0.0125, 0.5, 0.5,
                                      0.0005681818181818183),
-    ("can", CIRCLE): (0.5419260666447508, 1.0838521542567308, 5.535810445932086,
-                      0.9999999999999999),
-    ("can", Shape.regular_polygon(3)): (0.4582432116043691, 0.9164864275797291,
-                                        6.5467418158303285, 1.0),
-    ("can", SQUARE): (0.4999999928451237, 1.0000000286195059, 6.000000000000001, 1.0),
-    ("can", HEXAGON): (0.5245575283282845, 1.0491150769518067, 5.71910575798162, 1.0),
-    ("can", Shape.regular_polygon(12)): (0.5377479529213347, 1.0754959266482467,
-                                         5.578821759073733, 1.0),
-    ("can-dual", CIRCLE): (0.230329430172806, 0.46065887719411813, 1.0,
+    ("can", CIRCLE): (0.5419260652704905, 1.0838521597537725, 5.535810445932086,
+                      1.0),
+    ("can", Shape.regular_polygon(3)): (0.45824321221516484, 0.9164864251365462,
+                                        6.546741815830327, 1.0),
+    ("can", SQUARE): (0.4999999948255967, 1.0000000206976136, 6.0, 1.0),
+    ("can", HEXAGON): (0.5245575251849368, 1.049115089525198, 5.7191057579816205, 1.0),
+    ("can", Shape.regular_polygon(12)): (0.5377479550658435, 1.0754959180702113,
+                                         5.5788217590737315, 0.9999999999999999),
+    ("can-dual", CIRCLE): (0.2303294316757509, 0.46065887118233834, 1.0,
                            0.07677647766029677),
-    ("can-dual", Shape.regular_polygon(3)): (0.17909498780942268, 0.3581899805858514, 1.0,
+    ("can-dual", Shape.regular_polygon(3)): (0.1790949889780541, 0.35818997591132573, 1.0,
                                              0.05969832954575234),
-    ("can-dual", SQUARE): (0.20412414274333157, 0.40824830041826293, 1.0,
-                           0.06804138174397716),
-    ("can-dual", HEXAGON): (0.21934566615124076, 0.43869134834752954, 1.0,
-                            0.07311522294180511),
-    ("can-dual", Shape.regular_polygon(12)): (0.22767089957837203, 0.4553418054709506, 1.0,
+    ("can-dual", SQUARE): (0.20412414407528184, 0.40824829509046184, 1.0,
+                           0.06804138174397718),
+    ("can-dual", HEXAGON): (0.21934566758251445, 0.43869134262243475, 1.0,
+                            0.07311522294180514),
+    ("can-dual", Shape.regular_polygon(12)): (0.22767089934066465, 0.45534180642178007, 1.0,
                                               0.07589030021024659),
     ("rect-semicircle",): (0.7071067798427677, 0.7071067825303273, 1.0),
-    ("ellipse-semicircle",): (0.8164965844773682, 0.4714045187416449, 1.2091995761561454,
-                              ((-0.7071067904087879, 0.707106771964307),
-                               (0.7071067904087879, 0.707106771964307))),
+    ("ellipse-semicircle",): (0.8164965813098704, 0.4714045205704006, 1.2091995761561454,
+                              ((-0.7071067821793874, 0.7071067801937077),
+                               (0.7071067821793874, 0.7071067801937077))),
 }
 
 # The numeric solvers and the closed ellipse carry a unit answer to the
@@ -716,13 +716,13 @@ SCALED_BITS = {
     ("solve_rectangle_numeric", 1e-300): (2.5e-301, 2.5e-301, 0.0),
     ("solve_rectangle_numeric", 1e+300): (2.5e+299, 2.5e+299, INF),
     ("solve_rectangle_numeric", 0.37): (0.0925, 0.0925, 0.00855625),
-    ("solve_box_numeric", 3.7): (1.5466803516394216, 1.546680363798472, 1.546680405878213,
+    ("solve_box_numeric", 3.7): (1.5466803583153035, 1.5466803583153035, 1.5466804046854994,
                                  14.353321071669617),
-    ("solve_box_numeric", 1e-300): (9.9999998569026e-101, 9.999999935516455e-101,
-                                    1.0000000207581334e-100, 6.000000000000154e-200),
-    ("solve_box_numeric", 1e+300): (9.999999856902343e+99, 9.999999935516197e+99,
-                                    1.0000000207581077e+100, 5.999999999999846e+200),
-    ("solve_box_numeric", 0.37): (0.7179054249337826, 0.7179054305775139, 0.7179054501091995,
+    ("solve_box_numeric", 1e-300): (9.999999900065247e-101, 9.999999900065247e-101,
+                                    1.0000000199869892e-100, 6.000000000000154e-200),
+    ("solve_box_numeric", 1e+300): (9.999999900064992e+99, 9.999999900064992e+99,
+                                    1.0000000199869636e+100, 5.999999999999846e+200),
+    ("solve_box_numeric", 0.37): (0.7179054280324525, 0.7179054280324525, 0.7179054495555909,
                                   3.0923292833970644),
     ("solve_fence_numeric", 3.7): (0.36999999676610357, 0.6166666720564942, 1.8499999838305177,
                                    1.8500000161694825, 0.22816666666666668),
@@ -733,22 +733,22 @@ SCALED_BITS = {
     ("solve_fence_numeric", 0.37): (0.03699999967661036, 0.061666667205649416,
                                     0.18499999838305176, 0.18500000161694824,
                                     0.0022816666666666667),
-    ("solve_can_numeric", 3.7): (0.8113228339797262, 1.622645699349698, 13.681360197857439,
+    ("solve_can_numeric", 3.7): (0.8113228291179719, 1.6226457187967156, 13.681360197857439,
                                  3.6999999999999993),
-    ("solve_can_numeric", 1e-300): (5.2455752832829127e-101, 1.0491150769518202e-100,
+    ("solve_can_numeric", 1e-300): (5.245575251849435e-101, 1.0491150895252114e-100,
                                     5.719105757981767e-200, 1.0000000000000385e-300),
-    ("solve_can_numeric", 1e+300): (5.245575283282778e+99, 1.0491150769517933e+100,
-                                    5.7191057579814727e+200, 9.999999999999615e+299),
-    ("solve_can_numeric", 0.37): (0.3765827006655372, 0.7531654159011357, 2.947559701708555,
+    ("solve_can_numeric", 1e+300): (5.245575251849301e+99, 1.0491150895251845e+100,
+                                    5.719105757981473e+200, 9.999999999999615e+299),
+    ("solve_can_numeric", 0.37): (0.37658269840891073, 0.7531654249276417, 2.947559701708555,
                                   0.37000000000000005),
-    ("solve_can_dual_numeric", 3.7): (0.42191981306822607, 0.8438396569997182, 3.7,
-                                      0.5203677757949278),
-    ("solve_can_dual_numeric", 1e-300): (2.1934566615124075e-151, 4.386913483475296e-151, 1e-300,
+    ("solve_can_dual_numeric", 3.7): (0.421919815821336, 0.8438396459872785, 3.7,
+                                      0.520367775794928),
+    ("solve_can_dual_numeric", 1e-300): (2.1934566758251444e-151, 4.3869134262243475e-151, 1e-300,
                                          0.0),
-    ("solve_can_dual_numeric", 1e+300): (2.1934566615124077e+149, 4.386913483475295e+149,
+    ("solve_can_dual_numeric", 1e+300): (2.1934566758251446e+149, 4.386913426224348e+149,
                                          9.999999999999999e+299, INF),
-    ("solve_can_dual_numeric", 0.37): (0.13342275992480698, 0.26684552960943564,
-                                       0.36999999999999994, 0.016455473924678075),
+    ("solve_can_dual_numeric", 0.37): (0.13342276079541676, 0.2668455261269964,
+                                       0.36999999999999994, 0.01645547392467808),
     ("solve_rect_semicircle_numeric", 3.7): (2.6162950854182405, 2.616295095362211,
                                              13.690000000000001),
     ("solve_rect_semicircle_numeric", 1e-300): (7.071067798427677e-301, 7.071067825303274e-301,
@@ -757,19 +757,19 @@ SCALED_BITS = {
                                                 INF),
     ("solve_rect_semicircle_numeric", 0.37): (0.26162950854182404, 0.2616295095362211, 0.1369),
     ("solve_ellipse_semicircle_numeric", 3.7): (
-        3.0210373625662625, 1.7441967193440862, 16.553942197577634,
-        ((-2.6162951245125154, 2.616295056267936), (2.6162951245125154, 2.616295056267936))),
+        3.0210373508465205, 1.7441967261104823, 16.553942197577634,
+        ((-2.6162950940637333, 2.6162950867167183), (2.6162950940637333, 2.6162950867167183))),
     ("solve_ellipse_semicircle_numeric", 1e-300): (
-        8.164965844773682e-301, 4.7140451874164494e-301, 0.0,
-        ((-7.071067904087879e-301, 7.0710677196430705e-301),
-         (7.071067904087879e-301, 7.0710677196430705e-301))),
+        8.164965813098704e-301, 4.7140452057040064e-301, 0.0,
+        ((-7.071067821793874e-301, 7.071067801937077e-301),
+         (7.071067821793874e-301, 7.071067801937077e-301))),
     ("solve_ellipse_semicircle_numeric", 1e+300): (
-        8.164965844773682e+299, 4.714045187416449e+299, INF,
-        ((-7.07106790408788e+299, 7.071067719643071e+299),
-         (7.07106790408788e+299, 7.071067719643071e+299))),
+        8.164965813098704e+299, 4.714045205704006e+299, INF,
+        ((-7.071067821793874e+299, 7.071067801937077e+299),
+         (7.071067821793874e+299, 7.071067801937077e+299))),
     ("solve_ellipse_semicircle_numeric", 0.37): (
-        0.30210373625662623, 0.1744196719344086, 0.16553942197577629,
-        ((-0.2616295124512515, 0.2616295056267936), (0.2616295124512515, 0.2616295056267936))),
+        0.30210373508465205, 0.1744196726110482, 0.16553942197577629,
+        ((-0.2616295094063733, 0.26162950867167184), (0.2616295094063733, 0.26162950867167184))),
     ("solve_ellipse_semicircle", 3.7): (
         3.021037349432586, 1.7441967269268175, 16.55394219757763,
         ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227))),
@@ -881,7 +881,7 @@ class TestUnitInstance:
     # a frontier bisection per evaluation, and one more for its answer.
     UNIT_SEARCH_COUNTS = {
         "rectangle": (1, 42, 0, 0), "box": (49, 2313, 0, 0), "fence": (1, 42, 0, 0),
-        "can": (1, 47, 0, 0), "can-dual": (1, 42, 0, 0), "rect-semicircle": (1, 42, 0, 0),
+        "can": (1, 49, 0, 0), "can-dual": (1, 42, 0, 0), "rect-semicircle": (1, 42, 0, 0),
         "ellipse-semicircle": (1, 41, 42, 2310),
     }
 
