@@ -125,17 +125,17 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 
     Point ``i`` is ``lo + i*step`` and the last one is pinned to ``hi``, so
     the values match ``numpy.linspace`` bit for bit while ``step`` is a
-    normal float.  A subnormal ``step`` has too few bits to add up
-    ``i*step`` without overshooting ``hi``, and one of 0 loses the interior,
-    so there the points are ``lo + i/(n-1)*span``: nondecreasing and inside
-    ``[lo, hi]``, where numpy's can pass ``hi``.
+    normal float, of either sign.  A subnormal ``step`` has too few bits to
+    add up ``i*step`` without overshooting ``hi``, and one of 0 loses the
+    interior, so there the points are ``lo + i/(n-1)*span``: monotone and
+    between ``lo`` and ``hi``, where numpy's can pass ``hi``.
     """
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     div = n - 1
     span = hi - lo
     step = span / div
-    if step < sys.float_info.min:
+    if abs(step) < sys.float_info.min:
         xs = [lo + i / div * span for i in range(n)]
     else:
         xs = [lo + i * step for i in range(n)]

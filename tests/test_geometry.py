@@ -2,7 +2,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from optishape.geometry import (
     Point2,
@@ -196,15 +196,18 @@ class TestLinspace:
     @given(
         lo=st.floats(min_value=-1e300, max_value=1e300),
         span=st.floats(min_value=5e-324, max_value=1e300),
+        sign=st.sampled_from([1.0, -1.0]),
         n=st.integers(min_value=2, max_value=500),
     )
+    @example(lo=1.0, span=1.0, sign=-1.0, n=7)
     @settings(max_examples=300, deadline=None)
-    def test_matches_numpy_bit_for_bit(self, lo, span, n):
-        # only where the step is a normal float: at subnormal steps numpy's
-        # points can pass hi, and linspace's stay inside (next test)
+    def test_matches_numpy_bit_for_bit(self, lo, span, sign, n):
+        # on increasing and decreasing ranges alike, but only where the step
+        # is a normal float: at subnormal steps numpy's points can pass hi,
+        # and linspace's stay inside (next tests)
         np = pytest.importorskip("numpy")
-        hi = lo + span
-        if not lo < hi or (hi - lo) / (n - 1) < sys.float_info.min:
+        hi = lo + sign * span
+        if lo == hi or abs(hi - lo) / (n - 1) < sys.float_info.min:
             return
         assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
 
@@ -217,19 +220,20 @@ class TestLinspace:
 
     @given(
         lo=st.one_of(st.just(0.0), st.floats(min_value=-1e-305, max_value=1e-305)),
+        sign=st.sampled_from([1.0, -1.0]),
         n=st.integers(min_value=2, max_value=3000),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_subnormal_steps_stay_inside_and_nondecreasing(self, lo, n, data):
+    def test_subnormal_steps_stay_inside_and_monotone(self, lo, sign, n, data):
         # a span below n - 1 smallest normals, in steps of the smallest subnormal
         span = data.draw(st.integers(1, (n - 1) * 2**52 - 1)) * math.ulp(0.0)
-        hi = lo + span
-        assume(lo < hi and (hi - lo) / (n - 1) < sys.float_info.min)
+        hi = lo + sign * span
+        assume(lo != hi and abs(hi - lo) / (n - 1) < sys.float_info.min)
         xs = linspace(lo, hi, n)
         assert xs[0] == lo and xs[-1] == hi
-        assert all(lo <= x <= hi for x in xs)
-        assert xs == sorted(xs)
+        assert all(min(lo, hi) <= x <= max(lo, hi) for x in xs)
+        assert xs == sorted(xs, reverse=hi < lo)
 
 
 class TestInvariants:
