@@ -81,6 +81,7 @@ def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec]) -> tuple:
     """Best (*coordinates, value) on any number of axes, one grid per axis,
     as the module docstring describes: round zero scans each grid's
     ``points`` nodes across [lo, hi], and every later round its window."""
+    # Scans raise on a non-finite value, so round zero always beats inf.
     best, windows = (math.inf,), [(g.lo, g.hi, g.points) for g in grids]
     while True:
         new = scan(*(linspace(*window) for window in windows))

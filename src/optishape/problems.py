@@ -197,8 +197,8 @@ def _box_objective(volume: float) -> Callable[[float, float], float]:
 def _solve_unit_box() -> BoxSolution:
     sa_for = _box_objective(1.0)
 
-    # Each search starts at its domain's end 0.  Edges have no upper bound;
-    # 20.0, far past the unit cube's edge 1, stands in for it.
+    # Both searches bracket an edge's domain from 0.  It has no upper end;
+    # 20.0, far past the unit cube's edge 1, stands in for one.
     def best_y(x: float):
         return golden_section_min(lambda y: sa_for(x, y), 0.0, 20.0)
 
