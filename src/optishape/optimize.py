@@ -48,8 +48,10 @@ def golden_section_min(
             evaluated.
 
     The search stops once the bracket is at most RESOLUTION times its
-    larger end in magnitude, or once its two probes no longer lie strictly
-    inside it.  Each iteration strictly shrinks the bracket, so it ends.
+    larger end in magnitude, or once two fresh probes no longer lie strictly
+    inside it in order.  Probes that cross before then are drawn afresh, at
+    two more evaluations.  Each iteration strictly shrinks the bracket, so
+    it ends.
 
     Returns:
         Solution1D with the bracket midpoint as argmin.  On exact ties the
@@ -57,15 +59,19 @@ def golden_section_min(
         deterministic.
     """
     _check_bracket(lo, hi)
-    c = hi - (hi - lo) * INV_PHI
-    d = lo + (hi - lo) * INV_PHI
-    fc = f(c)
-    fd = f(d)
-    iterations = 0
+    c = d = lo  # out of order, so the loop draws the first two probes
+    evaluations = 1  # f runs at the returned x
     # With lo < hi, the larger end in magnitude is hi or -lo.  A conditional
     # picks it: max() and abs() calls cost more than the evaluations saved.
-    while hi - lo > RESOLUTION * (hi if hi > -lo else -lo) and lo < c < d < hi:
-        iterations += 1
+    while hi - lo > RESOLUTION * (hi if hi > -lo else -lo):
+        # A reused probe keeps its rounding error while the bracket shrinks,
+        # so on a bracket near 0 the probes can cross; draw both afresh.
+        if not lo < c < d < hi:
+            c, d = hi - (hi - lo) * INV_PHI, lo + (hi - lo) * INV_PHI
+            if not lo < c < d < hi:
+                break
+            fc, fd, evaluations = f(c), f(d), evaluations + 2
+        evaluations += 1
         if fc <= fd:
             hi = d
             d = c
@@ -79,8 +85,7 @@ def golden_section_min(
             d = lo + (hi - lo) * INV_PHI
             fd = f(d)
     x = 0.5 * (lo + hi)
-    # f ran at the two first probes, once per iteration, and at x.
-    return Solution1D(x, f(x), iterations + 3, hi - lo)
+    return Solution1D(x, f(x), evaluations, hi - lo)
 
 
 def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> float:

@@ -3,16 +3,19 @@ against.
 
 Deliberately independent of the optimize module: nothing here brackets or
 bisects, it just evaluates dense grids and re-grids around the incumbent.
-All of it is one loop of rounds.  Round zero is the global scan, ``points``
-nodes across each grid's [lo, hi]; each later round re-grids the +/- one-cell
-neighborhood of the best point, clipped to the grid, with 21 nodes per axis,
-so the cell shrinks at least tenfold per round.  A round's best point
-replaces the incumbent if its value is lower, or equal at smaller
+``brute_min(f, *grids)`` takes one grid per argument of f, on any number of
+axes, and all of it is one loop of rounds.  Each round scans the product of
+the axes' nodes, the first axis outermost.  Round zero is the global scan,
+``points`` nodes across each grid's [lo, hi]; each later round re-grids the
++/- one-cell neighborhood of the best point, clipped to the grid, with 21
+nodes per axis, so the cell shrinks at least tenfold per round.  A round's
+best point replaces the incumbent if its value is lower, or equal at smaller
 coordinates (compared as a tuple).  Rounds repeat while any axis's cell is
 larger than its grid's ``resolution``.
 """
 
 import math
+from types import MethodType
 from typing import Callable, NamedTuple, Sequence
 
 from .geometry import linspace
@@ -63,28 +66,45 @@ class GridSpec(_GridSpecFields):
         return (self.hi - self.lo) / ((self.points - 1) * self.points)
 
 
-def _scan(f: Callable[[float], float], xs: Sequence[float]) -> tuple[float, float]:
-    """Best (x, f(x)) over the nodes; first minimum wins, so ties break to
-    the smallest argument."""
-    best_x = 0.0
-    best_y = math.inf
+def _scan(f: Callable[..., float], xs: Sequence[float], *rest: Sequence[float],
+          at: tuple = ()) -> tuple:
+    """Best (*coordinates, value) over the product of the node lists, the
+    first axis outermost; the first minimum wins, so ties break to the
+    smallest coordinate tuple.  Each further axis is scanned on f with x
+    bound as its first argument; ``at`` holds the bound coordinates, for
+    the error message."""
+    if rest:
+        best = (math.inf,)
+        for x in xs:
+            new = (x, *_scan(MethodType(f, x), *rest, at=(*at, x)))
+            if new[-1] < best[-1]:
+                best = new
+        return best
+    best_x, best_y = 0.0, math.inf
     for x in xs:
         y = float(f(x))
         if not math.isfinite(y):
-            raise EvaluationError(f"objective returned {y!r} at x={x!r}")
+            raise EvaluationError(f"objective returned {y!r} at {(*at, x)}")
         if y < best_y:
             best_x, best_y = x, y
     return best_x, best_y
 
 
-def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec]) -> tuple:
-    """Best (*coordinates, value) on any number of axes, one grid per axis,
-    as the module docstring describes: round zero scans each grid's
-    ``points`` nodes across [lo, hi], and every later round its window."""
-    # Scans raise on a non-finite value, so round zero always beats inf.
+def brute_min(f: Callable[..., float], *grids: GridSpec) -> tuple:
+    """Exhaustive minimization of f over the product of the grids, one
+    grid per argument of f, with refinement.
+
+    Runs the rounds the module docstring describes: each grid's ``points``
+    nodes first, then 21-node windows per axis around the incumbent
+    (clipped to [lo, hi]) until each cell is at or below its grid's
+    ``resolution``.  Returns (*argmin, value); ties break to the smallest
+    coordinate tuple.  The argmin is accurate to each grid's resolution for
+    any function whose global minimum the first scan resolves.
+    """
+    # The scan raises on a non-finite value, so round zero always beats inf.
     best, windows = (math.inf,), [(g.lo, g.hi, g.points) for g in grids]
     while True:
-        new = scan(*(linspace(*window) for window in windows))
+        new = _scan(f, *(linspace(*window) for window in windows))
         if new[-1] < best[-1] or (new[-1] == best[-1] and new[:-1] < best[:-1]):
             best = new
         cells = [(hi - lo) / (n - 1) for lo, hi, n in windows]
@@ -92,42 +112,3 @@ def _refine(scan: Callable[..., tuple], grids: Sequence[GridSpec]) -> tuple:
             return best
         windows = [(max(g.lo, x - cell), min(g.hi, x + cell), _WINDOW_NODES)
                    for g, x, cell in zip(grids, best, cells)]
-
-
-def brute_min(f: Callable[[float], float], grid: GridSpec) -> tuple[float, float]:
-    """Exhaustive minimization of f over the grid, with refinement.
-
-    Supplies the scan of one axis to the rounds the module docstring
-    describes: ``grid.points`` nodes first, then 21-node windows around the
-    incumbent (clipped to [lo, hi]) while the cell is larger than
-    ``grid.resolution``.  Returns (argmin, value).  The argmin is accurate
-    to ``grid.resolution`` for any function whose global minimum the first
-    scan resolves.
-    """
-    return _refine(lambda xs: _scan(f, xs), [grid])
-
-
-def brute_min_2d(
-    f: Callable[[float, float], float],
-    grid_x: GridSpec,
-    grid_y: GridSpec,
-) -> tuple[float, float, float]:
-    """Exhaustive 2D minimization with refinement around the incumbent.
-
-    Supplies the scan of the x-by-y node product to the same rounds: each
-    grid's ``points`` nodes first, then 21 x 21 windows until each cell is
-    at or below its grid's resolution.  Returns (x, y, value); ties break to
-    the smallest x, then smallest y.
-    """
-    def scan(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
-        best = (0.0, 0.0, math.inf)
-        for x in xs:
-            for y in ys:
-                v = float(f(x, y))
-                if not math.isfinite(v):
-                    raise EvaluationError(f"objective returned {v!r} at ({x!r}, {y!r})")
-                if v < best[2]:
-                    best = (x, y, v)
-        return best
-
-    return _refine(scan, [grid_x, grid_y])

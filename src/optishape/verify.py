@@ -274,7 +274,7 @@ def _suite_oracle() -> list[CheckResult]:
     hexagon = Shape.regular_polygon(6)
     # Box: 2D scan with z eliminated by the volume constraint.
     box_grid = oracle.GridSpec(4.0, 20.0, points=201)
-    bx, by, _ = oracle.brute_min_2d(problems._box_objective(1000.0), box_grid, box_grid)
+    bx, by, _ = oracle.brute_min(problems._box_objective(1000.0), box_grid, box_grid)
 
     return [
         _oracle_check("rectangle_vs_brute_force", closed["rectangle"].x,

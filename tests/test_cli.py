@@ -144,6 +144,15 @@ class TestSolve:
         assert "solution.x = 300" in out
         assert "problem = fence" in out
 
+    # A list in the report prints one line per field of each item, by index.
+    def test_text_format_indexes_sequences(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "ellipse-semicircle", "--format", "text")
+        assert code == 0
+        assert ("solution.contacts[0].x = -0.70710678118654724\n"
+                "solution.contacts[0].y = 0.70710678118654779\n"
+                "solution.contacts[1].x = 0.70710678118654724\n"
+                "solution.contacts[1].y = 0.70710678118654779\n") in out
+
 
 def fits_in_float(n):
     try:
@@ -772,6 +781,17 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3
         assert "diagnostic" in json.loads(out)
+
+    # Any other ValueError a command raises is a usage error: its message on
+    # stderr, no report and no traceback.
+    def test_value_error_maps_to_2(self, capsys, monkeypatch):
+        def raiser(*args):
+            raise ValueError("boom")
+        monkeypatch.setattr("optishape.problems.solve_rectangle", raiser)
+        code, out, err = run_cli(capsys, "solve", "rectangle", "--fence", "4")
+        assert code == 2
+        assert out == ""
+        assert err == "error: boom\n"
 
 
 class TestRuntimeDependencies:

@@ -32,17 +32,10 @@ def final_bracket(probes, lo, hi, sol):
     raise AssertionError(f"no two probes bound {sol}")
 
 
-def probes_met(probes, lo, hi):
-    """Whether the two live probes of a stopped search fail lo < c < d < hi.
-    Every earlier probe became a bracket end, so the live ones are the probes
-    strictly inside the final bracket; the newest is c when it sits where c
-    is placed."""
-    newest = probes[-1]
-    older = [x for x in probes[:-1] if lo < x < hi and x != newest]
-    if not older:  # the probes coincide, or the older one left the bracket
-        return True
-    c, d = (newest, older[-1]) if newest == hi - (hi - lo) * INV_PHI else (older[-1], newest)
-    return not lo < c < d < hi
+def fresh_probes_split(lo, hi):
+    """Whether two probes drawn afresh from [lo, hi] lie strictly inside it
+    in order."""
+    return lo < hi - (hi - lo) * INV_PHI < lo + (hi - lo) * INV_PHI < hi
 
 
 class TestGoldenSection:
@@ -91,13 +84,15 @@ class TestGoldenSection:
             assert abs(sol.argmin - t) <= sol.achieved_interval <= RESOLUTION * 5.0
 
     # The search stops once its bracket is RESOLUTION times its larger end
-    # wide, or once its probes no longer lie strictly inside it in order; the
-    # target never leaves the bracket.  |x - t| orders any two probes on one
-    # side of t, so its values resolve every argument.
+    # wide, or once fresh probes no longer lie strictly inside it in order;
+    # probes that only crossed are drawn afresh.  The target never leaves the
+    # bracket.  |x - t| orders any two probes on one side of t, so its values
+    # resolve every argument.
     @given(ends=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=3, max_size=3,
                          unique=True))
     @example(ends=[0.0, 1e-300, 1.0])
     @example(ends=[-1.0, 0.0, 1.0])
+    @example(ends=[-1e300, 3.0, 1e300])  # the probes cross after about 110 steps
     @settings(max_examples=200, deadline=None)
     def test_stops_where_the_values_stop_resolving_the_argument(self, ends):
         lo, mid, hi = sorted(ends)
@@ -107,7 +102,7 @@ class TestGoldenSection:
             probes.pop()  # the last call evaluates argmin
             a, b = final_bracket(probes, lo, hi, sol)
             assert (sol.achieved_interval <= RESOLUTION * max(abs(a), abs(b))
-                    or probes_met(probes, a, b))
+                    or not fresh_probes_split(a, b))
             assert abs(sol.argmin - t) <= sol.achieved_interval
 
     # A minimum at the bracket end 0 is never RESOLUTION-wide relative to

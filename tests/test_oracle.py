@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import optishape.oracle
 from optishape.geometry import linspace
-from optishape.oracle import EvaluationError, GridSpec, brute_min, brute_min_2d
+from optishape.oracle import EvaluationError, GridSpec, brute_min
 from optishape.problems import ellipse_fits
 
 SQRT6_3 = math.sqrt(6.0) / 3.0
@@ -141,7 +141,7 @@ class TestBruteMin:
 class TestBruteMin2D:
     def test_box_surface_area(self):
         grid = GridSpec(0.5, 4.0, 1000)
-        x, y, _ = brute_min_2d(
+        x, y, _ = brute_min(
             lambda a, b: 2.0 * (a * b + 8.0 / b + 8.0 / a), grid, grid
         )
         cell = 3.5 / 999
@@ -150,7 +150,7 @@ class TestBruteMin2D:
 
     def test_paraboloid(self):
         grid = GridSpec(-1.0, 1.0, 101)
-        x, y, value = brute_min_2d(lambda a, b: a * a + b * b, grid, grid)
+        x, y, value = brute_min(lambda a, b: a * a + b * b, grid, grid)
         assert abs(x) <= 1e-5
         assert abs(y) <= 1e-5
         assert value == pytest.approx(0.0, abs=1e-9)
@@ -162,7 +162,7 @@ class TestBruteMin2D:
     )
     def test_refinement_evaluates_21_by_21_nodes_per_round(self, points_x, points_y, k):
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
-        brute_min_2d(f, GridSpec(4.0, 20.0, points_x), GridSpec(4.0, 20.0, points_y))
+        brute_min(f, GridSpec(4.0, 20.0, points_x), GridSpec(4.0, 20.0, points_y))
         assert len(calls) == points_x * points_y + k * 21**2
 
     @given(
@@ -175,14 +175,14 @@ class TestBruteMin2D:
     def test_quadratic_argmin_within_resolution(self, lo, width, where, points):
         gx, gy = (GridSpec(l, l + w, points) for l, w in zip(lo, width))
         x_star, y_star = (min(g.hi, g.lo + t * (g.hi - g.lo)) for g, t in zip((gx, gy), where))
-        x, y, _ = brute_min_2d(lambda a, b: (a - x_star) ** 2 + (b - y_star) ** 2, gx, gy)
+        x, y, _ = brute_min(lambda a, b: (a - x_star) ** 2 + (b - y_star) ** 2, gx, gy)
         assert abs(x - x_star) <= gx.resolution
         assert abs(y - y_star) <= gy.resolution
 
     def test_minimum_in_a_corner_clips_both_windows(self):
         grid = GridSpec(0.0, 1.0, 11)
         f, calls = counting(lambda a, b: a + b)
-        x, y, _ = brute_min_2d(f, grid, grid)
+        x, y, _ = brute_min(f, grid, grid)
         assert (x, y) == (0.0, 0.0)
         # fewer than the 2 rounds of unclipped windows
         assert len(calls) < 11**2 + 2 * 21**2
@@ -195,7 +195,7 @@ class TestBruteMin2D:
             if not ellipse_fits(a, b):
                 return 1.0
             return -math.pi * a * b
-        a, b, value = brute_min_2d(
+        a, b, value = brute_min(
             objective,
             GridSpec(1e-6, 1.0, 500),
             GridSpec(1e-6, 0.5, 500),
@@ -206,13 +206,34 @@ class TestBruteMin2D:
 
     def test_constant_ties_break_lexicographically(self):
         grid = GridSpec(0.0, 1.0, 11)
-        x, y, _ = brute_min_2d(lambda a, b: 0.0, grid, grid)
+        x, y, _ = brute_min(lambda a, b: 0.0, grid, grid)
         assert (x, y) == (0.0, 0.0)
 
     def test_nonfinite_value_is_an_error(self):
         grid = GridSpec(0.5, 1.0, 5)
         with pytest.raises(EvaluationError):
-            brute_min_2d(lambda a, b: math.nan, grid, grid)
+            brute_min(lambda a, b: math.nan, grid, grid)
+
+    def test_nonfinite_value_names_both_coordinates(self):
+        grid = GridSpec(0.5, 1.0, 5)  # nodes 0.5, 0.625, 0.75, 0.875, 1.0
+        with pytest.raises(EvaluationError, match=re.escape("at (0.75, 0.625)")):
+            brute_min(lambda a, b: math.nan if a > 0.7 and b > 0.6 else a + b, grid, grid)
+
+
+class TestBruteMin3D:
+    def test_refinement_evaluates_21_cubed_nodes_per_round(self):
+        # the 11-point axis takes 2 rounds to reach its resolution, and every
+        # round re-grids all three axes
+        f, calls = counting(lambda a, b, c: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2
+                            + (c - 3.0 * math.e) ** 2)
+        x, y, z, _ = brute_min(f, GridSpec(4.0, 20.0, 5), GridSpec(4.0, 20.0, 7),
+                               GridSpec(4.0, 20.0, 11))
+        assert len(calls) == 5 * 7 * 11 + 2 * 21**3
+        assert (x, y, z) == pytest.approx((2.0 * math.e, 2.0 * math.pi, 3.0 * math.e), abs=0.02)
+
+    def test_constant_ties_break_lexicographically(self):
+        grids = GridSpec(0.0, 1.0, 5), GridSpec(2.0, 3.0, 5), GridSpec(-1.0, 1.0, 5)
+        assert brute_min(lambda a, b, c: 1.0, *grids) == (0.0, 2.0, -1.0, 1.0)
 
 
 def test_oracle_module_does_not_import_the_search_machinery():

@@ -107,13 +107,13 @@ class TestBox:
     def test_volume_1000_matches_2d_oracle(self):
         # verified against a 2000x2000 brute-force grid before freezing;
         # re-checked here with a smaller refined grid
-        from optishape.oracle import GridSpec, brute_min_2d
+        from optishape.oracle import GridSpec, brute_min
 
         sol = solve_box(1000.0)
         assert sol.x == pytest.approx(10.0, rel=1e-14)
         assert sol.surface_area == pytest.approx(600.0, rel=1e-12)
         grid = GridSpec(5.0, 15.0, 301)
-        bx, by, _ = brute_min_2d(
+        bx, by, _ = brute_min(
             lambda x, y: 2.0 * (x * y + 1000.0 / y + 1000.0 / x), grid, grid
         )
         assert abs(bx - sol.x) <= 4.0 * grid.resolution
