@@ -2,16 +2,20 @@
 against.
 
 Deliberately independent of the optimize module: nothing here brackets or
-bisects, it just evaluates dense grids and re-grids around the incumbent.
-``brute_min(f, *grids)`` takes one grid per argument of f, on any number of
-axes, and all of it is one loop of rounds.  Each round scans the product of
-the axes' nodes, the first axis outermost.  Round zero is the global scan,
-``points`` nodes across each grid's [lo, hi]; each later round re-grids the
-+/- one-cell neighborhood of the best point, clipped to the grid, with 21
-nodes per axis, so the cell shrinks at least tenfold per round.  A round's
-best point replaces the incumbent if its value is lower, or equal at smaller
-coordinates (compared as a tuple).  Rounds repeat while any axis's cell is
-larger than its grid's ``resolution``.
+bisects, it just evaluates grids and re-grids around the incumbent.
+``brute_min(f, grid, *grids)`` takes one grid per argument of f, on any
+number of axes, and all of it is one loop of rounds.  Each round scans the
+product of the axes' nodes, the first axis outermost.  Round zero is the
+global scan, ``scan`` nodes (``points`` when ``scan`` is None) across each
+grid's [lo, hi]; each later round re-grids the +/- one-cell neighborhood of
+the best point, clipped to the grid, with 21 nodes per axis, so the cell
+shrinks at least tenfold per round.  A round's best point replaces the
+incumbent if its value is lower, or equal at smaller coordinates (compared
+as a tuple).  Rounds repeat while any axis's cell is larger than its grid's
+``resolution``, which ``points`` alone sets.  So the first scan's density
+and the target resolution are set apart: a coarse first scan reaches the
+same resolution in a few more rounds, and finds the global minimum wherever
+that scan puts the incumbent in its basin.
 """
 
 import math
@@ -31,24 +35,30 @@ class _GridSpecFields(NamedTuple):
     lo: float
     hi: float
     points: int
+    scan: int | None = None
 
 
 class GridSpec(_GridSpecFields):
-    """Search interval, first-scan density and target resolution.
+    """Search interval, target resolution and first-scan density.
 
-    Round zero, the first scan, evaluates ``points`` nodes across [lo, hi].
-    The later rounds re-grid 21-node windows, as many as it takes to shrink
-    the cell ``points``-fold once more, to ``resolution``.
+    ``points`` sets ``resolution``: the cell of a ``points``-node scan of
+    [lo, hi], shrunk ``points``-fold once more.  Round zero, the first
+    scan, evaluates ``scan`` nodes across [lo, hi], or ``points`` when
+    ``scan`` is None; the later rounds re-grid 21-node windows until the
+    cell is at or below ``resolution``.  A well narrower than a first-scan
+    cell can be missed, so ``scan`` suits objectives that are unimodal on
+    the grid, as the catalog's are.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: float, hi: float, points: int) -> "GridSpec":
+    def __new__(cls, lo: float, hi: float, points: int, scan: int | None = None) -> "GridSpec":
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        if points < 3:
-            raise ValueError(f"need at least 3 grid points, got {points}")
-        self = super().__new__(cls, lo, hi, points)
+        for nodes in (points, points if scan is None else scan):
+            if nodes < 3:
+                raise ValueError(f"need at least 3 grid points, got {nodes}")
+        self = super().__new__(cls, lo, hi, points, scan)
         try:
             resolution = self.resolution
         except OverflowError:  # the node count is past the float range
@@ -61,8 +71,7 @@ class GridSpec(_GridSpecFields):
     @property
     def resolution(self) -> float:
         """Final cell size the refinement reaches, at most:
-        ``(hi - lo) / ((points - 1) * points)``, the first scan's cell
-        shrunk ``points``-fold."""
+        ``(hi - lo) / ((points - 1) * points)``, whatever ``scan`` is."""
         return (self.hi - self.lo) / ((self.points - 1) * self.points)
 
 
@@ -90,19 +99,22 @@ def _scan(f: Callable[..., float], xs: Sequence[float], *rest: Sequence[float],
     return best_x, best_y
 
 
-def brute_min(f: Callable[..., float], *grids: GridSpec) -> tuple:
+def brute_min(f: Callable[..., float], grid: GridSpec, *grids: GridSpec) -> tuple:
     """Exhaustive minimization of f over the product of the grids, one
     grid per argument of f, with refinement.
 
-    Runs the rounds the module docstring describes: each grid's ``points``
-    nodes first, then 21-node windows per axis around the incumbent
-    (clipped to [lo, hi]) until each cell is at or below its grid's
-    ``resolution``.  Returns (*argmin, value); ties break to the smallest
-    coordinate tuple.  The argmin is accurate to each grid's resolution for
-    any function whose global minimum the first scan resolves.
+    Runs the rounds the module docstring describes: each grid's ``scan``
+    nodes first (``points`` when ``scan`` is None), then 21-node windows
+    per axis around the incumbent (clipped to [lo, hi]) until each cell is
+    at or below its grid's ``resolution``.  Returns (*argmin, value); ties
+    break to the smallest coordinate tuple.  The argmin is accurate to each
+    grid's resolution for any function whose global minimum the first scan
+    resolves.  A well narrower than a first-scan cell can be missed; the
+    catalog's objectives are unimodal on their grids, so none has one.
     """
+    grids = (grid, *grids)
     # The scan raises on a non-finite value, so round zero always beats inf.
-    best, windows = (math.inf,), [(g.lo, g.hi, g.points) for g in grids]
+    best, windows = (math.inf,), [(g.lo, g.hi, g.scan or g.points) for g in grids]
     while True:
         new = _scan(f, *(linspace(*window) for window in windows))
         if new[-1] < best[-1] or (new[-1] == best[-1] and new[:-1] < best[:-1]):

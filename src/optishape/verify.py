@@ -234,17 +234,13 @@ def containment_max_theta_scan(a: float, b: float) -> float:
     """
     _, neg_max = oracle.brute_min(
         lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
-        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049),
+        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049, scan=201),
     )
     return -neg_max
 
 
-def _oracle_check(
-    name: str,
-    expected: float,
-    objective: Callable[[float], float],
-    grid: oracle.GridSpec,
-) -> CheckResult:
+def _oracle_check(name: str, expected: float, objective: Callable[[float], float],
+                  grid: oracle.GridSpec) -> CheckResult:
     found, _ = oracle.brute_min(objective, grid)
     return CheckResult("oracle", name, abs(found - expected), 4.0 * grid.resolution)
 
@@ -262,7 +258,7 @@ def _oracle_instances() -> dict[str, tuple]:
 
 
 def _suite_oracle() -> list[CheckResult]:
-    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001)
+    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, scan=201)
 
     instances = _oracle_instances()
     # Indexed by every catalog name, so a problem missing here fails loudly.
@@ -273,7 +269,7 @@ def _suite_oracle() -> list[CheckResult]:
     ellipse = closed["ellipse-semicircle"]
     hexagon = Shape.regular_polygon(6)
     # Box: 2D scan with z eliminated by the volume constraint.
-    box_grid = oracle.GridSpec(4.0, 20.0, points=201)
+    box_grid = oracle.GridSpec(4.0, 20.0, points=201, scan=41)
     bx, by, _ = oracle.brute_min(problems._box_objective(1000.0), box_grid, box_grid)
 
     return [
@@ -294,7 +290,7 @@ def _suite_oracle() -> list[CheckResult]:
                       problems._rect_semicircle_objective(1.0), grid(0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
                       lambda b: -math.pi * b * frontier_a_analytic(b),
-                      oracle.GridSpec(1e-4, 0.5, points=2001)),
+                      oracle.GridSpec(1e-4, 0.5, points=2001, scan=201)),
         CheckResult("oracle", "ellipse_containment_vs_theta_scan",
                     abs(problems.containment_max(ellipse.a, ellipse.b)
                         - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),

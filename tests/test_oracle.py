@@ -45,6 +45,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="positive finite resolution"):
             GridSpec(lo, hi, points)
 
+    def test_scan_is_validated_like_points(self):
+        with pytest.raises(ValueError, match="need at least 3 grid points, got 2"):
+            GridSpec(lo=0.0, hi=1.0, points=101, scan=2)
+        assert GridSpec(lo=0.0, hi=1.0, points=101, scan=3).scan == 3
+
+    def test_resolution_does_not_depend_on_scan(self):
+        assert GridSpec(0.0, 1.0, 100, scan=5).resolution == GridSpec(0.0, 1.0, 100).resolution
+
     @given(
         points=st.integers(min_value=3, max_value=1000),
         width=st.floats(min_value=1e-3, max_value=1e6),
@@ -100,6 +108,43 @@ class TestBruteMin:
         f, calls = counting(lambda x: (x - math.e / 3.0) ** 2)
         brute_min(f, GridSpec(0.0, 2.0, points))
         assert len(calls) == points + k * 21
+
+    @pytest.mark.parametrize("points, scan, k", [(5001, 201, 6), (101, 11, 4), (2049, 201, 5)])
+    def test_refinement_from_a_coarse_first_scan(self, points, scan, k):
+        # k rounds of tenfold shrinking: the first k that takes the scan's
+        # cell down to the resolution, whose formula is in points alone
+        assert 10 ** (k - 1) < (points - 1) * points / (scan - 1) <= 10**k
+        x_star = math.e / 3.0
+        f, calls = counting(lambda x: (x - x_star) ** 2)
+        grid = GridSpec(0.0, 2.0, points, scan=scan)
+        x, _ = brute_min(f, grid)
+        assert len(calls) == scan + k * 21
+        assert abs(x - x_star) <= grid.resolution
+
+    # A shallow wide well at 0.3 and a deeper narrow one near 0.77.  The
+    # 201-node first scan has a cell of 0.005: it finds a well six cells
+    # wide, but can miss one narrower than a cell, which the default
+    # first scan, as dense as points, still finds.
+    @pytest.mark.parametrize("center, half_width, scan, found", [
+        (0.7712, 0.015, 201, True),
+        (0.7725, 0.002, 201, False),
+        (0.7725, 0.002, None, True),
+    ], ids=["six-cells-wide", "narrower-than-a-cell", "dense-first-scan"])
+    def test_first_scan_and_a_narrow_deeper_well(self, center, half_width, scan, found):
+        grid = GridSpec(0.0, 1.0, 5001, scan=scan)
+        x, value = brute_min(
+            lambda x: min((x - 0.3) ** 2, ((x - center) / half_width) ** 2 - 1.0), grid
+        )
+        if found:
+            assert abs(x - center) <= grid.resolution
+            assert value == pytest.approx(-1.0)
+        else:
+            assert abs(x - 0.3) <= grid.resolution
+            assert value == pytest.approx(0.0, abs=1e-12)
+
+    def test_no_grid_names_the_missing_grid(self):
+        with pytest.raises(TypeError, match="brute_min.*'grid'"):
+            brute_min(lambda x: x)
 
     @given(
         lo=st.floats(min_value=-100.0, max_value=100.0),
@@ -164,6 +209,16 @@ class TestBruteMin2D:
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
         brute_min(f, GridSpec(4.0, 20.0, points_x), GridSpec(4.0, 20.0, points_y))
         assert len(calls) == points_x * points_y + k * 21**2
+
+    def test_box_first_scan_of_41_by_41(self):
+        # 4 rounds take the 41-node scan's cell of 0.4 below the
+        # 201-point resolution of 3.98e-4
+        f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
+        grid = GridSpec(4.0, 20.0, 201, scan=41)
+        x, y, _ = brute_min(f, grid, grid)
+        assert len(calls) == 41 * 41 + 4 * 21**2 == 3445
+        assert abs(x - 2.0 * math.e) <= grid.resolution
+        assert abs(y - 2.0 * math.pi) <= grid.resolution
 
     @given(
         lo=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),

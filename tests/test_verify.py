@@ -1,8 +1,9 @@
 import math
+from collections import Counter
 
 import pytest
 
-from optishape import problems, verify
+from optishape import oracle, problems, verify
 from optishape.problems import PROBLEMS
 
 
@@ -55,6 +56,27 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
                         lambda perimeter: lambda x: (x - perimeter / 3.0) ** 2)
     failed = [c.name for c in verify.run(["oracle"]) if not c.passed]
     assert failed == ["rectangle_vs_brute_force"]
+
+
+# The oracle suite's brute-force evaluations, counted on the objectives it
+# passes to oracle.brute_min, by number of axes.  Each grid's first scan is
+# coarse (41x41 for the box, 201 nodes in 1-D) and the rounds refine it to
+# the same resolution a first scan of `points` nodes would set: that one
+# took 76 452 evaluations, the box 41 724 of them.
+def test_oracle_suite_evaluation_count(monkeypatch):
+    evaluations = Counter()
+    brute_min = oracle.brute_min
+
+    def counting_brute_min(f, *grids):
+        def counted(*args):
+            evaluations[len(grids)] += 1
+            return f(*args)
+        return brute_min(counted, *grids)
+
+    monkeypatch.setattr(oracle, "brute_min", counting_brute_min)
+    assert all(check.passed for check in verify._suite_oracle())
+    assert evaluations[2] == 3445
+    assert sum(evaluations.values()) == 6019
 
 
 def test_unknown_suite_lists_the_suites():
