@@ -14,8 +14,7 @@ incumbent if its value is lower, or equal at smaller coordinates (compared
 as a tuple).  Rounds repeat while any axis's cell is larger than its grid's
 ``resolution``, which ``points`` alone sets.  So the first scan's density
 and the target resolution are set apart: a coarse first scan reaches the
-same resolution in a few more rounds, and finds the global minimum wherever
-that scan puts the incumbent in its basin.
+same resolution in a few more rounds.
 """
 
 import math

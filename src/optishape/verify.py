@@ -231,6 +231,9 @@ def containment_max_theta_scan(a: float, b: float) -> float:
     over one full turn of theta with the oracle; independent of the closed
     form in sin(theta), hence usable as its oracle.  Falls short of the true
     maximum by at most the curvature times the squared final cell, ~1e-11.
+    The distance has one maximum in sin(theta), so at most two in theta, at
+    theta and pi - theta with the same value: the coarse first scan may
+    refine either one.
     """
     _, neg_max = oracle.brute_min(
         lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),

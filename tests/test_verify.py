@@ -61,8 +61,8 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
 # The oracle suite's brute-force evaluations, counted on the objectives it
 # passes to oracle.brute_min, by number of axes.  Each grid's first scan is
 # coarse (41x41 for the box, 201 nodes in 1-D) and the rounds refine it to
-# the same resolution a first scan of `points` nodes would set: that one
-# took 76 452 evaluations, the box 41 724 of them.
+# the resolution `points` sets; a first scan of `points` nodes would take
+# 76 452 evaluations, the box 41 724 of them.
 def test_oracle_suite_evaluation_count(monkeypatch):
     evaluations = Counter()
     brute_min = oracle.brute_min
