@@ -4,17 +4,17 @@ against.
 Deliberately independent of the optimize module: nothing here brackets or
 bisects, it just evaluates grids and re-grids around the incumbent.
 ``brute_min(f, grid, *grids)`` takes one grid per argument of f, on any
-number of axes, and all of it is one loop of rounds.  Each round scans the
-product of the axes' nodes, the first axis outermost.  Round zero is the
-global scan, ``scan`` nodes (``points`` when ``scan`` is None) across each
-grid's [lo, hi]; each later round re-grids the +/- one-cell neighborhood of
-the best point, clipped to the grid, with 21 nodes per axis, so the cell
-shrinks at least tenfold per round.  A round's best point replaces the
-incumbent if its value is lower, or equal at smaller coordinates (compared
-as a tuple).  Rounds repeat while any axis's cell is larger than its grid's
-``resolution``, which ``points`` alone sets.  So the first scan's density
-and the target resolution are set apart: a coarse first scan reaches the
-same resolution in a few more rounds.
+number of axes, and all of it is one loop of rounds under one rule: each
+round scans 21 nodes per axis across one window per grid, over the product
+of the axes' nodes, the first axis outermost.  Round zero's window is the
+grid's [lo, hi]; each later one is the +/- one-cell neighborhood of the
+best point, clipped to the grid, so the cell shrinks at least tenfold per
+round.  A round's best point replaces the incumbent if its value is lower,
+or equal at smaller coordinates (compared as a tuple).  Rounds repeat
+while any axis's cell is larger than its grid's ``resolution``, which
+``points`` sets.  The first round's cell is a twentieth of the grid, so a
+well narrower than two such cells (a tenth of the grid) can be missed; the
+catalog's objectives have none.
 """
 
 import math
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .geometry import linspace
 
-_WINDOW_NODES = 21
+_NODES = 21
 
 
 class EvaluationError(ValueError):
@@ -34,30 +34,26 @@ class _GridSpecFields(NamedTuple):
     lo: float
     hi: float
     points: int
-    scan: int | None = None
 
 
 class GridSpec(_GridSpecFields):
-    """Search interval, target resolution and first-scan density.
+    """Search interval and target resolution.
 
-    ``points`` sets ``resolution``: the cell of a ``points``-node scan of
-    [lo, hi], shrunk ``points``-fold once more.  Round zero, the first
-    scan, evaluates ``scan`` nodes across [lo, hi], or ``points`` when
-    ``scan`` is None; the later rounds re-grid 21-node windows until the
-    cell is at or below ``resolution``.  A well narrower than a first-scan
-    cell can be missed, so ``scan`` suits objectives that are unimodal on
-    the grid, as the catalog's are.
+    ``points``, an integer of at least 3, sets ``resolution``: the cell of
+    a ``points``-node scan of [lo, hi], shrunk ``points``-fold once more.
+    No round scans ``points`` nodes: ``brute_min`` re-grids 21-node
+    windows, the first across all of [lo, hi], until the cell is at or
+    below ``resolution``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, lo: float, hi: float, points: int, scan: int | None = None) -> "GridSpec":
+    def __new__(cls, lo: float, hi: float, points: int) -> "GridSpec":
         if not lo < hi:
             raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-        for nodes in (points, points if scan is None else scan):
-            if nodes < 3:
-                raise ValueError(f"need at least 3 grid points, got {nodes}")
-        self = super().__new__(cls, lo, hi, points, scan)
+        if not (isinstance(points, int) and points >= 3):
+            raise ValueError(f"need an integer of at least 3 grid points, got {points!r}")
+        self = super().__new__(cls, lo, hi, points)
         try:
             resolution = self.resolution
         except OverflowError:  # the node count is past the float range
@@ -70,7 +66,7 @@ class GridSpec(_GridSpecFields):
     @property
     def resolution(self) -> float:
         """Final cell size the refinement reaches, at most:
-        ``(hi - lo) / ((points - 1) * points)``, whatever ``scan`` is."""
+        ``(hi - lo) / ((points - 1) * points)``."""
         return (self.hi - self.lo) / ((self.points - 1) * self.points)
 
 
@@ -102,24 +98,24 @@ def brute_min(f: Callable[..., float], grid: GridSpec, *grids: GridSpec) -> tupl
     """Exhaustive minimization of f over the product of the grids, one
     grid per argument of f, with refinement.
 
-    Runs the rounds the module docstring describes: each grid's ``scan``
-    nodes first (``points`` when ``scan`` is None), then 21-node windows
-    per axis around the incumbent (clipped to [lo, hi]) until each cell is
-    at or below its grid's ``resolution``.  Returns (*argmin, value); ties
-    break to the smallest coordinate tuple.  The argmin is accurate to each
-    grid's resolution for any function whose global minimum the first scan
-    resolves.  A well narrower than a first-scan cell can be missed; the
-    catalog's objectives are unimodal on their grids, so none has one.
+    Runs the rounds the module docstring describes: 21 nodes per axis in
+    every round, across each grid's [lo, hi] first, then across windows
+    around the incumbent (clipped to [lo, hi]) until each cell is at or
+    below its grid's ``resolution``.  Returns (*argmin, value); ties break
+    to the smallest coordinate tuple.  The argmin is accurate to each
+    grid's resolution for any function whose global minimum the first
+    round resolves.  A well narrower than two first-round cells (a tenth of
+    the grid) can be missed; the catalog's objectives have none.
     """
     grids = (grid, *grids)
     # The scan raises on a non-finite value, so round zero always beats inf.
-    best, windows = (math.inf,), [(g.lo, g.hi, g.scan or g.points) for g in grids]
+    best, windows = (math.inf,), [(g.lo, g.hi) for g in grids]
     while True:
-        new = _scan(f, *(linspace(*window) for window in windows))
+        new = _scan(f, *(linspace(lo, hi, _NODES) for lo, hi in windows))
         if new[-1] < best[-1] or (new[-1] == best[-1] and new[:-1] < best[:-1]):
             best = new
-        cells = [(hi - lo) / (n - 1) for lo, hi, n in windows]
+        cells = [(hi - lo) / (_NODES - 1) for lo, hi in windows]
         if all(cell <= g.resolution for g, cell in zip(grids, cells)):
             return best
-        windows = [(max(g.lo, x - cell), min(g.hi, x + cell), _WINDOW_NODES)
+        windows = [(max(g.lo, x - cell), min(g.hi, x + cell))
                    for g, x, cell in zip(grids, best, cells)]

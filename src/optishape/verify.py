@@ -232,20 +232,23 @@ def containment_max_theta_scan(a: float, b: float) -> float:
     form in sin(theta), hence usable as its oracle.  Falls short of the true
     maximum by at most the curvature times the squared final cell, ~1e-11.
     The distance has one maximum in sin(theta), so at most two in theta, at
-    theta and pi - theta with the same value: the coarse first scan may
-    refine either one.
+    theta and pi - theta with the same value: the oracle's 21-node first
+    round may refine either one.
     """
     _, neg_max = oracle.brute_min(
         lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
-        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049, scan=201),
+        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049),
     )
     return -neg_max
 
 
-def _oracle_check(name: str, expected: float, objective: Callable[[float], float],
-                  grid: oracle.GridSpec) -> CheckResult:
-    found, _ = oracle.brute_min(objective, grid)
-    return CheckResult("oracle", name, abs(found - expected), 4.0 * grid.resolution)
+def _oracle_check(name: str, expected: tuple, objective: Callable[..., float],
+                  *grids: oracle.GridSpec) -> CheckResult:
+    """brute_min's argmin against the expected coordinates, one grid per
+    coordinate, within four times the first grid's resolution."""
+    *found, _ = oracle.brute_min(objective, *grids)
+    return _worst("oracle", name, (abs(x - e) for x, e in zip(found, expected)),
+                  4.0 * grids[0].resolution)
 
 
 def _oracle_instances() -> dict[str, tuple]:
@@ -261,7 +264,7 @@ def _oracle_instances() -> dict[str, tuple]:
 
 
 def _suite_oracle() -> list[CheckResult]:
-    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001, scan=201)
+    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001)
 
     instances = _oracle_instances()
     # Indexed by every catalog name, so a problem missing here fails loudly.
@@ -271,35 +274,33 @@ def _suite_oracle() -> list[CheckResult]:
     sa = instances["can-dual"][0]
     ellipse = closed["ellipse-semicircle"]
     hexagon = Shape.regular_polygon(6)
-    # Box: 2D scan with z eliminated by the volume constraint.
-    box_grid = oracle.GridSpec(4.0, 20.0, points=201, scan=41)
-    bx, by, _ = oracle.brute_min(problems._box_objective(1000.0), box_grid, box_grid)
+    box_grid = oracle.GridSpec(4.0, 20.0, points=201)
 
     return [
-        _oracle_check("rectangle_vs_brute_force", closed["rectangle"].x,
+        _oracle_check("rectangle_vs_brute_force", (closed["rectangle"].x,),
                       problems._rectangle_objective(2400.0), grid(1.0, 1199.0)),
-        _oracle_check("fence_vs_brute_force", closed["fence"].vertical_total,
+        _oracle_check("fence_vs_brute_force", (closed["fence"].vertical_total,),
                       problems._fence_objective(2400.0, problems.FenceLayout(4, 2)),
                       grid(0.0, 2400.0)),
-        _oracle_check("can_circle_vs_brute_force", closed["can"].r,
+        _oracle_check("can_circle_vs_brute_force", (closed["can"].r,),
                       problems._can_objective(1000.0, math.pi), grid(1.0, 20.0)),
-        _oracle_check("can_hexagon_vs_brute_force", problems.solve_can(1000.0, hexagon).r,
+        _oracle_check("can_hexagon_vs_brute_force", (problems.solve_can(1000.0, hexagon).r,),
                       problems._can_objective(1000.0, geometry.area_coefficient(hexagon)),
                       grid(1.0, 20.0)),
-        _oracle_check("can_dual_vs_brute_force", closed["can-dual"].r,
+        _oracle_check("can_dual_vs_brute_force", (closed["can-dual"].r,),
                       problems._can_dual_objective(sa, math.pi),
                       grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
-        _oracle_check("rect_semicircle_vs_brute_force", closed["rect-semicircle"].x,
+        _oracle_check("rect_semicircle_vs_brute_force", (closed["rect-semicircle"].x,),
                       problems._rect_semicircle_objective(1.0), grid(0.0, 1.0)),
-        _oracle_check("ellipse_frontier_vs_brute_force", ellipse.b,
+        _oracle_check("ellipse_frontier_vs_brute_force", (ellipse.b,),
                       lambda b: -math.pi * b * frontier_a_analytic(b),
-                      oracle.GridSpec(1e-4, 0.5, points=2001, scan=201)),
+                      oracle.GridSpec(1e-4, 0.5, points=2001)),
         CheckResult("oracle", "ellipse_containment_vs_theta_scan",
                     abs(problems.containment_max(ellipse.a, ellipse.b)
                         - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),
-        _worst("oracle", "box_vs_brute_force",
-               (abs(bx - closed["box"].x), abs(by - closed["box"].y)),
-               4.0 * box_grid.resolution),
+        # Box: a 2-D scan with z eliminated by the volume constraint.
+        _oracle_check("box_vs_brute_force", closed["box"][:2],
+                      problems._box_objective(1000.0), box_grid, box_grid),
         # Each closed form against its golden-section path, by the residual
         # `solve` reports.
         _worst("oracle", "closed_matches_numeric_all_problems",

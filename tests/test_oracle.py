@@ -45,13 +45,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="positive finite resolution"):
             GridSpec(lo, hi, points)
 
-    def test_scan_is_validated_like_points(self):
-        with pytest.raises(ValueError, match="need at least 3 grid points, got 2"):
-            GridSpec(lo=0.0, hi=1.0, points=101, scan=2)
-        assert GridSpec(lo=0.0, hi=1.0, points=101, scan=3).scan == 3
-
-    def test_resolution_does_not_depend_on_scan(self):
-        assert GridSpec(0.0, 1.0, 100, scan=5).resolution == GridSpec(0.0, 1.0, 100).resolution
+    # No round scans `points` nodes, so only the constructor can refuse a
+    # count that is not an integer.
+    @pytest.mark.parametrize("points", [101.5, 101.0, "101"], ids=["fraction", "float", "str"])
+    def test_points_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="need an integer of at least 3 grid points"):
+            GridSpec(0.0, 1.0, points)
 
     @given(
         points=st.integers(min_value=3, max_value=1000),
@@ -97,41 +96,32 @@ class TestBruteMin:
         x_star = math.e / 3.0
         f = lambda x: (x - x_star) ** 2
         grid = GridSpec(0.0, 2.0, 101)
-        x_scan = min(linspace(0.0, 2.0, 101), key=f)  # the first scan alone
+        x_scan = min(linspace(0.0, 2.0, 101), key=f)  # a points-node scan alone
         x, _ = brute_min(f, grid)
         assert abs(x - x_star) <= 4.0 * grid.resolution < abs(x_scan - x_star)
 
-    @pytest.mark.parametrize("points, k", [(101, 3), (5001, 4), (2049, 4)])
+    @pytest.mark.parametrize("points, k", [(101, 4), (5001, 8), (2049, 7)])
     def test_refinement_evaluates_21_nodes_per_round(self, points, k):
-        # k rounds of tenfold shrinking: the first k with 10**k >= points
-        assert 10 ** (k - 1) < points <= 10**k
-        f, calls = counting(lambda x: (x - math.e / 3.0) ** 2)
-        brute_min(f, GridSpec(0.0, 2.0, points))
-        assert len(calls) == points + k * 21
-
-    @pytest.mark.parametrize("points, scan, k", [(5001, 201, 6), (101, 11, 4), (2049, 201, 5)])
-    def test_refinement_from_a_coarse_first_scan(self, points, scan, k):
-        # k rounds of tenfold shrinking: the first k that takes the scan's
-        # cell down to the resolution, whose formula is in points alone
-        assert 10 ** (k - 1) < (points - 1) * points / (scan - 1) <= 10**k
+        # k rounds, round zero included: the first round's cell is a
+        # twentieth of the grid and each later one a tenth of the last, so
+        # k is the first with 2 * 10**k >= (points - 1) * points
+        assert 2 * 10 ** (k - 1) < (points - 1) * points <= 2 * 10**k
         x_star = math.e / 3.0
         f, calls = counting(lambda x: (x - x_star) ** 2)
-        grid = GridSpec(0.0, 2.0, points, scan=scan)
+        grid = GridSpec(0.0, 2.0, points)
         x, _ = brute_min(f, grid)
-        assert len(calls) == scan + k * 21
+        assert len(calls) == k * 21
         assert abs(x - x_star) <= grid.resolution
 
-    # A shallow wide well at 0.3 and a deeper narrow one near 0.77.  The
-    # 201-node first scan has a cell of 0.005: it finds a well six cells
-    # wide, but can miss one narrower than a cell, which the default
-    # first scan, as dense as points, still finds.
-    @pytest.mark.parametrize("center, half_width, scan, found", [
-        (0.7712, 0.015, 201, True),
-        (0.7725, 0.002, 201, False),
-        (0.7725, 0.002, None, True),
-    ], ids=["six-cells-wide", "narrower-than-a-cell", "dense-first-scan"])
-    def test_first_scan_and_a_narrow_deeper_well(self, center, half_width, scan, found):
-        grid = GridSpec(0.0, 1.0, 5001, scan=scan)
+    # A shallow wide well at 0.3 and a deeper one near 0.77.  The first
+    # round's 21 nodes on [0, 1] have a cell of 0.05: they find a well six
+    # cells wide, but can miss one narrower than a cell.
+    @pytest.mark.parametrize("center, half_width, found", [
+        (0.7712, 0.15, True),
+        (0.7725, 0.002, False),
+    ], ids=["six-cells-wide", "narrower-than-a-cell"])
+    def test_first_scan_and_a_narrow_deeper_well(self, center, half_width, found):
+        grid = GridSpec(0.0, 1.0, 5001)
         x, value = brute_min(
             lambda x: min((x - 0.3) ** 2, ((x - center) / half_width) ** 2 - 1.0), grid
         )
@@ -161,14 +151,14 @@ class TestBruteMin:
 
     @pytest.mark.parametrize("slope, end", [(1.0, 0.0), (-1.0, 1.0)])
     def test_minimum_at_an_end_clips_the_window(self, slope, end):
-        grid = GridSpec(0.0, 1.0, 101)
+        grid = GridSpec(0.0, 1.0, 51)
         f, calls = counting(lambda x: slope * x)
         x, value = brute_min(f, grid)
         assert x == end
         assert value == slope * end
         # a clipped window is one cell wide, so it shrinks twentyfold a round
-        # and takes fewer than the 3 rounds of an unclipped one
-        assert len(calls) < 101 + 3 * 21
+        # and takes fewer than the 4 rounds of an unclipped one
+        assert len(calls) < 4 * 21
 
     @pytest.mark.parametrize("x_star", [1.5, math.e / 2.0])
     def test_resolution_below_float_spacing_terminates(self, x_star):
@@ -178,9 +168,9 @@ class TestBruteMin:
         f, calls = counting(lambda x: (x - x_star) ** 2)
         x, _ = brute_min(f, grid)
         assert abs(x - x_star) <= math.ulp(x_star)
-        # tenfold per round from a cell of 1e-14 down to under half an ulp
-        # (~1e-16), where the window collapses to the incumbent
-        assert len(calls) <= 10001 + 5 * 21
+        # tenfold per round from a first cell of 5e-12 down to under half an
+        # ulp (~1e-16), where the window collapses to the incumbent
+        assert len(calls) <= 7 * 21
 
 
 class TestBruteMin2D:
@@ -202,21 +192,22 @@ class TestBruteMin2D:
 
     @pytest.mark.parametrize(
         "points_x, points_y, k",
-        # the last case refines until the finer y axis reaches its resolution
-        [(11, 11, 2), (201, 201, 3), (11, 201, 3)],
+        # k rounds, round zero included; the last case refines until the
+        # finer y axis reaches its resolution
+        [(11, 11, 2), (201, 201, 5), (11, 201, 5)],
     )
     def test_refinement_evaluates_21_by_21_nodes_per_round(self, points_x, points_y, k):
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
         brute_min(f, GridSpec(4.0, 20.0, points_x), GridSpec(4.0, 20.0, points_y))
-        assert len(calls) == points_x * points_y + k * 21**2
+        assert len(calls) == k * 21**2
 
-    def test_box_first_scan_of_41_by_41(self):
-        # 4 rounds take the 41-node scan's cell of 0.4 below the
-        # 201-point resolution of 3.98e-4
+    def test_box_in_five_rounds_of_21_by_21(self):
+        # 5 rounds take the first round's cell of 0.8 below the 201-point
+        # resolution of 3.98e-4
         f, calls = counting(lambda a, b: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2)
-        grid = GridSpec(4.0, 20.0, 201, scan=41)
+        grid = GridSpec(4.0, 20.0, 201)
         x, y, _ = brute_min(f, grid, grid)
-        assert len(calls) == 41 * 41 + 4 * 21**2 == 3445
+        assert len(calls) == 5 * 21**2 == 2205
         assert abs(x - 2.0 * math.e) <= grid.resolution
         assert abs(y - 2.0 * math.pi) <= grid.resolution
 
@@ -235,12 +226,12 @@ class TestBruteMin2D:
         assert abs(y - y_star) <= gy.resolution
 
     def test_minimum_in_a_corner_clips_both_windows(self):
-        grid = GridSpec(0.0, 1.0, 11)
+        grid = GridSpec(0.0, 1.0, 51)
         f, calls = counting(lambda a, b: a + b)
         x, y, _ = brute_min(f, grid, grid)
         assert (x, y) == (0.0, 0.0)
-        # fewer than the 2 rounds of unclipped windows
-        assert len(calls) < 11**2 + 2 * 21**2
+        # fewer than the 4 rounds of unclipped windows
+        assert len(calls) < 4 * 21**2
 
     def test_inscribed_ellipse_area(self):
         # penalized objective over the feasible set; the unrefined grid puts
@@ -270,21 +261,22 @@ class TestBruteMin2D:
             brute_min(lambda a, b: math.nan, grid, grid)
 
     def test_nonfinite_value_names_both_coordinates(self):
-        grid = GridSpec(0.5, 1.0, 5)  # nodes 0.5, 0.625, 0.75, 0.875, 1.0
-        with pytest.raises(EvaluationError, match=re.escape("at (0.75, 0.625)")):
-            brute_min(lambda a, b: math.nan if a > 0.7 and b > 0.6 else a + b, grid, grid)
+        grid = GridSpec(0.5, 1.0, 5)  # nodes 0.5, 0.525, ..., 0.975, 1.0
+        with pytest.raises(EvaluationError, match=re.escape("at (0.725, 0.625)")):
+            brute_min(lambda a, b: math.nan if a > 0.71 and b > 0.61 else a + b, grid, grid)
 
 
 class TestBruteMin3D:
     def test_refinement_evaluates_21_cubed_nodes_per_round(self):
         # the 11-point axis takes 2 rounds to reach its resolution, and every
-        # round re-grids all three axes
+        # round scans all three axes; the argmin is within half the final
+        # cell of 0.08
         f, calls = counting(lambda a, b, c: (a - 2.0 * math.e) ** 2 + (b - 2.0 * math.pi) ** 2
                             + (c - 3.0 * math.e) ** 2)
         x, y, z, _ = brute_min(f, GridSpec(4.0, 20.0, 5), GridSpec(4.0, 20.0, 7),
                                GridSpec(4.0, 20.0, 11))
-        assert len(calls) == 5 * 7 * 11 + 2 * 21**3
-        assert (x, y, z) == pytest.approx((2.0 * math.e, 2.0 * math.pi, 3.0 * math.e), abs=0.02)
+        assert len(calls) == 2 * 21**3
+        assert (x, y, z) == pytest.approx((2.0 * math.e, 2.0 * math.pi, 3.0 * math.e), abs=0.04)
 
     def test_constant_ties_break_lexicographically(self):
         grids = GridSpec(0.0, 1.0, 5), GridSpec(2.0, 3.0, 5), GridSpec(-1.0, 1.0, 5)

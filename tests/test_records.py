@@ -32,7 +32,7 @@ LAYOUTS = {
     "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
     "Solution1D": (("argmin", "value", "evaluations", "achieved_interval"), {}),
-    "GridSpec": (("lo", "hi", "points", "scan"), {"scan": None}),
+    "GridSpec": (("lo", "hi", "points"), {}),
     "FenceLayout": (("v_segments", "h_segments"), {}),
     "FenceSolution": (("x", "y", "vertical_total", "horizontal_total", "area"), {}),
     "CanSolution": (("r", "h", "surface_area", "volume"), {}),
@@ -71,7 +71,7 @@ def test_field_layout(name):
 
 
 def test_checked_records_validate_keyword_arguments():
-    assert GridSpec(lo=0.0, hi=2.0, points=101) == (0.0, 2.0, 101, None)
+    assert GridSpec(lo=0.0, hi=2.0, points=101) == (0.0, 2.0, 101)
     with pytest.raises(ValueError, match="need lo < hi"):
         GridSpec(lo=1.0, hi=1.0, points=101)
     with pytest.raises(ValueError, match="at least 2 runs"):

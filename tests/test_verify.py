@@ -59,10 +59,9 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
 
 
 # The oracle suite's brute-force evaluations, counted on the objectives it
-# passes to oracle.brute_min, by number of axes.  Each grid's first scan is
-# coarse (41x41 for the box, 201 nodes in 1-D) and the rounds refine it to
-# the resolution `points` sets; a first scan of `points` nodes would take
-# 76 452 evaluations, the box 41 724 of them.
+# passes to oracle.brute_min, by number of axes.  Every round scans 21 nodes
+# per axis until the cell reaches the resolution `points` sets: 5 rounds of
+# 21x21 for the box, 7 or 8 rounds of 21 in 1-D.
 def test_oracle_suite_evaluation_count(monkeypatch):
     evaluations = Counter()
     brute_min = oracle.brute_min
@@ -75,8 +74,8 @@ def test_oracle_suite_evaluation_count(monkeypatch):
 
     monkeypatch.setattr(oracle, "brute_min", counting_brute_min)
     assert all(check.passed for check in verify._suite_oracle())
-    assert evaluations[2] == 3445
-    assert sum(evaluations.values()) == 6019
+    assert evaluations[2] == 2205
+    assert sum(evaluations.values()) == 3507
 
 
 def test_unknown_suite_lists_the_suites():
