@@ -15,6 +15,19 @@ import sys
 from typing import NamedTuple, Sequence
 
 
+def _count(count: int, what: str) -> int:
+    """``count``, if it is an int that float() converts: every formula
+    divides a count by or into floats.  The CLI's integer parser refuses
+    the same counts."""
+    if not isinstance(count, int):
+        raise ValueError(f"{what} must be an int, got {count!r}")
+    try:
+        float(count)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit in a float: {count.bit_length()} bits") from None
+    return count
+
+
 class _ShapeFields(NamedTuple):
     sides: int | None = None
 
@@ -25,7 +38,7 @@ class Shape(_ShapeFields):
     __slots__ = ()
 
     def __new__(cls, sides: int | None = None) -> "Shape":
-        if sides is not None and sides < 3:
+        if sides is not None and _count(sides, "sides") < 3:
             raise ValueError(f"a regular polygon needs sides >= 3, got {sides}")
         return super().__new__(cls, sides)
 

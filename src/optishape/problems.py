@@ -35,7 +35,7 @@ import sys
 from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
-from .geometry import Point2, Shape, _check_positive, area_coefficient, linspace
+from .geometry import Point2, Shape, _check_positive, _count, area_coefficient, linspace
 from .optimize import BracketError, bisect_boundary, golden_section_min
 
 
@@ -61,7 +61,7 @@ class FenceLayout(_FenceLayoutFields):
     __slots__ = ()
 
     def __new__(cls, v_segments: int, h_segments: int) -> "FenceLayout":
-        if v_segments < 2 or h_segments < 2:
+        if _count(v_segments, "v_segments") < 2 or _count(h_segments, "h_segments") < 2:
             raise ValueError(
                 "a closed rectangle needs at least 2 runs in each direction, "
                 f"got v={v_segments}, h={h_segments}"

@@ -230,32 +230,31 @@ def containment_max_theta_scan(a: float, b: float) -> float:
     Scans the squared center distance of (a*cos(theta), b + b*sin(theta))
     over one full turn of theta with the oracle; independent of the closed
     form in sin(theta), hence usable as its oracle.  Falls short of the true
-    maximum by at most the curvature times the squared final cell, ~1e-11.
+    maximum by at most the curvature times the squared final cell, ~1e-13.
     The distance has one maximum in sin(theta), so at most two in theta, at
     theta and pi - theta with the same value: the oracle's 21-node first
     round may refine either one.
     """
     _, neg_max = oracle.brute_min(
         lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
-        oracle.GridSpec(-math.pi / 2.0, 3.0 * math.pi / 2.0, points=2049),
-    )
+        (-math.pi / 2.0, 3.0 * math.pi / 2.0))
     return -neg_max
 
 
 def _oracle_check(name: str, expected: tuple, objective: Callable[..., float],
-                  *grids: oracle.GridSpec) -> CheckResult:
-    """brute_min's argmin against the expected coordinates, one grid per
-    coordinate, within four times the first grid's resolution."""
-    *found, _ = oracle.brute_min(objective, *grids)
+                  *bounds: tuple[float, float]) -> CheckResult:
+    """brute_min's argmin against the expected coordinates, one (lo, hi)
+    pair per coordinate, within four times the first pair's resolution."""
+    *found, _ = oracle.brute_min(objective, *bounds)
     return _worst("oracle", name, (abs(x - e) for x, e in zip(found, expected)),
-                  4.0 * grids[0].resolution)
+                  4.0 * oracle.resolution(*bounds[0]))
 
 
 def _oracle_instances() -> dict[str, tuple]:
     """One instance of each catalog problem, as its CLI input values.  The
     can-dual one is the surface area of the circle can's answer: the largest
     radius that area allows ends can-dual's brute-force grid, so another
-    value would change that grid and the check's tolerance."""
+    value would change that interval and the check's tolerance."""
     circle = Shape.circle()
     sa = problems.solve_can(1000.0, circle).surface_area
     return {"rectangle": (2400.0,), "box": (1000.0,), "fence": (2400.0, 4, 2),
@@ -264,8 +263,6 @@ def _oracle_instances() -> dict[str, tuple]:
 
 
 def _suite_oracle() -> list[CheckResult]:
-    grid = lambda lo, hi: oracle.GridSpec(lo, hi, points=5001)
-
     instances = _oracle_instances()
     # Indexed by every catalog name, so a problem missing here fails loudly.
     solved = {name: problem.solve(*instances[name])
@@ -274,33 +271,31 @@ def _suite_oracle() -> list[CheckResult]:
     sa = instances["can-dual"][0]
     ellipse = closed["ellipse-semicircle"]
     hexagon = Shape.regular_polygon(6)
-    box_grid = oracle.GridSpec(4.0, 20.0, points=201)
 
     return [
         _oracle_check("rectangle_vs_brute_force", (closed["rectangle"].x,),
-                      problems._rectangle_objective(2400.0), grid(1.0, 1199.0)),
+                      problems._rectangle_objective(2400.0), (1.0, 1199.0)),
         _oracle_check("fence_vs_brute_force", (closed["fence"].vertical_total,),
                       problems._fence_objective(2400.0, problems.FenceLayout(4, 2)),
-                      grid(0.0, 2400.0)),
+                      (0.0, 2400.0)),
         _oracle_check("can_circle_vs_brute_force", (closed["can"].r,),
-                      problems._can_objective(1000.0, math.pi), grid(1.0, 20.0)),
+                      problems._can_objective(1000.0, math.pi), (1.0, 20.0)),
         _oracle_check("can_hexagon_vs_brute_force", (problems.solve_can(1000.0, hexagon).r,),
                       problems._can_objective(1000.0, geometry.area_coefficient(hexagon)),
-                      grid(1.0, 20.0)),
+                      (1.0, 20.0)),
         _oracle_check("can_dual_vs_brute_force", (closed["can-dual"].r,),
                       problems._can_dual_objective(sa, math.pi),
-                      grid(1e-3, math.sqrt(sa / (2.0 * math.pi)))),
+                      (1e-3, math.sqrt(sa / (2.0 * math.pi)))),
         _oracle_check("rect_semicircle_vs_brute_force", (closed["rect-semicircle"].x,),
-                      problems._rect_semicircle_objective(1.0), grid(0.0, 1.0)),
+                      problems._rect_semicircle_objective(1.0), (0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", (ellipse.b,),
-                      lambda b: -math.pi * b * frontier_a_analytic(b),
-                      oracle.GridSpec(1e-4, 0.5, points=2001)),
+                      lambda b: -math.pi * b * frontier_a_analytic(b), (1e-4, 0.5)),
         CheckResult("oracle", "ellipse_containment_vs_theta_scan",
                     abs(problems.containment_max(ellipse.a, ellipse.b)
                         - containment_max_theta_scan(ellipse.a, ellipse.b)), 1e-9),
         # Box: a 2-D scan with z eliminated by the volume constraint.
         _oracle_check("box_vs_brute_force", closed["box"][:2],
-                      problems._box_objective(1000.0), box_grid, box_grid),
+                      problems._box_objective(1000.0), (4.0, 20.0), (4.0, 20.0)),
         # Each closed form against its golden-section path, by the residual
         # `solve` reports.
         _worst("oracle", "closed_matches_numeric_all_problems",

@@ -55,16 +55,20 @@ def test_closed_pipe_ends_quietly(tmp_path):
     assert proc.returncode == 0
 
 
-# A mistyped path, or a file that is not Python, is an error, not 0 lines.
-@pytest.mark.parametrize("name, create, problem", [
-    ("optishap", False, "no such file or directory"),
-    ("README.md", True, "not a .py file"),
-], ids=["missing path", "non-Python file"])
-def test_wrong_path_exits_2(tmp_path, capsys, name, create, problem):
+# A mistyped path, a file that is not Python, or one that does not
+# tokenize, is an error, not 0 lines, and no count is printed: z.py sorts
+# after m.py, which counts fine.
+@pytest.mark.parametrize("name, content, problem", [
+    ("optishap", None, "no such file or directory"),
+    ("README.md", b"# Title\n\nSome `code`.\n", "not a .py file"),
+    ("z.py", b"def f(:\n  x = (\n", "does not tokenize"),
+    ("z.py", b"# -*- coding: nope -*-\nx = 1\n", "does not tokenize"),
+], ids=["missing path", "non-Python file", "unclosed bracket", "unknown encoding"])
+def test_wrong_path_exits_2(tmp_path, capsys, name, content, problem):
     (tmp_path / "m.py").write_text(MODULE)
     path = tmp_path / name
-    if create:
-        path.write_text("# Title\n\nSome `code`.\n")
+    if content is not None:
+        path.write_bytes(content)
     assert count_code_lines.main([str(tmp_path / "m.py"), str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -8,7 +8,6 @@ import pytest
 from optishape import geometry, optimize, oracle, problems, verify
 from optishape.geometry import Point2, Shape
 from optishape.optimize import golden_section_min
-from optishape.oracle import GridSpec
 from optishape.problems import FenceLayout, solve_can, solve_ellipse_semicircle, solve_fence
 from optishape.verify import CheckResult
 
@@ -18,7 +17,6 @@ INSTANCES = {
     "Shape": (Shape.regular_polygon(6), "sides"),
     "Point2": (Point2(1.0, 2.0), "x"),
     "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0), "argmin"),
-    "GridSpec": (GridSpec(0.0, 1.0, 101), "points"),
     "FenceLayout": (FenceLayout(4, 2), "v_segments"),
     "FenceSolution": (solve_fence(2400.0, FenceLayout(4, 2)), "area"),
     "CanSolution": (solve_can(1000.0, Shape.circle()), "r"),
@@ -32,7 +30,6 @@ LAYOUTS = {
     "Shape": (("sides",), {"sides": None}),
     "Point2": (("x", "y"), {}),
     "Solution1D": (("argmin", "value", "evaluations", "achieved_interval"), {}),
-    "GridSpec": (("lo", "hi", "points"), {}),
     "FenceLayout": (("v_segments", "h_segments"), {}),
     "FenceSolution": (("x", "y", "vertical_total", "horizontal_total", "area"), {}),
     "CanSolution": (("r", "h", "surface_area", "volume"), {}),
@@ -71,9 +68,6 @@ def test_field_layout(name):
 
 
 def test_checked_records_validate_keyword_arguments():
-    assert GridSpec(lo=0.0, hi=2.0, points=101) == (0.0, 2.0, 101)
-    with pytest.raises(ValueError, match="need lo < hi"):
-        GridSpec(lo=1.0, hi=1.0, points=101)
     with pytest.raises(ValueError, match="at least 2 runs"):
         FenceLayout(v_segments=4, h_segments=1)
     with pytest.raises(ValueError, match="coordinates must be finite"):
@@ -81,3 +75,20 @@ def test_checked_records_validate_keyword_arguments():
     assert Shape(sides=6) == Shape.regular_polygon(6)
     with pytest.raises(ValueError, match="sides >= 3"):
         Shape(sides=2)
+
+
+# A count is divided by or into floats, so the records refuse one that is
+# not an int, or is too large for a float, as the CLI's parser does.  Once
+# Shape(nan) solved to an all-NaN can, and FenceLayout(10**400, 2) failed
+# with OverflowError in the numeric fence solver.
+@pytest.mark.parametrize("make, message", [
+    (lambda: Shape(float("nan")), "sides must be an int, got nan"),
+    (lambda: Shape(3.5), "sides must be an int, got 3.5"),
+    (lambda: Shape(10**400), "sides does not fit in a float: 1329 bits"),
+    (lambda: FenceLayout(2.5, 2), "v_segments must be an int, got 2.5"),
+    (lambda: FenceLayout(10**400, 2), "v_segments does not fit in a float: 1329 bits"),
+    (lambda: FenceLayout(2, -(10**400)), "h_segments does not fit in a float: 1329 bits"),
+], ids=["nan sides", "fractional sides", "huge sides", "fractional v", "huge v", "huge negative h"])
+def test_counts_are_ints_that_fit_in_a_float(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

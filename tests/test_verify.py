@@ -60,22 +60,22 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
 
 # The oracle suite's brute-force evaluations, counted on the objectives it
 # passes to oracle.brute_min, by number of axes.  Every round scans 21 nodes
-# per axis until the cell reaches the resolution `points` sets: 5 rounds of
-# 21x21 for the box, 7 or 8 rounds of 21 in 1-D.
+# per axis until the cell reaches the interval's resolution: 8 rounds of
+# 21x21 for the box and 8 rounds of 21 for each of the 8 1-D scans.
 def test_oracle_suite_evaluation_count(monkeypatch):
     evaluations = Counter()
     brute_min = oracle.brute_min
 
-    def counting_brute_min(f, *grids):
+    def counting_brute_min(f, *bounds):
         def counted(*args):
-            evaluations[len(grids)] += 1
+            evaluations[len(bounds)] += 1
             return f(*args)
-        return brute_min(counted, *grids)
+        return brute_min(counted, *bounds)
 
     monkeypatch.setattr(oracle, "brute_min", counting_brute_min)
     assert all(check.passed for check in verify._suite_oracle())
-    assert evaluations[2] == 2205
-    assert sum(evaluations.values()) == 3507
+    assert evaluations[2] == 3528
+    assert sum(evaluations.values()) == 4872
 
 
 def test_unknown_suite_lists_the_suites():

@@ -9,7 +9,9 @@ Usage: python tools/count_code_lines.py [PATH ...]   (default: src/optishape)
 Prints one line per file, then the total, like ``wc -l``.  A reader that
 closes the pipe early (``| head -1``) ends the run quietly, with exit 0.  A
 path that does not exist, or a file named directly that is not ``.py``,
-exits 2 with a message naming it, before anything is counted.
+exits 2 with a message naming it, before anything is counted.  So does a
+file that does not tokenize (unbalanced brackets at its end, an unknown or
+wrong encoding), before anything is printed.
 """
 
 from __future__ import annotations
@@ -49,12 +51,16 @@ def main(argv: list[str]) -> int:
             print(f"error: {r}: {problem}", file=sys.stderr)
             return 2
     files = sorted(f for r in roots for f in ([r] if r.is_file() else r.rglob("*.py")))
-    total = 0
+    counts = []
     for f in files:
-        n = code_lines(f)
-        total += n
+        try:
+            counts.append(code_lines(f))
+        except (tokenize.TokenError, SyntaxError, UnicodeDecodeError):
+            print(f"error: {f}: does not tokenize", file=sys.stderr)
+            return 2
+    for n, f in zip(counts, files):
         print(f"{n:6d} {f}")
-    print(f"{total:6d} total")
+    print(f"{sum(counts):6d} total")
     return 0
 
 
