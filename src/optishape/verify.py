@@ -253,7 +253,7 @@ def _oracle_check(name: str, expected: tuple, objective: Callable[..., float],
 def _oracle_instances() -> dict[str, tuple]:
     """One instance of each catalog problem, as its CLI input values.  The
     can-dual one is the surface area of the circle can's answer: the largest
-    radius that area allows ends can-dual's brute-force grid, so another
+    radius that area allows ends can-dual's brute-force interval, so another
     value would change that interval and the check's tolerance."""
     circle = Shape.circle()
     sa = problems.solve_can(1000.0, circle).surface_area

@@ -78,9 +78,7 @@ def test_checked_records_validate_keyword_arguments():
 
 
 # A count is divided by or into floats, so the records refuse one that is
-# not an int, or is too large for a float, as the CLI's parser does.  Once
-# Shape(nan) solved to an all-NaN can, and FenceLayout(10**400, 2) failed
-# with OverflowError in the numeric fence solver.
+# not an int, or is too large for a float, as the CLI's parser does.
 @pytest.mark.parametrize("make, message", [
     (lambda: Shape(float("nan")), "sides must be an int, got nan"),
     (lambda: Shape(3.5), "sides must be an int, got 3.5"),
