@@ -386,23 +386,15 @@ def containment_max(a: float, b: float) -> float:
     return peak
 
 
-def ellipse_fits(a: float, b: float) -> bool:
-    """True if the ellipse x^2/a^2 + (y-b)^2/b^2 = 1 fits in the closed unit
-    half-disk y >= 0.
+def max_a_for_b(b: float) -> float:
+    """Largest horizontal semi-axis a whose ellipse fits in the closed unit
+    half-disk, to an ulp: the bisection ends on the adjacent floats around
+    that frontier.
 
     The candidate family touches the diameter at the origin by construction,
-    so only containment in the unit disk is checked: containment_max(a, b)
-    must not exceed 1, with no slack.  The closed-form ellipse's maximum is
-    exactly 1.0, so the tangent ellipse fits.
-    """
-    _check_positive(a, "semi-axis a")
-    _check_positive(b, "semi-axis b")
-    return containment_max(a, b) <= 1.0
-
-
-def max_a_for_b(b: float) -> float:
-    """Largest horizontal semi-axis a such that ellipse_fits(a, b), to an ulp:
-    the bisection ends on the adjacent floats around that frontier.
+    so an ellipse fits when containment_max(a, b) does not exceed 1, with no
+    slack.  The closed-form ellipse's maximum is exactly 1.0, so the tangent
+    ellipse fits.
 
     Defined for 0 < b <= 1/2; above that even a sliver-thin ellipse pokes
     out of the disk at its top point (0, 2b) and InfeasibleError is raised.
@@ -410,7 +402,7 @@ def max_a_for_b(b: float) -> float:
     if not 0 < b < 1:
         raise ValueError(f"semi-axis b must lie in (0, 1), got {b}")
     try:
-        return bisect_boundary(lambda a: ellipse_fits(a, b), math.ulp(0.0), 1.0)
+        return bisect_boundary(lambda a: containment_max(a, b) <= 1.0, math.ulp(0.0), 1.0)
     except BracketError as exc:
         raise InfeasibleError(
             f"no ellipse of height 2*b = {2 * b} fits in the unit half-disk"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import optishape.oracle
 from optishape.geometry import linspace
 from optishape.oracle import EvaluationError, brute_min, resolution
-from optishape.problems import ellipse_fits
+from optishape.problems import containment_max
 
 SQRT6_3 = math.sqrt(6.0) / 3.0
 SQRT2_3 = math.sqrt(2.0) / 3.0
@@ -224,7 +224,7 @@ class TestBruteMin2D:
         # the incumbent within a few cells of the optimum, so the tolerances
         # here are a couple orders looser than the grid cell
         def objective(a, b):
-            if not ellipse_fits(a, b):
+            if containment_max(a, b) > 1.0:
                 return 1.0
             return -math.pi * a * b
         a, b, value = brute_min(

@@ -14,7 +14,6 @@ from optishape.problems import (
     FenceLayout,
     InfeasibleError,
     containment_max,
-    ellipse_fits,
     equivalence_ratio,
     fence_area_curve,
     intersect_ellipse_circle,
@@ -402,19 +401,13 @@ class TestContainmentMax:
 
 class TestEllipseFits:
     def test_optimal_ellipse_is_tangent(self):
-        assert ellipse_fits(SQRT6_3, SQRT2_3)
+        assert containment_max(SQRT6_3, SQRT2_3) <= 1.0
 
     def test_tall_ellipse_pokes_out(self):
-        assert not ellipse_fits(0.9, 0.9)
+        assert containment_max(0.9, 0.9) > 1.0
 
     def test_small_circle_fits(self):
-        assert ellipse_fits(0.1, 0.1)
-
-    def test_nonpositive_axes_rejected(self):
-        with pytest.raises(ValueError):
-            ellipse_fits(0.0, 0.5)
-        with pytest.raises(ValueError):
-            ellipse_fits(0.5, -0.1)
+        assert containment_max(0.1, 0.1) <= 1.0
 
     @given(
         a=st.floats(min_value=0.05, max_value=1.2),
@@ -428,7 +421,7 @@ class TestEllipseFits:
         scanned = containment_max_theta_scan(a, b)
         assert containment_max(a, b) == pytest.approx(scanned, abs=1e-9)
         if abs(scanned - 1.0) > 1e-9:
-            assert ellipse_fits(a, b) == (scanned <= 1.0)
+            assert (containment_max(a, b) <= 1.0) == (scanned <= 1.0)
 
 
 class TestMaxAForB:
@@ -458,8 +451,8 @@ class TestMaxAForB:
     def test_matches_analytic_frontier_and_brackets_it(self, b):
         a = max_a_for_b(b)
         assert a == pytest.approx(frontier_a_analytic(b), abs=1e-6)
-        assert ellipse_fits(a - 1e-4, b)
-        assert not ellipse_fits(a + 1e-4, b)
+        assert containment_max(a - 1e-4, b) <= 1.0
+        assert containment_max(a + 1e-4, b) > 1.0
 
     # A bisection of a monotone predicate to adjacent floats ends on the
     # same pair from any lower bracket, so the frontier's starts at the
@@ -471,12 +464,12 @@ class TestMaxAForB:
     @given(b=st.floats(min_value=1e-4, max_value=0.495, exclude_min=True))
     @settings(max_examples=200, deadline=None)
     def test_lower_bracket_does_not_move_the_frontier(self, b):
-        assert max_a_for_b(b) == bisect_boundary(lambda a: ellipse_fits(a, b), 1e-9, 1.0)
+        assert max_a_for_b(b) == bisect_boundary(lambda a: containment_max(a, b) <= 1.0, 1e-9, 1.0)
 
     @given(b=st.floats(min_value=0.495, max_value=0.5))
     @settings(max_examples=200, deadline=None)
     def test_lower_bracket_moves_the_flat_frontier_by_under_1e_9(self, b):
-        a = bisect_boundary(lambda a: ellipse_fits(a, b), 1e-9, 1.0)
+        a = bisect_boundary(lambda a: containment_max(a, b) <= 1.0, 1e-9, 1.0)
         assert abs(max_a_for_b(b) - a) <= 1e-9
 
     def test_b_search_stays_below_the_flat_frontier(self, monkeypatch):
