@@ -21,7 +21,7 @@ from typing import Any
 
 from . import problems
 from .geometry import Shape
-from .problems import FenceLayout, InfeasibleError
+from .problems import ACCEPTANCE_TOL, FenceLayout, InfeasibleError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -31,11 +31,6 @@ EXIT_IO = 4
 
 # `curve` builds every row before it writes one, about 300 B a point.
 MAX_CURVE_POINTS = 10**6
-
-# verify.SUITES' names, kept here so that building the parser does not load
-# verify: only `optishape verify` runs it (a test keeps the two equal).
-VERIFY_SUITES = ("derivative", "half-split", "h2r", "duality", "equivalence",
-                 "coincidence", "oracle")
 
 
 # 17 significant digits print every float losslessly.
@@ -194,14 +189,14 @@ def cmd_solve(args) -> int:
         "method": "closed_form",
         "residuals": residuals,
     }
-    failed = sorted(k for k, v in residuals.items() if not v <= args.tol)
+    failed = sorted(k for k, v in residuals.items() if not v <= ACCEPTANCE_TOL)
     # Contacts are points, which cannot hold a non-finite coordinate.
     overflowed = [k for k, v in sol._asdict().items()
                   if isinstance(v, float) and not math.isfinite(v)]
     diagnostics = []
     if failed:
         diagnostics.append(
-            f"residuals exceed tolerance {format_number(args.tol)}: {', '.join(failed)}")
+            f"residuals exceed tolerance {format_number(ACCEPTANCE_TOL)}: {', '.join(failed)}")
     if overflowed:
         diagnostics.append(f"the answer does not fit in a float: {', '.join(overflowed)}")
     if diagnostics:
@@ -220,7 +215,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     suites = [args.suite] if args.suite else None
-    results = verify.run(suites, tol_override=args.tol)
+    results = verify.run(suites)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         doc = {
@@ -285,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--tol", type=positive_float, default=problems.ACCEPTANCE_TOL,
-                        help="override the acceptance tolerance (default 1e-6)")
 
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -299,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", parents=[common],
                               help="run the invariant verification suites")
-    ver.add_argument("--suite", choices=VERIFY_SUITES, default=None)
+    ver.add_argument("--suite", default=None, help="run only this suite (default all)")
 
     curve = commands.add_parser("curve", help="emit curve data as CSV")
     curve_sub = curve.add_subparsers(dest="curve_kind", required=True)

@@ -593,6 +593,10 @@ def _ellipse_residuals(sol: EllipseSolution, _: EllipseSolution, radius: float) 
     }
 
 
+# The can and its dual take the same base.
+_BASE = Input("--base", "base", Shape, Shape.circle(),
+              help="'circle' or a polygon side count (default circle)")
+
 # In the order the CLI lists them.
 PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     Problem(
@@ -624,15 +628,12 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     ),
     Problem(
         "can", "smallest-surface can/prism with a given volume",
-        (Input("--volume", "volume", float),
-         Input("--base", "base", Shape, Shape.circle(),
-               help="'circle' or a polygon side count (default circle)")),
+        (Input("--volume", "volume", float), _BASE),
         _can_residuals,
     ),
     Problem(
         "can-dual", "largest-volume can/prism with a given surface area",
-        (Input("--surface-area", "surface_area", float),
-         Input("--base", "base", Shape, Shape.circle())),
+        (Input("--surface-area", "surface_area", float), _BASE),
         _can_residuals,
     ),
     Problem(

@@ -317,19 +317,11 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 }
 
 
-def run(
-    suites: Iterable[str] | None = None, tol_override: float = ACCEPTANCE_TOL
-) -> list[CheckResult]:
-    """Run the named suites (all of them by default) in catalog order.
-
-    ``tol_override`` replaces the tolerance of every check pinned at the
-    acceptance tolerance; the other tolerances are fixed.
-    """
+def run(suites: Iterable[str] | None = None) -> list[CheckResult]:
+    """Run the named suites (all of them by default) in the order given.
+    Every name is checked before any suite runs."""
     names = list(SUITES) if suites is None else list(suites)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-        results.extend(SUITES[name]())
-    return [r._replace(tolerance=tol_override) if r.tolerance == ACCEPTANCE_TOL else r
-            for r in results]
+    return [r for name in names for r in SUITES[name]()]

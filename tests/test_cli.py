@@ -619,33 +619,15 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert all(check["passed"] for check in doc["checks"])
 
-    def test_tol_override_replaces_only_acceptance_tolerances(self, capsys):
-        _, out, _ = run_cli(capsys, "verify", "--format", "json")
-        default = json.loads(out)["checks"]
-        _, out, _ = run_cli(capsys, "verify", "--format", "json", "--tol", "1e-7")
-        override = json.loads(out)["checks"]
-        assert [(c["suite"], c["name"]) for c in override] == [
-            (c["suite"], c["name"]) for c in default
-        ]
-        overridden = 0
-        for before, after in zip(default, override):
-            assert after["residual"] == before["residual"]
-            if before["tolerance"] == 1e-6:
-                assert after["tolerance"] == 1e-7
-                overridden += 1
-            else:
-                assert after["tolerance"] == before["tolerance"]
-        assert 0 < overridden < len(default)
-
-    # The parser lists the suites without loading verify.
-    def test_suite_choices_are_the_verify_suites(self):
+    # The parser holds no copy of the suite names: verify.run refuses an
+    # unknown one, listing the suites it has.
+    def test_unknown_suite_is_usage_error(self, capsys):
         from optishape import verify
 
-        assert cli.VERIFY_SUITES == tuple(verify.SUITES)
-
-    def test_unknown_suite_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--suite", "bogus")
+        code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
         assert code == 2
+        assert out == ""
+        assert all(name in err for name in verify.SUITES)
 
     # Every sweep check takes the worst residual by one rule: a NaN anywhere
     # fails the check, and an empty sweep reads inf.
@@ -689,6 +671,17 @@ class TestExitCodes:
     def test_bad_base(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "can", "--volume", "1", "--base", "2")
         assert code == 2
+
+    # Every check runs at its own fixed tolerance: no flag overrides it.
+    @pytest.mark.parametrize("argv", [
+        ("solve", "box", "--volume", "1000", "--tol", "1e-9"),
+        ("verify", "--tol", "1e-7"),
+    ], ids=["solve", "verify"])
+    def test_tol_is_not_an_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
 
     # Each flag checker names what it refuses, with the flag, and prints no
     # traceback.

@@ -84,6 +84,14 @@ def test_unknown_suite_lists_the_suites():
         verify.run(["nope"])
 
 
+def test_every_name_is_checked_before_any_suite_runs(monkeypatch):
+    calls = []
+    monkeypatch.setitem(verify.SUITES, "h2r", lambda: calls.append("h2r") or [])
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run(["h2r", "bogus"])
+    assert calls == []
+
+
 # The ellipse's contacts are taken from its tangency, so an ellipse off the
 # frontier gets arc points that miss it: the coincidence suite must catch a
 # unit ellipse nudged off the numeric answer along either axis.
