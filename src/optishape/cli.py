@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    suites = [args.suite] if args.suite else None
+    suites = None if args.suite is None else [args.suite]
     results = verify.run(suites)
     all_passed = all(r.passed for r in results)
     if args.format == "json":

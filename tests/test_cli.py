@@ -620,14 +620,15 @@ class TestVerifyCommand:
         assert all(check["passed"] for check in doc["checks"])
 
     # The parser holds no copy of the suite names: verify.run refuses an
-    # unknown one, listing the suites it has.
+    # unknown one, the empty name too, listing the suites it has.
     def test_unknown_suite_is_usage_error(self, capsys):
         from optishape import verify
 
-        code, out, err = run_cli(capsys, "verify", "--suite", "bogus")
-        assert code == 2
-        assert out == ""
-        assert all(name in err for name in verify.SUITES)
+        for name in ("bogus", ""):
+            code, out, err = run_cli(capsys, "verify", "--suite", name)
+            assert code == 2
+            assert out == ""
+            assert all(suite in err for suite in verify.SUITES)
 
     # Every sweep check takes the worst residual by one rule: a NaN anywhere
     # fails the check, and an empty sweep reads inf.
