@@ -74,28 +74,6 @@ def dumps(value: Any, indent: str = "") -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit_text(value: Any, prefix: str = "") -> None:
-    if hasattr(value, "_asdict"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _emit_text(v, f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(value, (list, tuple)):
-        for i, v in enumerate(value):
-            _emit_text(v, f"{prefix}[{i}]")
-    elif isinstance(value, (int, float)):
-        print(f"{prefix} = {format_number(value)}")
-    else:
-        print(f"{prefix} = {value}")
-
-
-def _emit(doc: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        print(dumps(doc))
-    else:
-        _emit_text(doc)
-
-
 # --------------------------------------------------------------------------
 # argument types
 
@@ -201,7 +179,7 @@ def cmd_solve(args) -> int:
         diagnostics.append(f"the answer does not fit in a float: {', '.join(overflowed)}")
     if diagnostics:
         report["diagnostic"] = "; ".join(diagnostics)
-    _emit(report, args.format)
+    print(dumps(report))
     if failed:
         return EXIT_CHECK_FAILED
     return EXIT_INFEASIBLE if overflowed else EXIT_OK
@@ -278,20 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve classic geometric optimization problems and verify "
         "their structural invariants.",
     )
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-
     commands = parser.add_subparsers(dest="command", required=True)
 
     solve = commands.add_parser("solve", help="solve a catalog problem")
     solve_sub = solve.add_subparsers(dest="problem", required=True)
 
     for problem in problems.PROBLEMS.values():
-        p = solve_sub.add_parser(problem.name, parents=[common], help=problem.help)
+        p = solve_sub.add_parser(problem.name, help=problem.help)
         _add_inputs(p, problem.inputs)
 
-    ver = commands.add_parser("verify", parents=[common],
-                              help="run the invariant verification suites")
+    ver = commands.add_parser("verify", help="run the invariant verification suites")
+    ver.add_argument("--format", choices=("json", "text"), default="json")
     ver.add_argument("--suite", default=None, help="run only this suite (default all)")
 
     curve = commands.add_parser("curve", help="emit curve data as CSV")
@@ -313,8 +288,8 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:  # argparse leaves --help and a usage error this way
         return exc.code
     except InfeasibleError as exc:
-        _emit({"problem": getattr(args, "problem", args.command),
-               "diagnostic": str(exc)}, getattr(args, "format", "json"))
+        print(dumps({"problem": getattr(args, "problem", args.command),
+                     "diagnostic": str(exc)}))
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
