@@ -103,7 +103,7 @@ def polygon_vertices(n: int, r: float) -> list[Point2]:
     Counterclockwise, oriented so the midpoint of the first edge lies on the
     positive x-axis; every vertex sits at circumradius ``r / cos(pi/n)``.
     """
-    if n < 3:
+    if _count(n, "sides") < 3:
         raise ValueError(f"a polygon needs at least 3 sides, got {n}")
     _check_positive(r, "inradius")
     circumradius = r / math.cos(math.pi / n)
@@ -143,7 +143,7 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     interior, so there the points are ``lo + i/(n-1)*span``: monotone and
     between ``lo`` and ``hi``, where numpy's can pass ``hi``.
     """
-    if n < 2:
+    if _count(n, "points") < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     div = n - 1
     span = hi - lo

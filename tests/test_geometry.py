@@ -236,6 +236,23 @@ class TestLinspace:
         assert xs == sorted(xs, reverse=hi < lo)
 
 
+# Both take their count the way Shape and FenceLayout do: a non-int, or an int
+# that does not fit in a float, is a ValueError that names the count.
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (polygon_vertices, (10**400, 1.0), "sides does not fit in a float: 1329 bits"),
+        (polygon_vertices, (3.0, 1.0), "sides must be an int, got 3.0"),
+        (linspace, (0.0, 1.0, 10**400), "points does not fit in a float: 1329 bits"),
+        (linspace, (0.0, 1.0, 2.5), "points must be an int, got 2.5"),
+    ],
+    ids=["huge sides", "float sides", "huge points", "float points"],
+)
+def test_count_is_an_int_that_fits_in_a_float(func, args, message):
+    with pytest.raises(ValueError, match=message):
+        func(*args)
+
+
 class TestInvariants:
     def test_perimeter_is_area_derivative(self):
         # central difference of the area at step r*1e-6 vs the perimeter
