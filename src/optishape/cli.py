@@ -7,7 +7,10 @@ or ``curve --out`` could not be written.  A write error prints ``error:
 cannot write: ...`` on stderr, except a closed stdout pipe (the reader
 stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
 through the same path.  ``main`` returns the exit code, for ``--help`` and
-usage errors too.  JSON output prints a non-finite number as null: a
+usage errors too.  A flag's text is only parsed, by its ``problems.Input``
+type: a value out of range is refused by the library's own check, whose
+ValueError exits 2 with ``error: ...`` on stderr and nothing on stdout.
+JSON output prints a non-finite number as null: a
 non-finite residual fails its check, and a non-finite solution field exits 3
 with a diagnostic that names it, unless a check also failed, which exits 1.
 """
@@ -20,7 +23,6 @@ import sys
 from typing import Any
 
 from . import problems
-from .geometry import Shape
 from .problems import ACCEPTANCE_TOL, FenceLayout, InfeasibleError
 
 EXIT_OK = 0
@@ -75,94 +77,16 @@ def dumps(value: Any, indent: str = "") -> str:
 
 
 # --------------------------------------------------------------------------
-# argument types
-
-
-def positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
-    return value
-
-
-def _integer(text: str) -> int | None:
-    """The integer the text spells, None if it spells none.  A count is
-    divided by or into floats, so one that does not fit in a float is
-    refused, as is one with more digits than ``int`` converts."""
-    digits = text.strip()
-    digits = digits[1:] if digits[:1] in "+-" else digits
-    try:
-        value = int(text)
-        float(value)
-    except OverflowError:
-        raise argparse.ArgumentTypeError(f"does not fit in a float: {len(digits)} digits")
-    except ValueError:
-        if digits.isdecimal():  # int() refuses more than 4300 digits
-            raise argparse.ArgumentTypeError(f"too many digits: {len(digits)}")
-        return None
-    return value
-
-
-def segment_count(text: str) -> int:
-    value = _integer(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"segment counts start at 2: {text!r}")
-    return value
-
-
-def point_count(text: str) -> int:
-    value = _integer(text)
-    if value is None or not 2 <= value <= MAX_CURVE_POINTS:
-        raise argparse.ArgumentTypeError(f"takes an integer from 2 to {MAX_CURVE_POINTS}: {text!r}")
-    return value
-
-
-def base_shape(text: str) -> Shape:
-    if text == "circle":
-        return Shape.circle()
-    sides = _integer(text)
-    if sides is None:
-        raise argparse.ArgumentTypeError(f"--base takes 'circle' or an integer >= 3, got {text!r}")
-    if sides < 3:
-        raise argparse.ArgumentTypeError(f"a polygon base needs at least 3 sides, got {sides}")
-    return Shape.regular_polygon(sides)
-
-
-def _base_tag(shape: Shape) -> Any:
-    return "circle" if shape.sides is None else shape.sides
-
-
-def _add_inputs(parser: argparse.ArgumentParser, inputs) -> None:
-    """Add one flag per problems.Input, parsed by the type's checker."""
-    # Built per call, like any global lookup, so patched checkers are used.
-    checkers = {float: positive_float, int: segment_count, Shape: base_shape}
-    for spec in inputs:
-        parser.add_argument(
-            spec.flag, dest=spec.key, metavar=spec.flag[2:].upper().replace("-", "_"),
-            type=checkers[spec.type], required=spec.default is None,
-            default=spec.default, help=spec.help,
-        )
-
-
-# --------------------------------------------------------------------------
 # solve
 
 
 def cmd_solve(args) -> int:
     problem = problems.PROBLEMS[args.problem]
-    values = [getattr(args, spec.key) for spec in problem.inputs]
-    sol, residuals = problem.solve(*values)
+    inputs = {spec.key: getattr(args, spec.key) for spec in problem.inputs}
+    sol, residuals = problem.solve(*inputs.values())
     report = {
         "problem": problem.name,
-        "inputs": {
-            spec.key: _base_tag(v) if isinstance(v, Shape) else v
-            for spec, v in zip(problem.inputs, values)
-        },
+        "inputs": inputs,
         "solution": sol,
         "method": "closed_form",
         "residuals": residuals,
@@ -221,6 +145,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.points > MAX_CURVE_POINTS:  # before any row is built
+        raise ValueError(f"points must be at most {MAX_CURVE_POINTS}, got {args.points}")
     layout = FenceLayout(args.v_segments, args.h_segments)
     rows = problems.fence_area_curve(args.fence, layout, args.points)
     for i, (_, area) in enumerate(rows):
@@ -250,6 +176,16 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
+def _add_inputs(parser: argparse.ArgumentParser, inputs) -> None:
+    """Add one flag per problems.Input, parsed by its type alone."""
+    for spec in inputs:
+        parser.add_argument(
+            spec.flag, dest=spec.key, metavar=spec.flag[2:].upper().replace("-", "_"),
+            type=spec.type, required=spec.default is None,
+            default=spec.default, help=spec.help,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="optishape",
@@ -273,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve_sub = curve.add_subparsers(dest="curve_kind", required=True)
     p = curve_sub.add_parser("fence", help="fence area as a function of the vertical total")
     _add_inputs(p, problems.PROBLEMS["fence"].inputs)
-    p.add_argument("--points", type=point_count, default=101,
+    p.add_argument("--points", type=int, default=101,
                    help=f"sample count, 2 to {MAX_CURVE_POINTS} (default 101)")
     p.add_argument("--out", default=None)
 

@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 
 def _count(count: int, what: str) -> int:
     """``count``, if it is an int that float() converts: every formula
-    divides a count by or into floats.  The CLI's integer parser refuses
-    the same counts."""
+    divides a count by or into floats.  The CLI parses a count with ``int``
+    alone, so this is its check too."""
     if not isinstance(count, int):
         raise ValueError(f"{what} must be an int, got {count!r}")
     try:

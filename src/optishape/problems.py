@@ -495,14 +495,26 @@ def solve_ellipse_semicircle_numeric(radius: float = 1.0) -> EllipseSolution:
 
 class Input(NamedTuple):
     """One CLI input of a problem: its flag, its key in the report's
-    ``inputs`` (and in the parsed arguments), its value type, its default
-    (None when the flag is required) and its help text."""
+    ``inputs`` (and in the parsed arguments), the parser of its text
+    (``float``, ``int`` or ``base``), its default (None when the flag is
+    required) and its help text.  The parser only converts the text: the
+    solvers, and the records ``solver_args`` builds, refuse a value out of
+    range."""
 
     flag: str
     key: str
-    type: type
+    type: Callable[[str], Any]
     default: Any = None
     help: str | None = None
+
+
+def base(text: str) -> str | int:
+    """A ``--base`` text as its input value: "circle" or a side count."""
+    return text if text == "circle" else int(text)
+
+
+def _can_args(size: float, tag: str | int) -> tuple[float, Shape]:
+    return size, Shape(None if tag == "circle" else tag)
 
 
 class Problem(NamedTuple):
@@ -510,9 +522,10 @@ class Problem(NamedTuple):
 
     Its solvers are this module's ``solve_<stem>`` (closed form) and
     ``solve_<stem>_numeric``, which ``solve`` runs.  ``solver_args`` turns
-    the input values, in ``inputs`` order, into the solvers' arguments;
-    ``residuals(closed, numeric, *solver_args)`` gives the report's
-    residuals.
+    the input values, in ``inputs`` order, into the solvers' arguments,
+    building the records (``FenceLayout``, ``Shape``) that check the
+    counts; ``residuals(closed, numeric, *solver_args)`` gives the
+    report's residuals.
     """
 
     name: str
@@ -526,8 +539,9 @@ class Problem(NamedTuple):
         return "solve_" + self.name.replace("-", "_")
 
     def solve(self, *values: Any) -> tuple[Any, dict[str, float]]:
-        """The closed-form answer for the input values, in ``inputs`` order,
-        and its residuals against the numeric path.  The solvers are looked
+        """The closed-form answer for the input values, in ``inputs`` order
+        (as the flags parse them: a base is "circle" or a side count), and
+        its residuals against the numeric path.  The solvers are looked
         up in this module at call time, so that a patched or traced module
         attribute is the one that runs."""
         args = self.solver_args(*values)
@@ -594,7 +608,7 @@ def _ellipse_residuals(sol: EllipseSolution, _: EllipseSolution, radius: float) 
 
 
 # The can and its dual take the same base.
-_BASE = Input("--base", "base", Shape, Shape.circle(),
+_BASE = Input("--base", "base", base, "circle",
               help="'circle' or a polygon side count (default circle)")
 
 # In the order the CLI lists them.
@@ -630,11 +644,13 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         "can", "smallest-surface can/prism with a given volume",
         (Input("--volume", "volume", float), _BASE),
         _can_residuals,
+        solver_args=_can_args,
     ),
     Problem(
         "can-dual", "largest-volume can/prism with a given surface area",
         (Input("--surface-area", "surface_area", float), _BASE),
         _can_residuals,
+        solver_args=_can_args,
     ),
     Problem(
         "rect-semicircle", "largest rectangle inscribed in a semicircle",

@@ -17,11 +17,7 @@ from .optimize import central_diff
 from .problems import ACCEPTANCE_TOL
 
 # Bases exercised by the sweeps: circle, 3..12-gons, and a 100-gon.
-VERIFY_BASES: tuple[Shape, ...] = (
-    Shape.circle(),
-    *(Shape.regular_polygon(n) for n in range(3, 13)),
-    Shape.regular_polygon(100),
-)
+VERIFY_BASES: tuple[Shape, ...] = (Shape(), *(Shape(n) for n in range(3, 13)), Shape(100))
 
 SWEEP_VOLUMES = (1e-3, 1.0, 1e3, 1e6)
 
@@ -71,7 +67,7 @@ def _suite_derivative() -> list[CheckResult]:
         _worst("derivative", "area_over_perimeter_is_half_r_ulps",
                (_half_r_ulps(shape, r) for shape, r in sweep), 4.0),
         _worst("derivative", "coefficient_matches_shoelace", (
-            abs(geometry.area_coefficient(Shape.regular_polygon(n))
+            abs(geometry.area_coefficient(Shape(n))
                 - geometry.shoelace_area(geometry.polygon_vertices(n, 1.0)))
             for n in range(3, 65)
         ), 1e-12),
@@ -172,7 +168,7 @@ def _ratio_gaps(base: Shape) -> Iterator[tuple[float, float]]:
 
 def _suite_equivalence() -> list[CheckResult]:
     gaps = [gap for base in VERIFY_BASES for gap in _ratio_gaps(base)]
-    square_gap = abs(problems.equivalence_ratio(Shape.regular_polygon(4)) - 4.0 / math.pi)
+    square_gap = abs(problems.equivalence_ratio(Shape(4)) - 4.0 / math.pi)
     return [
         _worst("equivalence", "prism_can_volume_ratio", (v for v, _ in gaps), 1e-12),
         _worst("equivalence", "prism_can_surface_ratio", (sa for _, sa in gaps), 1e-12),
@@ -255,10 +251,9 @@ def _oracle_instances() -> dict[str, tuple]:
     can-dual one is the surface area of the circle can's answer: the largest
     radius that area allows ends can-dual's brute-force interval, so another
     value would change that interval and the check's tolerance."""
-    circle = Shape.circle()
-    sa = problems.solve_can(1000.0, circle).surface_area
+    sa = problems.solve_can(1000.0, Shape()).surface_area
     return {"rectangle": (2400.0,), "box": (1000.0,), "fence": (2400.0, 4, 2),
-            "can": (1000.0, circle), "can-dual": (sa, circle),
+            "can": (1000.0, "circle"), "can-dual": (sa, "circle"),
             "rect-semicircle": (1.0,), "ellipse-semicircle": (1.0,)}
 
 
@@ -270,7 +265,7 @@ def _suite_oracle() -> list[CheckResult]:
     closed = {name: sol for name, (sol, _) in solved.items()}
     sa = instances["can-dual"][0]
     ellipse = closed["ellipse-semicircle"]
-    hexagon = Shape.regular_polygon(6)
+    hexagon = Shape(6)
 
     return [
         _oracle_check("rectangle_vs_brute_force", (closed["rectangle"].x,),
