@@ -208,7 +208,8 @@ class TestExtremeScales:
         assert code == 1
 
     # Every input the CLI accepts gives a verified answer or exit 3, and
-    # strict JSON either way; a count that does not fit in a float exits 2.
+    # strict JSON either way; a count that does not fit in a float exits 2,
+    # refused by the record that holds it.
     @given(
         kind=st.sampled_from([*PROBLEMS, "curve"]),
         exponent=st.floats(min_value=-323.3, max_value=308.25),
@@ -228,8 +229,11 @@ class TestExtremeScales:
         code, out, err = run_cli(capsys, *argv)
         oversized = [spec.flag for spec in PROBLEMS[name].inputs
                      if isinstance(counts.get(spec.flag), int) and not fits_in_float(counts[spec.flag])]
-        if oversized:  # argparse names the first flag it refuses
-            assert (code, out) == (2, "") and f"argument {oversized[0]}: does not fit" in err
+        if oversized:  # the record names the first count it refuses
+            field = {"--v-segments": "v_segments", "--h-segments": "h_segments",
+                     "--base": "sides"}[oversized[0]]
+            assert (code, out) == (2, "") and f"error: {field} does not fit in a float" in err
+            assert "Traceback" not in err
             return
         assert code in (0, 3), (argv, out, err)
         if kind == "curve" and code == 0:
@@ -242,9 +246,17 @@ class TestExtremeScales:
         elif kind != "curve":
             assert all(r <= 1e-6 for r in doc["residuals"].values()), argv
 
+    # Rows stubbed out: the CLI hands every count up to the cap to the curve.
     @given(n=st.integers(2, cli.MAX_CURVE_POINTS))
-    def test_every_curve_point_count_up_to_the_cap_parses(self, n):
-        assert cli.point_count(str(n)) == n
+    @example(n=2)
+    @example(n=cli.MAX_CURVE_POINTS)
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_curve_point_count_up_to_the_cap_parses(self, capsys, monkeypatch, n):
+        counts = []
+        monkeypatch.setattr(problems, "fence_area_curve",
+                            lambda fence, layout, points: counts.append(points) or [])
+        code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", str(n))
+        assert (code, out, counts) == (0, "L,area\n", [n])
 
     def test_overflowing_curve_writes_no_csv(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
@@ -667,17 +679,19 @@ class TestExitCodes:
         assert out == ""
         assert f"unrecognized arguments: --format {fmt}" in err
 
-    # Each flag checker names what it refuses, with the flag, and prints no
-    # traceback.
+    # Text that does not parse is refused by argparse, which names the flag;
+    # a value out of range by the library's own check, which names the
+    # value.  Neither prints a traceback.
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("solve", "can", "--volume", "abc"), "not a number: 'abc'"),
-            (("solve", "fence", "--fence", "1", "--v-segments", "2.5"), "not an integer: '2.5'"),
+            (("solve", "can", "--volume", "abc"), "argument --volume: invalid float value: 'abc'"),
+            (("solve", "fence", "--fence", "1", "--v-segments", "2.5"),
+             "argument --v-segments: invalid int value: '2.5'"),
             (("solve", "fence", "--fence", "1", "--v-segments", "1"),
-             "segment counts start at 2: '1'"),
+             "error: a closed rectangle needs at least 2 runs in each direction, got v=1, h=2"),
             (("solve", "can", "--volume", "1", "--base", "square"),
-             "--base takes 'circle' or an integer >= 3, got 'square'"),
+             "argument --base: invalid base value: 'square'"),
         ],
         ids=["not a number", "not an integer", "one segment", "named base"],
     )
@@ -685,23 +699,32 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"argument {argv[-2]}: {message}" in err
+        assert message in err
         assert "Traceback" not in err
 
-    # A count that does not fit in a float is refused while parsing, with the
-    # flag named, instead of overflowing in a solver; so is one with more
-    # digits than int() converts.
+    # A count that does not fit in a float is refused by the record that
+    # holds it, with the field named, instead of overflowing in a solver; a
+    # point count by the cap first.  One with more digits than int()
+    # converts is refused while parsing, with the flag named.
     @pytest.mark.parametrize(
         "argv, reason",
         [
-            (("solve", "fence", "--fence", "1", "--v-segments", str(10**400)), "does not fit"),
-            (("solve", "fence", "--fence", "1", "--h-segments", str(-10**400)), "does not fit"),
-            (("solve", "can", "--volume", "1", "--base", str(10**400)), "does not fit"),
-            (("solve", "can-dual", "--surface-area", "1", "--base", str(10**400)), "does not fit"),
-            (("curve", "fence", "--fence", "1", "--h-segments", str(10**400)), "does not fit"),
-            (("curve", "fence", "--fence", "1", "--points", str(10**400)), "does not fit"),
-            (("solve", "fence", "--fence", "1", "--v-segments", "9" * 5000), "too many digits"),
-            (("solve", "can", "--volume", "1", "--base", "9" * 5000), "too many digits"),
+            (("solve", "fence", "--fence", "1", "--v-segments", str(10**400)),
+             "error: v_segments does not fit in a float: 1329 bits"),
+            (("solve", "fence", "--fence", "1", "--h-segments", str(-10**400)),
+             "error: h_segments does not fit in a float: 1329 bits"),
+            (("solve", "can", "--volume", "1", "--base", str(10**400)),
+             "error: sides does not fit in a float: 1329 bits"),
+            (("solve", "can-dual", "--surface-area", "1", "--base", str(10**400)),
+             "error: sides does not fit in a float: 1329 bits"),
+            (("curve", "fence", "--fence", "1", "--h-segments", str(10**400)),
+             "error: h_segments does not fit in a float: 1329 bits"),
+            (("curve", "fence", "--fence", "1", "--points", str(10**400)),
+             "error: points must be at most 1000000, got 1000"),
+            (("solve", "fence", "--fence", "1", "--v-segments", "9" * 5000),
+             "argument --v-segments: invalid int value: '9999"),
+            (("solve", "can", "--volume", "1", "--base", "9" * 5000),
+             "argument --base: invalid base value: '9999"),
         ],
         ids=["fence --v-segments", "fence --h-segments negative", "can --base", "can-dual --base",
              "curve --h-segments", "curve --points", "fence --v-segments 5000 digits",
@@ -711,7 +734,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"argument {argv[-2]}: {reason}" in err
+        assert reason in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -729,17 +752,26 @@ class TestExitCodes:
         assert "error" in err
 
     # `curve` builds every row before it writes one, so the count is capped.
-    @pytest.mark.parametrize("points", [str(cli.MAX_CURVE_POINTS + 1), "1"], ids=["cap+1", "1"])
-    def test_curve_points_out_of_range(self, capsys, points):
+    @pytest.mark.parametrize("points, message", [
+        (str(cli.MAX_CURVE_POINTS + 1), "error: points must be at most 1000000, got 1000001"),
+        ("1", "error: need at least 2 points, got 1"),
+    ], ids=["cap+1", "1"])
+    def test_curve_points_out_of_range(self, capsys, points, message):
         code, out, err = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", points)
         assert code == 2
         assert out == ""
-        assert "argument --points: takes an integer from 2 to 1000000" in err
+        assert message in err
         assert "Traceback" not in err
 
-    def test_curve_points_cap_is_accepted(self):
-        assert cli.point_count(str(cli.MAX_CURVE_POINTS)) == cli.MAX_CURVE_POINTS
-        assert cli.point_count("2") == 2
+    # The cap is read when the command runs, so a small one can stand in.
+    def test_curve_points_cap_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CURVE_POINTS", 5)
+        for points, rows in (("2", 2), ("5", 5)):
+            code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", points)
+            assert (code, len(out.splitlines())) == (0, 1 + rows)
+        code, out, err = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", "6")
+        assert (code, out) == (2, "")
+        assert "error: points must be at most 5, got 6" in err
 
     # The CLI looks solvers up on the problems module at call time, so a
     # patched (or traced) module attribute is the one that runs.
