@@ -17,7 +17,11 @@ from .optimize import central_diff
 from .problems import ACCEPTANCE_TOL
 
 # Bases exercised by the sweeps: circle, 3..12-gons, and a 100-gon.
-VERIFY_BASES: tuple[Shape, ...] = (Shape(), *(Shape(n) for n in range(3, 13)), Shape(100))
+VERIFY_BASES: tuple[Shape, ...] = (
+    Shape(),
+    *(Shape(n) for n in range(3, 13)),
+    Shape(100),
+)
 
 SWEEP_VOLUMES = (1e-3, 1.0, 1e3, 1e6)
 

@@ -647,7 +647,59 @@ class TestVerifyCommand:
         assert code == 1
 
 
+# Flag values by parser ("points" for curve's --points), out of range and
+# in range.
+REFUSED = {
+    float: st.one_of(st.floats(max_value=0.0).map(repr),
+                     st.sampled_from(["nan", "inf", "1e400", "-1e400"])),
+    int: st.integers(max_value=1).map(str),
+    problems.base: st.integers(max_value=2).map(str),
+    "points": st.one_of(st.integers(max_value=1),
+                        st.integers(min_value=cli.MAX_CURVE_POINTS + 1)).map(str),
+}
+ACCEPTED = {
+    float: st.floats(1e-300, 1e300).map(repr),
+    int: st.integers(2, 50).map(str),
+    problems.base: st.sampled_from(["circle", "3", "12"]),
+    "points": st.integers(2, 50).map(str),
+}
+
+
 class TestExitCodes:
+    # One value out of range, whichever flag holds it, is refused by the
+    # library's own check: exit 2, one line on stderr, nothing on stdout.
+    # `--flag=value` keeps argparse from reading a negative value as a flag.
+    @given(kind=st.sampled_from([*PROBLEMS, "curve"]), data=st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_refused_value_exits_2(self, capsys, kind, data):
+        flags = [(spec.flag, spec.type)
+                 for spec in PROBLEMS["fence" if kind == "curve" else kind].inputs]
+        argv = ["solve", kind]
+        if kind == "curve":
+            argv, flags = ["curve", "fence"], flags + [("--points", "points")]
+        refused = data.draw(st.sampled_from([flag for flag, _ in flags]))
+        for flag, parser in flags:
+            value = data.draw((REFUSED if flag == refused else ACCEPTED)[parser])
+            argv.append(f"{flag}={value}")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    # argparse runs a string default through the flag's parser, so a flag
+    # left out and one given its default's text print the same report.
+    @pytest.mark.parametrize("name, spec", [
+        (name, spec) for name, problem in PROBLEMS.items()
+        for spec in problem.inputs if spec.default is not None
+    ], ids=lambda x: x if isinstance(x, str) else x.flag[2:])
+    def test_default_and_its_text_print_the_same_bytes(self, capsys, name, spec):
+        argv = ["solve", name, *(arg for s in PROBLEMS[name].inputs if s.default is None
+                                 for arg in (s.flag, "7.5"))]
+        text = spec.default if isinstance(spec.default, str) else cli.format_number(spec.default)
+        left_out = run_cli(capsys, *argv)
+        assert left_out[0] == 0
+        assert run_cli(capsys, *argv, spec.flag, text) == left_out
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "can")
         assert code == 2
