@@ -666,9 +666,10 @@ ACCEPTED = {
 
 
 class TestExitCodes:
-    # One value out of range, whichever flag holds it, is refused by the
-    # library's own check: exit 2, one line on stderr, nothing on stdout.
-    # `--flag=value` keeps argparse from reading a negative value as a flag.
+    # One value out of range, whichever flag holds it, is refused when the
+    # command runs, by the library's own check or curve's cap: exit 2, one
+    # line on stderr, nothing on stdout.  `--flag=value` keeps argparse from
+    # reading a negative value as a flag.
     @given(kind=st.sampled_from([*PROBLEMS, "curve"]), data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
