@@ -17,10 +17,6 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 RESOLUTION = 2.0 ** -26
 
 
-class BracketError(ValueError):
-    """A bracketing precondition does not hold."""
-
-
 class Solution1D(NamedTuple):
     """Result of a 1D search; ``argmin`` holds the optimizer's argument."""
 
@@ -91,15 +87,16 @@ def golden_section_min(
 def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> float:
     """Locate the true/false boundary of a monotone predicate.
 
-    Requires pred(lo) true and pred(hi) false.  Bisects until the bracket
-    spans adjacent floats, the last x with pred(x) true and the first with
-    it false, and returns their midpoint; it rounds to one of the two.
+    Requires finite lo < hi, pred(lo) true and pred(hi) false, and raises
+    ValueError otherwise.  Bisects until the bracket spans adjacent floats,
+    the last x with pred(x) true and the first with it false, and returns
+    their midpoint; it rounds to one of the two.
     """
     _check_bracket(lo, hi)
     if not pred(lo):
-        raise BracketError(f"pred({lo}) must be true at the lower end")
+        raise ValueError(f"pred({lo}) must be true at the lower end")
     if pred(hi):
-        raise BracketError(f"pred({hi}) must be false at the upper end")
+        raise ValueError(f"pred({hi}) must be false at the upper end")
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         if pred(mid):

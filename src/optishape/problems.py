@@ -36,7 +36,7 @@ from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .geometry import Point2, Shape, _check_positive, _count, area_coefficient, linspace
-from .optimize import BracketError, bisect_boundary, golden_section_min
+from .optimize import bisect_boundary, golden_section_min
 
 
 class InfeasibleError(ValueError):
@@ -252,8 +252,7 @@ def solve_can(volume: float, base: Shape) -> CanSolution:
 def _can_objective(volume: float, c: float) -> Callable[[float], float]:
     """Surface area 2*c*r^2 + 2*volume/r at base coefficient c, with the
     height eliminated."""
-    two_c, two_v = 2.0 * c, 2.0 * volume  # hoisted; same rounding as inline
-    return lambda r: two_c * r * r + two_v / r
+    return lambda r: 2.0 * c * r * r + 2.0 * volume / r
 
 
 @cache
@@ -289,8 +288,7 @@ def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
 def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], float]:
     """Negated volume r*(SA - 2*c*r^2)/2 at base coefficient c, as a
     function of r alone."""
-    two_c = 2.0 * c  # hoisted; same rounding as inline
-    return lambda r: -r * (surface_area - two_c * r * r) / 2.0
+    return lambda r: -r * (surface_area - 2.0 * c * r * r) / 2.0
 
 
 @cache
@@ -396,17 +394,19 @@ def max_a_for_b(b: float) -> float:
     slack.  The closed-form ellipse's maximum is exactly 1.0, so the tangent
     ellipse fits.
 
-    Defined for 0 < b <= 1/2; above that even a sliver-thin ellipse pokes
-    out of the disk at its top point (0, 2b) and InfeasibleError is raised.
+    Defined for 0 < b <= 1/2: a b that is not positive (nan included) raises
+    ValueError, and above 1/2 even a sliver-thin ellipse pokes out of the
+    disk at its top point (0, 2b), so InfeasibleError is raised.  On that
+    domain the bracket [smallest positive float, next float above 1] holds
+    the frontier: the sliver at its lower end fits, and no ellipse wider
+    than the disk does.  So a b small enough that a = 1 fits returns 1.0.
     """
-    if not 0 < b < 1:
-        raise ValueError(f"semi-axis b must lie in (0, 1), got {b}")
-    try:
-        return bisect_boundary(lambda a: containment_max(a, b) <= 1.0, math.ulp(0.0), 1.0)
-    except BracketError as exc:
-        raise InfeasibleError(
-            f"no ellipse of height 2*b = {2 * b} fits in the unit half-disk"
-        ) from exc
+    if not b > 0:
+        raise ValueError(f"semi-axis b must be positive, got {b}")
+    if b > 0.5:
+        raise InfeasibleError(f"no ellipse of height 2*b = {2 * b} fits in the unit half-disk")
+    return bisect_boundary(
+        lambda a: containment_max(a, b) <= 1.0, math.ulp(0.0), math.nextafter(1.0, 2.0))
 
 
 class EllipseSolution(NamedTuple):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from optishape.optimize import (
     INV_PHI,
     RESOLUTION,
-    BracketError,
     bisect_boundary,
     central_diff,
     golden_section_min,
@@ -169,9 +168,9 @@ class TestBisectBoundary:
             bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0, tol=1e-12)
 
     def test_bad_bracket(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(ValueError, match=r"^pred\(0\.0\) must be true at the lower end$"):
             bisect_boundary(lambda v: False, 0.0, 1.0)
-        with pytest.raises(BracketError):
+        with pytest.raises(ValueError, match=r"^pred\(1\.0\) must be false at the upper end$"):
             bisect_boundary(lambda v: True, 0.0, 1.0)
 
     @given(c=st.floats(min_value=0.1, max_value=1.9))
