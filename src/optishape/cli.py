@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from typing import Any
 
@@ -165,9 +166,19 @@ def cmd_curve(args) -> int:
 # parser
 
 
+# Text that starts like a negative number, inf or nan.  argparse reads all of
+# it but plain decimals (`-1`, `-.5`) as an unknown flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """Writes a message bound for stdout (``--help``) itself: from Python
-    3.11 argparse discards the write error, which main's write path needs."""
+    3.11 argparse discards the write error, which main's write path needs.
+    Reads text that starts like a negative number as a value, never a flag,
+    so the library's own check refuses it."""
+
+    def _parse_optional(self, arg_string):
+        return None if _NEGATIVE_NUMBER.match(arg_string) else super()._parse_optional(arg_string)
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:

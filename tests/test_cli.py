@@ -668,8 +668,9 @@ ACCEPTED = {
 class TestExitCodes:
     # One value out of range, whichever flag holds it, is refused when the
     # command runs, by the library's own check or curve's cap: exit 2, one
-    # line on stderr, nothing on stdout.  `--flag=value` keeps argparse from
-    # reading a negative value as a flag.
+    # line on stderr, nothing on stdout.  Each value goes in both as
+    # `--flag=value` and as `--flag value`, where argparse would read a
+    # value such as `-1e-05` or `-inf` as a flag of its own.
     @given(kind=st.sampled_from([*PROBLEMS, "curve"]), data=st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -680,12 +681,13 @@ class TestExitCodes:
         if kind == "curve":
             argv, flags = ["curve", "fence"], flags + [("--points", "points")]
         refused = data.draw(st.sampled_from([flag for flag, _ in flags]))
-        for flag, parser in flags:
-            value = data.draw((REFUSED if flag == refused else ACCEPTED)[parser])
-            argv.append(f"{flag}={value}")
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        values = [(flag, data.draw((REFUSED if flag == refused else ACCEPTED)[parser]))
+                  for flag, parser in flags]
+        for args in ([f"{flag}={value}" for flag, value in values],
+                     [arg for pair in values for arg in pair]):
+            code, out, err = run_cli(capsys, *argv, *args)
+            assert (code, out) == (2, ""), argv + args
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     # argparse runs a string default through the flag's parser, so a flag
     # left out and one given its default's text print the same report.
@@ -712,6 +714,30 @@ class TestExitCodes:
     def test_bad_base(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "can", "--volume", "1", "--base", "2")
         assert code == 2
+
+    # A value that starts like a negative number, inf or nan reaches the
+    # library's check as a value, not argparse's "expected one argument".
+    @pytest.mark.parametrize("problem, flag, value, message", [
+        ("box", "--volume", "-1e-5", "volume must be positive and finite, got -1e-05"),
+        ("box", "--volume", "-inf", "volume must be positive and finite, got -inf"),
+        ("box", "--volume", "-nan", "volume must be positive and finite, got nan"),
+        ("rect-semicircle", "--radius", "-1E3", "radius must be positive and finite, got -1000.0"),
+        ("can-dual", "--surface-area", "-.5e1",
+         "surface area must be positive and finite, got -5.0"),
+    ])
+    def test_negative_number_text_is_a_value(self, capsys, problem, flag, value, message):
+        assert run_cli(capsys, "solve", problem, flag, value) == (2, "", f"error: {message}\n")
+
+    # Text that only looks like a flag stays a flag, and plain inputs parse
+    # as before.
+    @pytest.mark.parametrize("argv, code", [
+        (("solve", "box", "--volume", "1e-5"), 0),
+        (("solve", "can", "--volume", "2", "--base", " 6 "), 0),
+        (("solve", "box", "-h"), 0),
+        (("solve", "box", "--volume", "-x"), 2),
+    ])
+    def test_flags_and_plain_values_parse_as_before(self, capsys, argv, code):
+        assert run_cli(capsys, *argv)[0] == code
 
     # Every check runs at its own fixed tolerance: no flag overrides it.
     @pytest.mark.parametrize("argv", [
