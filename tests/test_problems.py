@@ -440,11 +440,41 @@ class TestMaxAForB:
         with pytest.raises(InfeasibleError):
             max_a_for_b(0.6)
 
+    # Not positive is a ValueError; too tall is InfeasibleError, a
+    # ValueError too.
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            max_a_for_b(0.0)
-        with pytest.raises(ValueError):
-            max_a_for_b(1.0)
+        for b in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="must be positive") as info:
+                max_a_for_b(b)
+            assert not isinstance(info.value, InfeasibleError)
+        assert issubclass(InfeasibleError, ValueError)
+        for b in (1.0, 0.6):
+            with pytest.raises(InfeasibleError):
+                max_a_for_b(b)
+
+    # The bracket's upper end lies above 1, so the frontier of a sliver so
+    # flat that a = 1 already fits is found, not refused: below b = 1e-8 or
+    # so it is 1.0 itself.
+    @pytest.mark.parametrize("b", [1e-8, 1e-9, 1e-200, 5e-324])
+    def test_flattest_slivers_reach_the_rim(self, b):
+        assert self.frontier(b) == 1.0
+
+    @given(b=st.floats(min_value=5e-324, max_value=1e-4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_small_b_is_on_the_frontier(self, b):
+        self.frontier(b)
+
+    @staticmethod
+    def frontier(b):
+        """max_a_for_b(b), checked to be one of the two adjacent floats the
+        frontier lies between, as bisect_boundary returns their midpoint
+        rounded to one of them."""
+        a = max_a_for_b(b)
+        fits = lambda x: containment_max(x, b) <= 1.0
+        last = a if fits(a) else math.nextafter(a, 0.0)
+        assert 0.0 < a <= 1.0 and fits(last) and not fits(math.nextafter(last, 2.0))
+        assert abs(a - frontier_a_analytic(b)) <= 1e-9
+        return a
 
     @given(b=st.floats(min_value=0.01, max_value=0.49))
     @settings(max_examples=20, deadline=None)
