@@ -440,8 +440,6 @@ class TestMaxAForB:
         with pytest.raises(InfeasibleError):
             max_a_for_b(0.6)
 
-    # Not positive is a ValueError; too tall is InfeasibleError, a
-    # ValueError too.
     def test_out_of_range_rejected(self):
         for b in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="must be positive") as info:
