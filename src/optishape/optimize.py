@@ -90,7 +90,7 @@ def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> floa
     Requires finite lo < hi, pred(lo) true and pred(hi) false, and raises
     ValueError otherwise.  Bisects until the bracket spans adjacent floats,
     the last x with pred(x) true and the first with it false, and returns
-    their midpoint; it rounds to one of the two.
+    the last argument where the predicate holds.
     """
     _check_bracket(lo, hi)
     if not pred(lo):
@@ -104,7 +104,7 @@ def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> floa
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    return mid
+    return lo
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

@@ -386,8 +386,8 @@ def containment_max(a: float, b: float) -> float:
 
 def max_a_for_b(b: float) -> float:
     """Largest horizontal semi-axis a whose ellipse fits in the closed unit
-    half-disk, to an ulp: the bisection ends on the adjacent floats around
-    that frontier.
+    half-disk: the bisection ends on the adjacent floats around that
+    frontier and returns the last argument where the predicate holds.
 
     The candidate family touches the diameter at the origin by construction,
     so an ellipse fits when containment_max(a, b) does not exceed 1, with no

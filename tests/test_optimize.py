@@ -141,16 +141,15 @@ def test_searches_share_the_bracket_checks(search):
 
 class TestBisectBoundary:
     def test_step_predicate(self):
-        x = bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0)
-        assert x in (1.0, math.nextafter(1.0, math.inf))
+        assert bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0) == 1.0
 
     def test_sqrt_two(self):
         x = bisect_boundary(lambda v: v * v <= 2.0, 0.0, 2.0)
         assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
 
     # The bisection runs until the bracket spans adjacent floats and returns
-    # their midpoint, which rounds to one of them: x or the float below it
-    # is the last true one, and the float above that is false.
+    # the lower one: x is the last true argument, and the float above it is
+    # false.
     @given(
         c=st.floats(min_value=1e-300, max_value=1e300),
         lo=st.sampled_from([0.0, math.ulp(0.0), 1e-300]),
@@ -160,8 +159,7 @@ class TestBisectBoundary:
     def test_ends_on_adjacent_floats(self, c, lo):
         pred = lambda v: v * v * v <= c
         x = bisect_boundary(pred, lo, 2.0 * max(c, 1.0))
-        last_true = x if pred(x) else math.nextafter(x, -math.inf)
-        assert pred(last_true) and not pred(math.nextafter(last_true, math.inf))
+        assert pred(x) and not pred(math.nextafter(x, math.inf))
 
     def test_takes_no_tolerance(self):
         with pytest.raises(TypeError):
@@ -176,8 +174,7 @@ class TestBisectBoundary:
     @given(c=st.floats(min_value=0.1, max_value=1.9))
     @settings(max_examples=100, deadline=None)
     def test_monotone_crossing_bracketing(self, c):
-        x = bisect_boundary(lambda v: v <= c, 0.0, 2.0)
-        assert x in (c, math.nextafter(c, math.inf))
+        assert bisect_boundary(lambda v: v <= c, 0.0, 2.0) == c
 
 
 class TestCentralDiff:

@@ -464,15 +464,22 @@ class TestMaxAForB:
 
     @staticmethod
     def frontier(b):
-        """max_a_for_b(b), checked to be one of the two adjacent floats the
-        frontier lies between, as bisect_boundary returns their midpoint
-        rounded to one of them."""
+        """max_a_for_b(b), checked to be the last float that fits, as
+        bisect_boundary returns, and to lie on the analytic frontier."""
         a = max_a_for_b(b)
-        fits = lambda x: containment_max(x, b) <= 1.0
-        last = a if fits(a) else math.nextafter(a, 0.0)
-        assert 0.0 < a <= 1.0 and fits(last) and not fits(math.nextafter(last, 2.0))
+        assert 0.0 < a <= 1.0
+        assert containment_max(a, b) <= 1.0 < containment_max(math.nextafter(a, 2.0), b)
         assert abs(a - frontier_a_analytic(b)) <= 1e-9
         return a
+
+    # The bisection ends on the adjacent floats around the frontier and
+    # returns the lower one, so the answer fits and the float above it does
+    # not, over the whole domain, where the crossing turns quadratic too.
+    @given(b=st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    @settings(max_examples=300, deadline=None)
+    def test_returns_the_last_a_that_fits(self, b):
+        a = max_a_for_b(b)
+        assert containment_max(a, b) <= 1.0 < containment_max(math.nextafter(a, 2.0), b)
 
     @given(b=st.floats(min_value=0.01, max_value=0.49))
     @settings(max_examples=20, deadline=None)
