@@ -307,16 +307,6 @@ def solve_can_dual_numeric(surface_area: float, base: Shape) -> CanSolution:
     return CanSolution(u.r * s, u.h * s, u.surface_area * s * s, u.volume * s * s * s)
 
 
-def equivalence_ratio(base: Shape) -> float:
-    """Factor c/pi relating this base's prism to the circular can.
-
-    At equal r and h both the volume and the surface area of the prism are
-    exactly this multiple of the can's, which is why the two optimization
-    problems share the h = 2r optimum.  The square gives 4/pi.
-    """
-    return area_coefficient(base) / math.pi
-
-
 # --------------------------------------------------------------------------
 # shapes inscribed in a semicircle
 

@@ -1,9 +1,10 @@
 """Machine-checkable invariant suites behind the ``verify`` CLI command.
 
 Each suite re-derives a structural property of the problem catalog at
-runtime (half-split fences, h = 2r cans, derivative and ratio identities,
-the ellipse/rectangle coincidence, brute-force agreement) and reports the
-worst observed residual against a fixed tolerance.  Output order and all
+runtime (the perimeter as the area's derivative, half-split fences,
+h = 2r cans, the volume/surface-area duality, a prism that shares the
+can's optimum, the ellipse/rectangle coincidence, brute-force agreement)
+and reports the worst observed residual against a fixed tolerance.  Output order and all
 randomness are fixed, so runs are reproducible.
 """
 
@@ -157,27 +158,19 @@ def _suite_duality() -> list[CheckResult]:
 
 
 # --------------------------------------------------------------------------
-# suite: equivalence  (prism vs can ratios)
-
-
-def _ratio_gaps(base: Shape) -> Iterator[tuple[float, float]]:
-    """(volume, surface) gaps of the prism/can ratio at a few (r, h)."""
-    ratio = problems.equivalence_ratio(base)
-    c = geometry.area_coefficient(base)
-    for r, h in ((0.3, 0.8), (1.0, 2.0), (5.0, 17.0)):
-        prism, can = problems._can_solution(c, r, h), problems._can_solution(math.pi, r, h)
-        yield (abs(prism.volume / can.volume - ratio) / ratio,
-               abs(prism.surface_area / can.surface_area - ratio) / ratio)
+# suite: equivalence  (a prism and the can share the h = 2r optimum)
 
 
 def _suite_equivalence() -> list[CheckResult]:
-    gaps = [gap for base in VERIFY_BASES for gap in _ratio_gaps(base)]
-    square_gap = abs(problems.equivalence_ratio(Shape(4)) - 4.0 / math.pi)
-    return [
-        _worst("equivalence", "prism_can_volume_ratio", (v for v, _ in gaps), 1e-12),
-        _worst("equivalence", "prism_can_surface_ratio", (sa for _, sa in gaps), 1e-12),
-        CheckResult("equivalence", "square_ratio_is_4_over_pi", square_gap, 1e-12),
-    ]
+    # A prism's base area and surface are both c/pi times the can's at the
+    # same r and h, so at c/pi times the volume it has the can's optimum.
+    pairs = [(problems.solve_can(volume, Shape()),
+              problems.solve_can(volume * geometry.area_coefficient(base) / math.pi, base))
+             for base in VERIFY_BASES for volume in SWEEP_VOLUMES]
+    return [_worst("equivalence", "prism_optimum_is_the_cans", (
+        abs(prism_x - can_x) / can_x
+        for can, prism in pairs for can_x, prism_x in zip(can[:2], prism[:2])
+    ), 1e-12)]
 
 
 # --------------------------------------------------------------------------
@@ -193,9 +186,6 @@ def _suite_coincidence() -> list[CheckResult]:
     # A wrong contact count leaves nothing to compare, so the check reads inf.
     pairs = zip(contacts, expected) if len(contacts) == len(expected) else ()
     return [
-        _worst("coincidence", "ellipse_axes_golden_values",
-               (abs(ellipse.a - math.sqrt(6.0) / 3.0), abs(ellipse.b - math.sqrt(2.0) / 3.0)),
-               ACCEPTANCE_TOL),
         _worst("coincidence", "contacts_match_rectangle_vertices",
                (gap for p, (ex, ey) in pairs for gap in (abs(p.x - ex), abs(p.y - ey))),
                ACCEPTANCE_TOL),

@@ -17,7 +17,6 @@ from optishape.geometry import Shape, area, area_coefficient, perimeter
 from optishape.optimize import central_diff
 from optishape.problems import (
     FenceLayout,
-    equivalence_ratio,
     solve_can,
     solve_can_dual,
     solve_can_numeric,
@@ -106,20 +105,17 @@ def test_criterion_06_area_perimeter_ratio():
 
 
 def test_criterion_07_equivalence_ratio():
+    # At equal r and h a prism's volume and surface area are both c/pi times
+    # the can's, so at c/pi times the volume the prism has the can's optimum.
     for base in BASES:
-        ratio = equivalence_ratio(base)
-        c = area_coefficient(base)
-        assert abs(ratio - c / math.pi) <= 1e-12 * ratio
-        for r, h in ((0.5, 2.0), (2.0, 7.0)):
-            volume_ratio = (c * r * r * h) / (math.pi * r * r * h)
-            sa_ratio = (2 * c * r * r + 2 * c * r * h) / (
-                2 * math.pi * r * r + 2 * math.pi * r * h
-            )
-            assert abs(volume_ratio - ratio) <= 1e-12 * ratio
-            assert abs(sa_ratio - ratio) <= 1e-12 * ratio
-    square = equivalence_ratio(Shape.regular_polygon(4))
-    assert abs(square - 4.0 / math.pi) <= 1e-12 * square
-    report(7, "prism/can volume and SA ratios equal c/pi (square: 4/pi) within 1e-12")
+        ratio = area_coefficient(base) / math.pi
+        for volume in VOLUMES:
+            can = solve_can(volume, Shape.circle())
+            prism = solve_can(volume * ratio, base)
+            assert abs(prism.r - can.r) <= 1e-12 * can.r
+            assert abs(prism.h - can.h) <= 1e-12 * can.h
+            assert abs(prism.surface_area - ratio * can.surface_area) <= 1e-12 * prism.surface_area
+    report(7, "prism at c/pi times the volume: the can's r and h, c/pi times its SA, within 1e-12")
 
 
 def test_criterion_08_ellipse_golden_values():

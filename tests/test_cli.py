@@ -514,10 +514,16 @@ class TestEllipseCrossCheck:
             return sol._replace(b=sol.b + 1e-5 * radius)
         monkeypatch.setattr(problems, solver, shifted)
 
+    # The contacts stay where the unshifted ellipse touches the arc, so they
+    # leave the shifted one (3.2e-5); the oracle suite reads b's shift itself.
     def test_coincidence_reads_the_numeric_path(self, capsys, monkeypatch):
         self.shift_b(monkeypatch, "solve_ellipse_semicircle_numeric")
         code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
-        assert "[FAIL] coincidence: ellipse_axes_golden_values" in out
+        assert "[FAIL] coincidence: contacts_on_ellipse" in out
+        assert code == 1
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["closed_matches_numeric_all_problems"]["passed"] is False
         assert code == 1
 
     def test_solve_fails_a_wrong_closed_form(self, capsys, monkeypatch):
@@ -643,7 +649,6 @@ class TestVerifyCommand:
         for name in ("contacts_match_rectangle_vertices", "contacts_on_circle",
                      "contacts_on_ellipse"):
             assert checks[name]["residual"] is None and checks[name]["passed"] is False
-        assert checks["ellipse_axes_golden_values"]["passed"] is True
         assert code == 1
 
 

@@ -14,7 +14,6 @@ from optishape.problems import (
     FenceLayout,
     InfeasibleError,
     containment_max,
-    equivalence_ratio,
     fence_area_curve,
     intersect_ellipse_circle,
     max_a_for_b,
@@ -321,29 +320,6 @@ class TestCanDual:
             solve_can_dual(-1.0, CIRCLE)
 
 
-class TestEquivalenceRatio:
-    def test_square_is_4_over_pi(self):
-        assert equivalence_ratio(SQUARE) == pytest.approx(4.0 / math.pi, rel=1e-12)
-
-    def test_circle_is_identity(self):
-        assert equivalence_ratio(CIRCLE) == 1.0
-
-    def test_hexagon(self):
-        assert equivalence_ratio(HEXAGON) == pytest.approx(1.1026577908435842, rel=1e-12)
-
-    def test_relates_prism_to_can_exactly(self):
-        for base in SWEEP_BASES:
-            ratio = equivalence_ratio(base)
-            c = area_coefficient(base)
-            for r, h in ((0.25, 1.0), (1.0, 2.0), (3.5, 11.0)):
-                prism_volume = c * r * r * h
-                can_volume = math.pi * r * r * h
-                prism_sa = 2.0 * c * r * r + 2.0 * c * r * h
-                can_sa = 2.0 * math.pi * r * r + 2.0 * math.pi * r * h
-                assert prism_volume == pytest.approx(ratio * can_volume, rel=1e-12)
-                assert prism_sa == pytest.approx(ratio * can_sa, rel=1e-12)
-
-
 class TestRectSemicircle:
     def test_unit_radius(self):
         sol = solve_rect_semicircle(1.0)
@@ -588,6 +564,13 @@ class TestSolveEllipse:
             assert numeric.a == pytest.approx(closed.a, rel=1e-6)
             assert numeric.b == pytest.approx(closed.b, rel=1e-6)
             assert numeric.area == pytest.approx(closed.area, rel=1e-6)
+
+    # The closed axes are the golden values sqrt(6)/3 and sqrt(2)/3 to the
+    # bit, so the gap solve reports is the numeric axes' distance from them.
+    def test_closed_numeric_gap_is_the_numeric_axes_from_the_golden_values(self):
+        numeric = solve_ellipse_semicircle_numeric(1.0)
+        assert PROBLEMS["ellipse-semicircle"].solve(1.0)[1]["closed_numeric_gap"] == max(
+            abs(numeric.a - SQRT6_3), abs(numeric.b - SQRT2_3))
 
 
 class TestIntersectEllipseCircle:

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from optishape import oracle, problems, verify
+from optishape.geometry import Shape
 from optishape.problems import PROBLEMS
 
 
@@ -32,6 +33,23 @@ def test_worst_residual_rule(residuals, worst):
 def test_every_suite_returns_a_list():
     for suite in verify.SUITES.values():
         assert type(suite()) is list
+
+
+# A full run reports every suite by name: the benchmark's verify checker
+# refuses a run whose JSON lacks one, so no suite may be left empty.
+def test_every_suite_yields_a_check():
+    assert {check.suite for check in verify.run()} == set(verify.SUITES)
+
+
+# The equivalence check solves the prism on its own base, so a solve_can that
+# ignores the base fails it, as it fails the duality round trip and the
+# hexagon's brute-force scan; h = 2r holds on any one base, so h2r passes.
+def test_a_can_solved_on_the_wrong_base_fails_equivalence(monkeypatch):
+    solve_can = problems.solve_can
+    monkeypatch.setattr(problems, "solve_can", lambda volume, base: solve_can(volume, Shape()))
+    failed = [c.name for c in verify.run() if not c.passed]
+    assert failed == ["volume_round_trip", "prism_optimum_is_the_cans",
+                      "can_hexagon_vs_brute_force"]
 
 
 # The oracle suite solves one instance of every catalog problem.
