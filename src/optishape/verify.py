@@ -4,8 +4,8 @@ Each suite re-derives a structural property of the problem catalog at
 runtime (the perimeter as the area's derivative, half-split fences,
 h = 2r cans, the volume/surface-area duality, a prism that shares the
 can's optimum, the ellipse/rectangle coincidence, brute-force agreement)
-and reports the worst observed residual against a fixed tolerance.  Output order and all
-randomness are fixed, so runs are reproducible.
+and reports the worst observed residual against a fixed tolerance.
+Output order and all randomness are fixed, so runs are reproducible.
 """
 
 import math
