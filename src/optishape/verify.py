@@ -140,6 +140,13 @@ def _suite_h2r() -> list[CheckResult]:
         _worst("h2r", "h_equals_2r_numeric",
                (_h_over_r_gap(problems.solve_can_numeric(1.0, base)) for base in VERIFY_BASES),
                ACCEPTANCE_TOL),
+        # The residual `solve` reports, on every base: the oracle suite
+        # compares only the circle's numeric can and can-dual.
+        _worst("h2r", "closed_matches_numeric_every_base", (
+            problems._can_residuals(solve(1.0, base), numeric(1.0, base))["closed_numeric_gap"]
+            for solve, numeric in ((problems.solve_can, problems.solve_can_numeric),
+                                   (problems.solve_can_dual, problems.solve_can_dual_numeric))
+            for base in VERIFY_BASES), ACCEPTANCE_TOL),
         _worst("h2r", "can_scaling",
                (gap for base in VERIFY_BASES for gap in _scaling_gaps(base)), 1e-9),
     ]

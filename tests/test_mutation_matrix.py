@@ -162,9 +162,10 @@ def _closed_form_rows() -> list[Row]:
         ("fence", 1e-7): ("randomized_half_split",),
         ("fence", 1e-5): ("randomized_half_split", "closed_matches_numeric",
                           "fence_vs_brute_force", "closed_matches_numeric_all_problems"),
-        ("can", 1e-5): ("can_circle_vs_brute_force", "can_hexagon_vs_brute_force",
-                        "closed_matches_numeric_all_problems"),
-        ("can-dual", 1e-5): ("can_dual_vs_brute_force", "closed_matches_numeric_all_problems"),
+        ("can", 1e-5): ("closed_matches_numeric_every_base", "can_circle_vs_brute_force",
+                        "can_hexagon_vs_brute_force", "closed_matches_numeric_all_problems"),
+        ("can-dual", 1e-5): ("closed_matches_numeric_every_base", "can_dual_vs_brute_force",
+                             "closed_matches_numeric_all_problems"),
         ("rect-semicircle", 1e-5): ("contacts_match_rectangle_vertices",
                                     "rect_semicircle_vs_brute_force",
                                     "closed_matches_numeric_all_problems"),
@@ -254,13 +255,14 @@ ROWS: list[Row] = [
         {"solve_ellipse_semicircle_numeric": contacts_moved(_along_arc)},
         owner="none: at a tangency both contact checks see only radial error"),
     row("closed can ignores its base", {"solve_can": ignoring_base},
-        "volume_round_trip", "prism_optimum_is_the_cans", "can_hexagon_vs_brute_force"),
+        "closed_matches_numeric_every_base", "volume_round_trip", "prism_optimum_is_the_cans",
+        "can_hexagon_vs_brute_force"),
     row("closed can-dual ignores its base", {"solve_can_dual": ignoring_base},
-        "volume_round_trip"),
+        "closed_matches_numeric_every_base", "volume_round_trip"),
     row("numeric can ignores its base", {"solve_can_numeric": ignoring_base},
-        owner="item 12: only the circle's numeric can is compared with its closed form"),
+        "closed_matches_numeric_every_base"),
     row("numeric can-dual ignores its base", {"solve_can_dual_numeric": ignoring_base},
-        owner="item 12: only the circle's numeric can-dual is compared with its closed form"),
+        "closed_matches_numeric_every_base"),
     row("golden search returns the low end of its bracket",
         {"golden_section_min": low_end_of_bracket}, owner=ITEM_9),
     Row("ellipse contacts taken with a and b swapped",

@@ -40,14 +40,15 @@ def test_every_suite_returns_a_list():
 
 
 # The equivalence check solves the prism on its own base, so a solve_can that
-# ignores the base fails it, as it fails the duality round trip and the
-# hexagon's brute-force scan; h = 2r holds on any one base, so h2r passes.
+# ignores the base fails it, as it fails the per-base closed-vs-numeric gap,
+# the duality round trip and the hexagon's brute-force scan; h = 2r holds on
+# any one base, so the h = 2r checks pass.
 def test_a_can_solved_on_the_wrong_base_fails_equivalence(monkeypatch):
     solve_can = problems.solve_can
     monkeypatch.setattr(problems, "solve_can", lambda volume, base: solve_can(volume, Shape()))
     failed = [c.name for c in verify.run() if not c.passed]
-    assert failed == ["volume_round_trip", "prism_optimum_is_the_cans",
-                      "can_hexagon_vs_brute_force"]
+    assert failed == ["closed_matches_numeric_every_base", "volume_round_trip",
+                      "prism_optimum_is_the_cans", "can_hexagon_vs_brute_force"]
 
 
 # The oracle suite solves one instance of every catalog problem.
