@@ -1,8 +1,10 @@
 """Scalar minimization and bracketing utilities.
 
-Golden-section search for unimodal objectives, boundary bisection for
-monotone predicates and central differences.  Everything is deterministic:
-identical inputs produce the same Solution1D, bit for bit.
+Golden-section search for unimodal objectives and boundary bisection for
+monotone predicates.  Everything is deterministic: identical inputs
+produce the same Solution1D, bit for bit.  No finite difference is kept:
+``verify`` checks the perimeter-is-the-area's-derivative lemma as its
+exact equivalent, area/perimeter = r/2 (``verify._suite_derivative``).
 """
 
 import math
@@ -105,10 +107,3 @@ def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> floa
             hi = mid
         mid = 0.5 * (lo + hi)
     return lo
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central finite-difference estimate of f'(x) with step h > 0."""
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -6,15 +6,19 @@ h = 2r cans, the volume/surface-area duality, a prism that shares the
 can's optimum, the ellipse/rectangle coincidence, brute-force agreement)
 and reports the worst observed residual against a fixed tolerance.
 Output order and all randomness are fixed, so runs are reproducible.
+
+The derivative lemma needs no finite difference: for area c*r**2,
+dA/dr = 2*A/r, so perimeter = dA/dr is the statement area/perimeter = r/2.
+``area_over_perimeter_is_half_r_ulps`` checks that to 4 ulps, and
+``area_perimeter_scaling`` that area and perimeter have degrees 2 and 1.
 """
 
 import math
 import random
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import geometry, oracle, problems
 from .geometry import Shape
-from .optimize import central_diff
 from .problems import ACCEPTANCE_TOL
 
 # Bases exercised by the sweeps: circle, 3..12-gons, and a 100-gon.
@@ -50,12 +54,6 @@ def _worst(suite: str, name: str, residuals: Iterable[float], tolerance: float) 
 # suite: derivative  (shape algebra identities)
 
 
-def _derivative_gap(shape: Shape, r: float) -> float:
-    est = central_diff(lambda x: geometry.area(shape, x), r, r * 1e-6)
-    p = geometry.perimeter(shape, r)
-    return abs(est - p) / p
-
-
 def _half_r_ulps(shape: Shape, r: float) -> float:
     ratio = geometry.area(shape, r) / geometry.perimeter(shape, r)
     return abs(ratio - r / 2.0) / math.ulp(r / 2.0)
@@ -67,8 +65,6 @@ def _suite_derivative() -> list[CheckResult]:
     scaled = [(shape, r, k) for shape in VERIFY_BASES
               for r in (1e-3, 0.7, 1.0, 13.0, 1e3) for k in (0.5, 2.0, 10.0)]
     return [
-        _worst("derivative", "perimeter_matches_area_derivative",
-               (_derivative_gap(shape, r) for shape, r in sweep), ACCEPTANCE_TOL),
         _worst("derivative", "area_over_perimeter_is_half_r_ulps",
                (_half_r_ulps(shape, r) for shape, r in sweep), 4.0),
         _worst("derivative", "coefficient_matches_shoelace", (
@@ -123,13 +119,6 @@ def _h_over_r_gap(can: problems.CanSolution) -> float:
     return abs(can.h / can.r - 2.0)
 
 
-def _scaling_gaps(base: Shape) -> Iterator[float]:
-    base_r = problems.solve_can(1.0, base).r
-    for k in (0.5, 2.0, 10.0):
-        scaled = problems.solve_can(k**3 * 1.0, base)
-        yield abs(scaled.r - k * base_r) / scaled.r
-
-
 def _suite_h2r() -> list[CheckResult]:
     sweep = [(volume, base) for base in VERIFY_BASES for volume in SWEEP_VOLUMES]
     return [
@@ -147,8 +136,6 @@ def _suite_h2r() -> list[CheckResult]:
             for solve, numeric in ((problems.solve_can, problems.solve_can_numeric),
                                    (problems.solve_can_dual, problems.solve_can_dual_numeric))
             for base in VERIFY_BASES), ACCEPTANCE_TOL),
-        _worst("h2r", "can_scaling",
-               (gap for base in VERIFY_BASES for gap in _scaling_gaps(base)), 1e-9),
     ]
 
 

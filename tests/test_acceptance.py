@@ -14,7 +14,6 @@ import pytest
 
 from optishape import verify
 from optishape.geometry import Shape, area, area_coefficient, perimeter
-from optishape.optimize import central_diff
 from optishape.problems import (
     FenceLayout,
     solve_can,
@@ -84,8 +83,9 @@ def test_criterion_05_derivative_property():
     worst = 0.0
     for base in BASES:
         for exponent in range(-3, 4):
-            r = 10.0**exponent
-            estimate = central_diff(lambda x: area(base, x), r, r * 1e-6)
+            r, h = 10.0**exponent, 10.0**exponent * 1e-6
+            # a central difference of the area, as the test's own reference
+            estimate = (area(base, r + h) - area(base, r - h)) / (2 * h)
             p = perimeter(base, r)
             rel = abs(estimate - p) / p
             worst = max(worst, rel)

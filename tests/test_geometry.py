@@ -14,7 +14,6 @@ from optishape.geometry import (
     polygon_vertices,
     shoelace_area,
 )
-from optishape.optimize import central_diff
 
 CIRCLE = Shape.circle()
 SQUARE = Shape.regular_polygon(4)
@@ -258,8 +257,8 @@ class TestInvariants:
         # central difference of the area at step r*1e-6 vs the perimeter
         for shape in SWEEP_SHAPES:
             for exponent in range(-3, 4):
-                r = 10.0**exponent
-                estimate = central_diff(lambda x: area(shape, x), r, r * 1e-6)
+                r, h = 10.0**exponent, 10.0**exponent * 1e-6
+                estimate = (area(shape, r + h) - area(shape, r - h)) / (2 * h)
                 p = perimeter(shape, r)
                 assert abs(estimate - p) / p <= 1e-6
 

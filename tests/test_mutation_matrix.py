@@ -213,14 +213,12 @@ ROWS: list[Row] = [
         "contacts_on_ellipse", "ellipse_containment_vs_theta_scan"),
     # structural faults
     row("area of degree 3", {"area": one_degree_higher},
-        "perimeter_matches_area_derivative", "area_over_perimeter_is_half_r_ulps",
-        "area_perimeter_scaling"),
+        "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
     row("perimeter of degree 2", {"perimeter": one_degree_higher},
-        "perimeter_matches_area_derivative", "area_over_perimeter_is_half_r_ulps",
-        "area_perimeter_scaling"),
+        "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
     row("area of degree 3 and perimeter of degree 2",
         {"area": one_degree_higher, "perimeter": one_degree_higher},
-        "perimeter_matches_area_derivative", "area_perimeter_scaling"),
+        "area_perimeter_scaling"),
     row("numeric box rescaled by volume ** (1/2)",
         {"solve_box_numeric": rescaled_by(0.5, LENGTHS["box"])},
         "closed_matches_numeric_all_problems"),

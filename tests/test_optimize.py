@@ -8,7 +8,6 @@ from optishape.optimize import (
     INV_PHI,
     RESOLUTION,
     bisect_boundary,
-    central_diff,
     golden_section_min,
 )
 
@@ -176,33 +175,4 @@ class TestBisectBoundary:
     def test_monotone_crossing_bracketing(self, c):
         assert bisect_boundary(lambda v: v <= c, 0.0, 2.0) == c
 
-
-class TestCentralDiff:
-    def test_circle_area_derivative(self):
-        est = central_diff(lambda r: math.pi * r * r, 3.0, 1e-6)
-        assert est == pytest.approx(6.0 * math.pi, rel=1e-9)
-
-    def test_constant_function(self):
-        assert central_diff(lambda _: 7.5, 123.0, 1e-6) == 0.0
-
-    def test_square_area_derivative(self):
-        est = central_diff(lambda r: 4.0 * r * r, 2.0, 1e-6)
-        assert est == pytest.approx(16.0, rel=1e-9)
-
-    def test_nonpositive_step_rejected(self):
-        with pytest.raises(ValueError):
-            central_diff(lambda x: x, 1.0, 0.0)
-
-    @given(
-        a=st.floats(min_value=0.5, max_value=2.0),
-        b=st.floats(min_value=1.0, max_value=3.0),
-        c=st.floats(min_value=-10.0, max_value=10.0),
-        x=st.floats(min_value=0.0, max_value=10.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_exact_on_quadratics(self, a, b, c, x):
-        h = 1e-6 * max(1.0, abs(x))
-        est = central_diff(lambda v: a * v * v + b * v + c, x, h)
-        true = 2.0 * a * x + b
-        assert est == pytest.approx(true, rel=1e-9)
 
