@@ -87,11 +87,11 @@ def rescaled_by(power: float, fields: tuple[str, ...]) -> Callable:
     return lambda solver: lambda size, *rest: _scale(solver(1.0, *rest), fields, size ** power)
 
 
-def can_radius_off(h_of: Callable[[float, float, float], float]) -> Callable:
-    """A closed can whose r is 1e-7 too large, with h = h_of(volume, c, r)."""
+def can_radius_off(rel: float, h_of: Callable[[float, float, float], float]) -> Callable:
+    """A can whose r is rel too large, with h = h_of(volume, c, r)."""
     def wrap(solver):
         def wrong(volume, base):
-            c, r = geometry.area_coefficient(base), solver(volume, base).r * (1.0 + 1e-7)
+            c, r = geometry.area_coefficient(base), solver(volume, base).r * (1.0 + rel)
             return problems._can_solution(c, r, h_of(volume, c, r))
         return wrong
     return wrap
@@ -238,10 +238,14 @@ ROWS: list[Row] = [
     row("numeric fence ignores its layout", {"solve_fence_numeric": ignoring_layout},
         "closed_matches_numeric"),
     row("closed can r 1e-7 off, h from the volume",
-        {"solve_can": can_radius_off(lambda volume, c, r: volume / (c * r * r))},
+        {"solve_can": can_radius_off(1e-7, lambda volume, c, r: volume / (c * r * r))},
         "h_equals_2r_closed"),
     row("closed can r 1e-7 off, h = 2r",
-        {"solve_can": can_radius_off(lambda volume, c, r: 2.0 * r)}, owner=ITEM_8),
+        {"solve_can": can_radius_off(1e-7, lambda volume, c, r: 2.0 * r)}, owner=ITEM_8),
+    # h/r then reads 3e-6 off, while r is within every closed-vs-numeric bound.
+    row("numeric can r 5e-7 off, h from the volume",
+        {"solve_can_numeric": can_radius_off(5e-7, lambda volume, c, r: volume / (c * r * r))},
+        "h_equals_2r_numeric"),
     row("closed can-dual built on 6.000001 * c", {"solve_can_dual": can_dual_on(6.000001)},
         owner=ITEM_8),
     row("_can_solution volume 1e-9 off", {"_can_solution": volume_off}, owner=ITEM_8),
