@@ -2,9 +2,10 @@
 
 Golden-section search for unimodal objectives and boundary bisection for
 monotone predicates.  Everything is deterministic: identical inputs
-produce the same Solution1D, bit for bit.  No finite difference is kept:
-``verify`` checks the perimeter-is-the-area's-derivative lemma as its
-exact equivalent, area/perimeter = r/2 (``verify._suite_derivative``).
+produce the same Solution1D, bit for bit.  There is no finite difference:
+``verify`` checks the lemma that the perimeter is the area's derivative
+by its exact equivalent, area/perimeter = r/2, and by the degrees of area
+and perimeter (``verify._suite_derivative``).
 """
 
 import math
