@@ -169,9 +169,9 @@ def _closed_form_rows() -> list[Row]:
         ("fence", 8e-7): ("randomized_half_split", "fence_vs_brute_force"),
         ("fence", 1e-5): ("randomized_half_split", "closed_matches_numeric",
                           "fence_vs_brute_force", "closed_matches_numeric_all_problems"),
-        ("can", 8e-7): ("can_circle_vs_brute_force", "can_hexagon_vs_brute_force"),
+        ("can", 8e-7): ("can_circle_vs_brute_force",),
         ("can", 1e-5): ("closed_matches_numeric_every_base", "can_circle_vs_brute_force",
-                        "can_hexagon_vs_brute_force", "closed_matches_numeric_all_problems"),
+                        "closed_matches_numeric_all_problems"),
         ("can-dual", 8e-7): ("can_dual_vs_brute_force",),
         ("can-dual", 1e-5): ("closed_matches_numeric_every_base", "can_dual_vs_brute_force",
                              "closed_matches_numeric_all_problems"),
@@ -221,7 +221,7 @@ ROWS: list[Row] = [
     row("area_coefficient * (1 + 1e-9)", {"area_coefficient": times(1.0 + 1e-9)},
         "coefficient_matches_shoelace", "prism_optimum_is_the_cans"),
     row("containment_max * (1 + 1e-9)", {"containment_max": times(1.0 + 1e-9)},
-        "contacts_on_ellipse", "ellipse_containment_vs_theta_scan"),
+        "contacts_on_ellipse"),
     # structural faults
     row("area of degree 3", {"area": one_degree_higher},
         "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
@@ -281,9 +281,12 @@ ROWS: list[Row] = [
     row("numeric ellipse contacts moved 1e-5 along the arc",
         {"solve_ellipse_semicircle_numeric": contacts_moved(lambda p: _along_arc(p, 1e-5))},
         "contacts_match_rectangle_vertices"),
+    # The equivalence check solves the prism on its own base, so a solve_can
+    # that ignores the base fails it, as it fails the per-base closed-vs-numeric
+    # gap and the duality round trip; h = 2r holds on any one base, so the
+    # h = 2r checks pass.
     row("closed can ignores its base", {"solve_can": ignoring_base},
-        "closed_matches_numeric_every_base", "volume_round_trip", "prism_optimum_is_the_cans",
-        "can_hexagon_vs_brute_force"),
+        "closed_matches_numeric_every_base", "volume_round_trip", "prism_optimum_is_the_cans"),
     row("closed can-dual ignores its base", {"solve_can_dual": ignoring_base},
         "closed_matches_numeric_every_base", "volume_round_trip"),
     row("numeric can ignores its base", {"solve_can_numeric": ignoring_base},
@@ -332,6 +335,16 @@ def test_mutation_fails_exactly_its_checks(mutate, entry):
 def test_every_escape_names_its_owner():
     for entry in ROWS:
         assert bool(entry.owner) is (entry.fails == frozenset()), entry.name
+
+
+# The rule each check earns its place by: some row fails it and no other.
+# fence_vs_brute_force has no such row yet (ROADMAP item 12): every fault it
+# catches also fails randomized_half_split.
+def test_every_check_is_the_only_catcher_of_a_row():
+    sole = {next(iter(r.fails)) for r in ROWS
+            if not isinstance(r.fails, Exception) and len(r.fails) == 1}
+    checks = {c.name for c in verify.run()}
+    assert checks - sole == {"fence_vs_brute_force"}
 
 
 def test_names_are_unique_and_name_real_checks():
