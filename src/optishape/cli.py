@@ -9,10 +9,12 @@ stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
 through the same path.  ``main`` returns the exit code, for ``--help`` and
 usage errors too.  A flag's text is only parsed, by its ``problems.Input``
 type: a value out of range is refused by the library's own check, whose
-ValueError exits 2 with ``error: ...`` on stderr and nothing on stdout.
-JSON output prints a non-finite number as null: a
-non-finite residual fails its check, and a non-finite solution field exits 3
-with a diagnostic that names it, unless a check also failed, which exits 1.
+ValueError exits 2 with ``error: ...`` on stderr and nothing on stdout.  A
+ValueError raised inside a verify suite is a fault of the program, not of
+its input: it exits 1, still with ``error: ...`` on stderr and nothing on
+stdout.  JSON output prints a non-finite number as null: a non-finite
+residual fails its check, and a non-finite solution field exits 3 with a
+diagnostic that names it, unless a check also failed, which exits 1.
 """
 
 import argparse
@@ -118,7 +120,13 @@ def cmd_verify(args) -> int:
     from . import verify
 
     suites = None if args.suite is None else [args.suite]
-    results = verify.run(suites)
+    try:
+        results = verify.run(suites)
+    except ValueError as exc:
+        if args.suite not in (None, *verify.SUITES):
+            raise  # verify.run refused the name before any suite ran: a usage error
+        print(f"error: {exc}", file=sys.stderr)  # a fault inside a suite
+        return EXIT_CHECK_FAILED
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         doc = {

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from optishape import cli, problems
 from optishape.problems import PROBLEMS, FenceLayout, InfeasibleError
+from test_mutation_matrix import ROWS, mutate  # noqa: F401  (mutate is a fixture)
 
 DATA = pathlib.Path(__file__).parent / "data"
 # solve, verify and help output saved before the problem catalog became one
@@ -623,6 +624,23 @@ class TestVerifyCommand:
             assert out == ""
             assert all(suite in err for suite in verify.SUITES)
 
+    # A ValueError raised inside a suite is a fault of the program, not a
+    # usage error: exit 1, its message on stderr and no report.
+    def test_value_error_inside_a_suite_exits_1(self, capsys, monkeypatch):
+        from optishape import verify
+
+        def raiser():
+            raise ValueError("boom")
+        monkeypatch.setitem(verify.SUITES, "h2r", raiser)
+        for argv in (("verify",), ("verify", "--suite", "h2r", "--format", "text")):
+            assert run_cli(capsys, *argv) == (1, "", "error: boom\n")
+
+    # The mutation matrix's row whose run raises, through the whole CLI.
+    def test_swapped_axes_row_exits_1(self, capsys, mutate):
+        entry = next(r for r in ROWS if r.name == "ellipse contacts taken with a and b swapped")
+        mutate(entry.wraps)
+        assert run_cli(capsys, "verify") == (1, "", f"error: {entry.fails}\n")
+
     # Every sweep check takes the worst residual by one rule: a NaN anywhere
     # fails the check, and an empty sweep reads inf.
     def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
@@ -875,8 +893,9 @@ class TestExitCodes:
         assert code == 3
         assert "diagnostic" in json.loads(out)
 
-    # Any other ValueError a command raises is a usage error: its message on
-    # stderr, no report and no traceback.
+    # Any other ValueError that solve or curve raises is the library refusing
+    # an input, a usage error: its message on stderr, no report and no
+    # traceback.  One raised inside a verify suite exits 1 (TestVerifyCommand).
     def test_value_error_maps_to_2(self, capsys, monkeypatch):
         def raiser(*args):
             raise ValueError("boom")
