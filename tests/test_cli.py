@@ -625,21 +625,15 @@ class TestVerifyCommand:
             assert all(suite in err for suite in verify.SUITES)
 
     # A ValueError raised inside a suite is a fault of the program, not a
-    # usage error: exit 1, its message on stderr and no report.
-    def test_value_error_inside_a_suite_exits_1(self, capsys, monkeypatch):
-        from optishape import verify
-
-        def raiser():
-            raise ValueError("boom")
-        monkeypatch.setitem(verify.SUITES, "h2r", raiser)
-        for argv in (("verify",), ("verify", "--suite", "h2r", "--format", "text")):
-            assert run_cli(capsys, *argv) == (1, "", "error: boom\n")
-
-    # The mutation matrix's row whose run raises, through the whole CLI.
-    def test_swapped_axes_row_exits_1(self, capsys, mutate):
+    # usage error: exit 1, its message on stderr and no report.  The fault is
+    # the mutation matrix's row whose run raises.
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("verify", "--suite", "coincidence", "--format", "text"),
+    ], ids=["all", "one-suite"])
+    def test_value_error_inside_a_suite_exits_1(self, capsys, mutate, argv):
         entry = next(r for r in ROWS if r.name == "ellipse contacts taken with a and b swapped")
         mutate(entry.wraps)
-        assert run_cli(capsys, "verify") == (1, "", f"error: {entry.fails}\n")
+        assert run_cli(capsys, *argv) == (1, "", f"error: {entry.fails}\n")
 
     # Every sweep check takes the worst residual by one rule: a NaN anywhere
     # fails the check, and an empty sweep reads inf.
