@@ -107,19 +107,11 @@ def _random_fence_instances(count: int) -> list[tuple[float, problems.FenceLayou
 
 
 def _suite_half_split() -> list[CheckResult]:
-    instances = _random_fence_instances(200)
-    return [
-        # only catcher of: closed fence lengths * (1 + 1e-7)
-        _worst("half-split", "randomized_half_split", (
-            abs(problems.solve_fence(fence, layout).vertical_total - fence / 2.0) / fence
-            for fence, layout in instances
-        ), 1e-9),
-        # only catcher of: closed fence ignores its layout
-        _worst("half-split", "closed_matches_numeric", (
-            problems.PROBLEMS["fence"].solve(fence, *layout)[1]["closed_numeric_gap"]
-            for fence, layout in instances[:10]
-        ), ACCEPTANCE_TOL),
-    ]
+    # only catcher of: closed fence lengths * (1 + 1e-7)
+    return [_worst("half-split", "randomized_half_split", (
+        abs(problems.solve_fence(fence, layout).vertical_total - fence / 2.0) / fence
+        for fence, layout in _random_fence_instances(200)
+    ), 1e-9)]
 
 
 # --------------------------------------------------------------------------
@@ -142,14 +134,6 @@ def _suite_h2r() -> list[CheckResult]:
         _worst("h2r", "h_equals_2r_numeric",
                (_h_over_r_gap(problems.solve_can_numeric(1.0, base)) for base in VERIFY_BASES),
                ACCEPTANCE_TOL),
-        # The residual `solve` reports, on every base: the oracle suite
-        # compares only the circle's numeric can and can-dual.
-        # only catcher of: numeric can ignores its base
-        _worst("h2r", "closed_matches_numeric_every_base", (
-            problems._can_residuals(solve(1.0, base), numeric(1.0, base))["closed_numeric_gap"]
-            for solve, numeric in ((problems.solve_can, problems.solve_can_numeric),
-                                   (problems.solve_can_dual, problems.solve_can_dual_numeric))
-            for base in VERIFY_BASES), ACCEPTANCE_TOL),
     ]
 
 
@@ -300,11 +284,19 @@ def _suite_oracle() -> list[CheckResult]:
         _oracle_check("box_vs_brute_force", closed["box"][:2],
                       problems._box_objective(1000.0), (4.0, 20.0), (4.0, 20.0)),
         # Each closed form against its golden-section path, by the residual
-        # `solve` reports.
+        # `solve` reports: on each catalog instance, on the first ten fences of
+        # the half-split sweep, and on the can and can-dual on every base.
         # only catcher of: numeric box rescaled by volume ** (1/2)
-        _worst("oracle", "closed_matches_numeric_all_problems",
-               (residuals["closed_numeric_gap"] for _, residuals in solved.values()),
-               ACCEPTANCE_TOL),
+        # only catcher of: closed fence ignores its layout
+        # only catcher of: numeric can ignores its base
+        _worst("oracle", "closed_matches_numeric_all_problems", (
+            residuals["closed_numeric_gap"] for _, residuals in (
+                *solved.values(),
+                *(problems.PROBLEMS["fence"].solve(fence, *layout)
+                  for fence, layout in _random_fence_instances(10)),
+                *(problems.PROBLEMS[name].solve(1.0, base.sides or "circle")
+                  for name in ("can", "can-dual") for base in VERIFY_BASES))
+        ), ACCEPTANCE_TOL),
     ]
 
 
