@@ -338,13 +338,11 @@ def test_every_escape_names_its_owner():
 
 
 # The rule each check earns its place by: some row fails it and no other.
-# fence_vs_brute_force has no such row yet (ROADMAP item 12): every fault it
-# catches also fails randomized_half_split.
 def test_every_check_is_the_only_catcher_of_a_row():
     sole = {next(iter(r.fails)) for r in ROWS
             if not isinstance(r.fails, Exception) and len(r.fails) == 1}
     checks = {c.name for c in verify.run()}
-    assert checks - sole == {"fence_vs_brute_force"}
+    assert checks - sole == set()
 
 
 def test_names_are_unique_and_name_real_checks():
