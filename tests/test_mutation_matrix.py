@@ -166,15 +166,12 @@ def _closed_form_rows() -> list[Row]:
         ("box", 8e-7): ("box_vs_brute_force",),
         ("box", 1e-5): ("box_vs_brute_force", "closed_matches_numeric_all_problems"),
         ("fence", 1e-7): ("randomized_half_split",),
-        ("fence", 8e-7): ("randomized_half_split", "fence_vs_brute_force"),
-        ("fence", 1e-5): ("randomized_half_split", "closed_matches_numeric",
-                          "fence_vs_brute_force", "closed_matches_numeric_all_problems"),
+        ("fence", 8e-7): ("randomized_half_split",),
+        ("fence", 1e-5): ("randomized_half_split", "closed_matches_numeric_all_problems"),
         ("can", 8e-7): ("can_circle_vs_brute_force",),
-        ("can", 1e-5): ("closed_matches_numeric_every_base", "can_circle_vs_brute_force",
-                        "closed_matches_numeric_all_problems"),
+        ("can", 1e-5): ("can_circle_vs_brute_force", "closed_matches_numeric_all_problems"),
         ("can-dual", 8e-7): ("can_dual_vs_brute_force",),
-        ("can-dual", 1e-5): ("closed_matches_numeric_every_base", "can_dual_vs_brute_force",
-                             "closed_matches_numeric_all_problems"),
+        ("can-dual", 1e-5): ("can_dual_vs_brute_force", "closed_matches_numeric_all_problems"),
         ("rect-semicircle", 8e-7): ("rect_semicircle_vs_brute_force",),
         ("rect-semicircle", 1e-5): ("contacts_match_rectangle_vertices",
                                     "rect_semicircle_vs_brute_force",
@@ -253,9 +250,9 @@ ROWS: list[Row] = [
         "prism_optimum_is_the_cans", "can_circle_vs_brute_force", "can_dual_vs_brute_force"),
     row("max_a_for_b * (1 + 1e-9)", {"max_a_for_b": times(1.0 + 1e-9)}, "contacts_on_ellipse"),
     row("closed fence ignores its layout", {"solve_fence": ignoring_layout},
-        "closed_matches_numeric"),
+        "closed_matches_numeric_all_problems"),
     row("numeric fence ignores its layout", {"solve_fence_numeric": ignoring_layout},
-        "closed_matches_numeric"),
+        "closed_matches_numeric_all_problems"),
     row("closed can r 1e-7 off, h from the volume",
         {"solve_can": can_radius_off(1e-7, lambda volume, c, r: volume / (c * r * r))},
         "h_equals_2r_closed"),
@@ -282,17 +279,17 @@ ROWS: list[Row] = [
         {"solve_ellipse_semicircle_numeric": contacts_moved(lambda p: _along_arc(p, 1e-5))},
         "contacts_match_rectangle_vertices"),
     # The equivalence check solves the prism on its own base, so a solve_can
-    # that ignores the base fails it, as it fails the per-base closed-vs-numeric
-    # gap and the duality round trip; h = 2r holds on any one base, so the
-    # h = 2r checks pass.
+    # that ignores the base fails it, as it fails the closed-vs-numeric gap on
+    # every base and the duality round trip; h = 2r holds on any one base, so
+    # the h = 2r checks pass.
     row("closed can ignores its base", {"solve_can": ignoring_base},
-        "closed_matches_numeric_every_base", "volume_round_trip", "prism_optimum_is_the_cans"),
+        "closed_matches_numeric_all_problems", "volume_round_trip", "prism_optimum_is_the_cans"),
     row("closed can-dual ignores its base", {"solve_can_dual": ignoring_base},
-        "closed_matches_numeric_every_base", "volume_round_trip"),
+        "closed_matches_numeric_all_problems", "volume_round_trip"),
     row("numeric can ignores its base", {"solve_can_numeric": ignoring_base},
-        "closed_matches_numeric_every_base"),
+        "closed_matches_numeric_all_problems"),
     row("numeric can-dual ignores its base", {"solve_can_dual_numeric": ignoring_base},
-        "closed_matches_numeric_every_base"),
+        "closed_matches_numeric_all_problems"),
     row("golden search returns the low end of its bracket",
         {"golden_section_min": low_end_of_bracket}, owner=ITEM_9),
     Row("ellipse contacts taken with a and b swapped",
