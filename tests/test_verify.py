@@ -65,7 +65,7 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
 # The oracle suite's brute-force evaluations, counted on the objectives it
 # passes to oracle.brute_min, by number of axes.  Every round scans 21 nodes
 # per axis until the cell reaches the interval's resolution: 8 rounds of
-# 21x21 for the box and 8 rounds of 21 for each of the 6 1-D scans.
+# 21x21 for the box and 8 rounds of 21 for each of the 5 1-D scans.
 def test_oracle_suite_evaluation_count(monkeypatch):
     evaluations = Counter()
     brute_min = oracle.brute_min
@@ -79,7 +79,7 @@ def test_oracle_suite_evaluation_count(monkeypatch):
     monkeypatch.setattr(oracle, "brute_min", counting_brute_min)
     assert all(check.passed for check in verify._suite_oracle())
     assert evaluations[2] == 3528
-    assert sum(evaluations.values()) == 4536
+    assert sum(evaluations.values()) == 4368
 
 
 def test_unknown_suite_lists_the_suites():
