@@ -27,9 +27,7 @@ from optishape.problems import (
 
 TOL = 1e-6
 
-BASES = [Shape.circle()] + [Shape.regular_polygon(n) for n in range(3, 13)] + [
-    Shape.regular_polygon(100)
-]
+BASES = [Shape()] + [Shape(n) for n in range(3, 13)] + [Shape(100)]
 VOLUMES = [1e-3, 1.0, 1e3, 1e6]
 
 SQRT2_2 = math.sqrt(2.0) / 2.0
@@ -60,7 +58,7 @@ def test_criterion_02_half_split_randomized():
 
 
 def test_criterion_03_can_golden_value():
-    sol = solve_can(1000.0, Shape.circle())
+    sol = solve_can(1000.0, Shape())
     expected_r = (500.0 / math.pi) ** (1.0 / 3.0)
     assert abs(sol.r - expected_r) <= TOL
     assert abs(sol.h - 2.0 * sol.r) <= TOL
@@ -110,7 +108,7 @@ def test_criterion_07_equivalence_ratio():
     for base in BASES:
         ratio = area_coefficient(base) / math.pi
         for volume in VOLUMES:
-            can = solve_can(volume, Shape.circle())
+            can = solve_can(volume, Shape())
             prism = solve_can(volume * ratio, base)
             assert abs(prism.r - can.r) <= 1e-12 * can.r
             assert abs(prism.h - can.h) <= 1e-12 * can.h

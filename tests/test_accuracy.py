@@ -111,14 +111,14 @@ def ulps_from(got, exact):
 
 
 def _can(v):
-    sol, v = solve_can(v, Shape.circle()), mpmath.mpf(v)
+    sol, v = solve_can(v, Shape()), mpmath.mpf(v)
     r = mpmath.cbrt(v / (2 * mpmath.pi))
     return {"r": (sol.r, r), "h": (sol.h, 2 * r),
             "surface_area": (sol.surface_area, 6 * mpmath.pi * r * r), "volume": (sol.volume, v)}
 
 
 def _can_dual(sa):
-    sol, sa = solve_can_dual(sa, Shape.circle()), mpmath.mpf(sa)
+    sol, sa = solve_can_dual(sa, Shape()), mpmath.mpf(sa)
     r = mpmath.sqrt(sa / (6 * mpmath.pi))
     return {"r": (sol.r, r), "h": (sol.h, 2 * r), "surface_area": (sol.surface_area, sa),
             "volume": (sol.volume, 2 * mpmath.pi * r ** 3)}

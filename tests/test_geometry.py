@@ -15,17 +15,17 @@ from optishape.geometry import (
     shoelace_area,
 )
 
-CIRCLE = Shape.circle()
-SQUARE = Shape.regular_polygon(4)
-HEXAGON = Shape.regular_polygon(6)
+CIRCLE = Shape()
+SQUARE = Shape(4)
+HEXAGON = Shape(6)
 
-SWEEP_SHAPES = [CIRCLE] + [Shape.regular_polygon(n) for n in (3, 4, 5, 6, 8, 12, 64)]
+SWEEP_SHAPES = [CIRCLE] + [Shape(n) for n in (3, 4, 5, 6, 8, 12, 64)]
 
 
 class TestShape:
     def test_polygon_needs_three_sides(self):
         with pytest.raises(ValueError):
-            Shape.regular_polygon(2)
+            Shape(2)
 
     def test_circle_has_no_sides(self):
         assert CIRCLE.sides is None
@@ -60,15 +60,13 @@ class TestAreaCoefficient:
         assert c == pytest.approx(3.4641016151377544, abs=1e-12)  # 2*sqrt(3)
 
     def test_strictly_decreasing_toward_pi(self):
-        coefficients = [area_coefficient(Shape.regular_polygon(n)) for n in range(3, 65)]
+        coefficients = [area_coefficient(Shape(n)) for n in range(3, 65)]
         for smaller, larger in zip(coefficients[1:], coefficients):
             assert smaller < larger
         assert all(c > math.pi for c in coefficients)
 
     def test_limit_approaches_circle(self):
-        assert area_coefficient(Shape.regular_polygon(10_000)) == pytest.approx(
-            math.pi, rel=1e-7
-        )
+        assert area_coefficient(Shape(10_000)) == pytest.approx(math.pi, rel=1e-7)
 
 
 class TestAreaAndPerimeter:
@@ -271,7 +269,7 @@ class TestInvariants:
     def test_coefficient_matches_shoelace_up_to_64(self):
         for n in range(3, 65):
             gap = abs(
-                area_coefficient(Shape.regular_polygon(n))
+                area_coefficient(Shape(n))
                 - shoelace_area(polygon_vertices(n, 1.0))
             )
             assert gap <= 1e-12
@@ -295,7 +293,7 @@ class TestProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_ratio_property_random_polygons(self, n, r):
-        shape = Shape.regular_polygon(n)
+        shape = Shape(n)
         ratio = area(shape, r) / perimeter(shape, r)
         assert abs(ratio - r / 2.0) <= 4.0 * math.ulp(r / 2.0)
 
@@ -307,7 +305,7 @@ class TestProperties:
     def test_vertices_consistent_with_algebra(self, n, r):
         pts = polygon_vertices(n, r)
         assert len(pts) == n
-        assert shoelace_area(pts) == pytest.approx(area(Shape.regular_polygon(n), r), rel=1e-9)
+        assert shoelace_area(pts) == pytest.approx(area(Shape(n), r), rel=1e-9)
 
     @given(
         n=st.integers(min_value=3, max_value=30),

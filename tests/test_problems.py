@@ -34,13 +34,11 @@ from optishape.problems import (
 )
 from optishape.verify import containment_max_theta_scan, frontier_a_analytic
 
-CIRCLE = Shape.circle()
-SQUARE = Shape.regular_polygon(4)
-HEXAGON = Shape.regular_polygon(6)
+CIRCLE = Shape()
+SQUARE = Shape(4)
+HEXAGON = Shape(6)
 
-SWEEP_BASES = [CIRCLE] + [Shape.regular_polygon(n) for n in range(3, 13)] + [
-    Shape.regular_polygon(100)
-]
+SWEEP_BASES = [CIRCLE] + [Shape(n) for n in range(3, 13)] + [Shape(100)]
 SWEEP_VOLUMES = [1e-3, 1.0, 1e3, 1e6]
 
 SQRT6_3 = math.sqrt(6.0) / 3.0
@@ -692,21 +690,21 @@ UNIT_BITS = {
                                      0.0005681818181818183),
     ("can", CIRCLE): (0.5419260652704905, 1.0838521597537725, 5.535810445932086,
                       1.0),
-    ("can", Shape.regular_polygon(3)): (0.45824321221516484, 0.9164864251365462,
+    ("can", Shape(3)): (0.45824321221516484, 0.9164864251365462,
                                         6.546741815830327, 1.0),
     ("can", SQUARE): (0.4999999948255967, 1.0000000206976136, 6.0, 1.0),
     ("can", HEXAGON): (0.5245575251849368, 1.049115089525198, 5.7191057579816205, 1.0),
-    ("can", Shape.regular_polygon(12)): (0.5377479550658435, 1.0754959180702113,
+    ("can", Shape(12)): (0.5377479550658435, 1.0754959180702113,
                                          5.5788217590737315, 0.9999999999999999),
     ("can-dual", CIRCLE): (0.2303294316757509, 0.46065887118233834, 1.0,
                            0.07677647766029677),
-    ("can-dual", Shape.regular_polygon(3)): (0.1790949889780541, 0.35818997591132573, 1.0,
+    ("can-dual", Shape(3)): (0.1790949889780541, 0.35818997591132573, 1.0,
                                              0.05969832954575234),
     ("can-dual", SQUARE): (0.20412414407528184, 0.40824829509046184, 1.0,
                            0.06804138174397718),
     ("can-dual", HEXAGON): (0.21934566758251445, 0.43869134262243475, 1.0,
                             0.07311522294180514),
-    ("can-dual", Shape.regular_polygon(12)): (0.22767089934066465, 0.45534180642178007, 1.0,
+    ("can-dual", Shape(12)): (0.22767089934066465, 0.45534180642178007, 1.0,
                                               0.07589030021024659),
     ("rect-semicircle",): (0.7071067798427677, 0.7071067825303273, 1.0),
     ("ellipse-semicircle",): (0.8164965813098704, 0.4714045205704006, 1.2091995761561454,

@@ -14,12 +14,12 @@ from optishape.verify import CheckResult
 # An instance of each checked value type and of the search, fence, can,
 # ellipse and check results, with one of its fields.
 INSTANCES = {
-    "Shape": (Shape.regular_polygon(6), "sides"),
+    "Shape": (Shape(6), "sides"),
     "Point2": (Point2(1.0, 2.0), "x"),
     "Solution1D": (golden_section_min(lambda x: (x - 1.0) ** 2, 0.0, 2.0), "argmin"),
     "FenceLayout": (FenceLayout(4, 2), "v_segments"),
     "FenceSolution": (solve_fence(2400.0, FenceLayout(4, 2)), "area"),
-    "CanSolution": (solve_can(1000.0, Shape.circle()), "r"),
+    "CanSolution": (solve_can(1000.0, Shape()), "r"),
     "EllipseSolution": (solve_ellipse_semicircle(), "contacts"),
     "CheckResult": (CheckResult("suite", "name", 0.0, 1.0), "tolerance"),
 }
