@@ -82,6 +82,25 @@ def test_oracle_suite_evaluation_count(monkeypatch):
     assert sum(evaluations.values()) == 4368
 
 
+# The one closed-vs-numeric check reads the worst gap over three sets: one
+# instance per catalog problem, the first ten fences of the half-split sweep
+# and the can and can-dual at size 1 on every verify base.
+def test_closed_numeric_check_is_the_worst_over_its_three_sets():
+    def worst_gap(solved):
+        return max(residuals["closed_numeric_gap"] for _, residuals in solved)
+
+    catalog = worst_gap(PROBLEMS[name].solve(*args)
+                        for name, args in verify._oracle_instances().items())
+    fences = worst_gap(PROBLEMS["fence"].solve(fence, *layout)
+                       for fence, layout in verify._random_fence_instances(200)[:10])
+    cans = worst_gap(PROBLEMS[name].solve(1.0, base.sides or "circle")
+                     for name in ("can", "can-dual") for base in verify.VERIFY_BASES)
+    check, = (c for c in verify._suite_oracle()
+              if c.name == "closed_matches_numeric_all_problems")
+    assert check.residual == max(catalog, fences, cans)
+    assert check.passed
+
+
 def test_unknown_suite_lists_the_suites():
     listed = ", ".join(verify.SUITES)
     with pytest.raises(ValueError, match=f"unknown suite 'nope'; choose from {listed}$"):
