@@ -9,8 +9,8 @@ stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
 through the same path.  ``main`` returns the exit code, for ``--help`` and
 usage errors too.  A flag's text is only parsed, by its ``problems.Input``
 type: a value out of range is refused by the library's own check, whose
-ValueError exits 2 with ``error: ...`` on stderr and nothing on stdout.  A
-ValueError raised inside a verify suite is a fault of the program, not of
+ValueError exits 2 with ``error: ...`` on stderr and nothing on stdout.  Any
+exception raised inside a verify suite is a fault of the program, not of
 its input: it exits 1, still with ``error: ...`` on stderr and nothing on
 stdout.  JSON output prints a non-finite number as null: a non-finite
 residual fails its check, and a non-finite solution field exits 3 with a
@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
     suites = None if args.suite is None else [args.suite]
     try:
         results = verify.run(suites)
-    except ValueError as exc:
+    except Exception as exc:
         if args.suite not in (None, *verify.SUITES):
             raise  # verify.run refused the name before any suite ran: a usage error
         print(f"error: {exc}", file=sys.stderr)  # a fault inside a suite

@@ -631,6 +631,17 @@ class TestVerifyCommand:
         mutate(entry.wraps)
         assert run_cli(capsys, *argv) == (1, "", f"error: {entry.fails}\n")
 
+    # So is any other exception: a suite that divides by zero exits 1 the
+    # same way, not with a traceback.
+    @pytest.mark.parametrize("argv", [
+        ("verify",), ("verify", "--suite", "duality", "--format", "text"),
+    ], ids=["all", "one-suite"])
+    def test_any_error_inside_a_suite_exits_1(self, capsys, monkeypatch, argv):
+        from optishape import verify
+
+        monkeypatch.setitem(verify.SUITES, "duality", lambda: 1 / 0)
+        assert run_cli(capsys, *argv) == (1, "", "error: division by zero\n")
+
     # Every sweep check takes the worst residual by one rule: a NaN anywhere
     # fails the check, and an empty sweep reads inf.
     def test_nan_residual_fails_its_check(self, capsys, monkeypatch):
