@@ -1,9 +1,9 @@
-"""Scalar minimization and bracketing utilities.
+"""Scalar minimization: golden-section search for unimodal objectives.
 
-Golden-section search for unimodal objectives and boundary bisection for
-monotone predicates.  Everything is deterministic: identical inputs
-produce the same Solution1D, bit for bit.  There is no finite difference:
-``verify`` checks the lemma that the perimeter is the area's derivative
+It is the one search every numeric path runs, each having removed its
+constraint by algebra.  It is deterministic: identical inputs produce the
+same Solution1D, bit for bit.  There is no finite difference: ``verify``
+checks the lemma that the perimeter is the area's derivative
 by its exact equivalent, area/perimeter = r/2, and by the degrees of area
 and perimeter (``verify._suite_derivative``).
 """
@@ -29,11 +29,6 @@ class Solution1D(NamedTuple):
     achieved_interval: float
 
 
-def _check_bracket(lo: float, hi: float) -> None:
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-
-
 def golden_section_min(
     f: Callable[[float], float],
     lo: float,
@@ -57,7 +52,8 @@ def golden_section_min(
         lower-argument side of the bracket is kept, so results are
         deterministic.
     """
-    _check_bracket(lo, hi)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     c = d = lo  # out of order, so the loop draws the first two probes
     evaluations = 1  # f runs at the returned x
     # With lo < hi, the larger end in magnitude is hi or -lo.  A conditional
@@ -85,26 +81,3 @@ def golden_section_min(
             fd = f(d)
     x = 0.5 * (lo + hi)
     return Solution1D(x, f(x), evaluations, hi - lo)
-
-
-def bisect_boundary(pred: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Locate the true/false boundary of a monotone predicate.
-
-    Requires finite lo < hi, pred(lo) true and pred(hi) false, and raises
-    ValueError otherwise.  Bisects until the bracket spans adjacent floats,
-    the last x with pred(x) true and the first with it false, and returns
-    the last argument where the predicate holds.
-    """
-    _check_bracket(lo, hi)
-    if not pred(lo):
-        raise ValueError(f"pred({lo}) must be true at the lower end")
-    if pred(hi):
-        raise ValueError(f"pred({hi}) must be false at the upper end")
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return lo

@@ -4,8 +4,10 @@ semicircle.
 
 Each problem has a closed-form solver (the default entry point) and an
 independent numeric path built on golden-section search (the ``*_numeric``
-variants), so every answer can be cross-checked at runtime.  The ellipse's
-numeric path searches along its feasibility frontier.
+variants), so every answer can be cross-checked at runtime.  Each numeric
+path removes its constraint by algebra; the ellipse's searches along its
+feasibility frontier ``frontier_a``, the containment constraint solved for
+the semi-axis a.
 
 Every optimum in the catalog is scale-free: the size of the instance only
 scales the optimal shape.  So each numeric path searches once, on the unit
@@ -36,7 +38,7 @@ from functools import cache
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .geometry import Point2, Shape, _check_positive, _count, area_coefficient, linspace
-from .optimize import bisect_boundary, golden_section_min
+from .optimize import golden_section_min
 
 
 class InfeasibleError(ValueError):
@@ -374,29 +376,19 @@ def containment_max(a: float, b: float) -> float:
     return peak
 
 
-def max_a_for_b(b: float) -> float:
+def frontier_a(b: float) -> float:
     """Largest horizontal semi-axis a whose ellipse fits in the closed unit
-    half-disk: the bisection ends on the adjacent floats around that
-    frontier and returns the last argument where the predicate holds.
+    half-disk, for 0 < b <= 1/2: the feasibility frontier.
 
-    The candidate family touches the diameter at the origin by construction,
-    so an ellipse fits when containment_max(a, b) does not exceed 1, with no
-    slack.  The closed-form ellipse's maximum is exactly 1.0, so the tangent
-    ellipse fits.
-
-    Defined for 0 < b <= 1/2: a b that is not positive (nan included) raises
-    ValueError, and above 1/2 even a sliver-thin ellipse pokes out of the
-    disk at its top point (0, 2b), so InfeasibleError is raised.  On that
-    domain the bracket [smallest positive float, next float above 1] holds
-    the frontier: the sliver at its lower end fits, and no ellipse wider
-    than the disk does.  So a b small enough that a = 1 fits returns 1.0.
+    Setting containment_max's vertex value to 1 and solving for a^2 - b^2
+    gives a^2 = b^2 + ((1 - 2b^2) + sqrt(1 - 4b^2)) / 2.  The radicand is
+    taken as (1 - 2b)(1 + 2b): each factor is exact near b = 1/2, where
+    1 - 4b^2 would cancel, and none is negative on the domain.  Above 1/2
+    even a sliver-thin ellipse pokes out of the disk at its top point
+    (0, 2b), and the square root raises ValueError.
     """
-    if not b > 0:
-        raise ValueError(f"semi-axis b must be positive, got {b}")
-    if b > 0.5:
-        raise InfeasibleError(f"no ellipse of height 2*b = {2 * b} fits in the unit half-disk")
-    return bisect_boundary(
-        lambda a: containment_max(a, b) <= 1.0, math.ulp(0.0), math.nextafter(1.0, 2.0))
+    u = ((1.0 - 2.0 * b * b) + math.sqrt((1.0 - 2.0 * b) * (1.0 + 2.0 * b))) / 2.0
+    return math.sqrt(b * b + u)
 
 
 class EllipseSolution(NamedTuple):
@@ -460,20 +452,22 @@ def solve_ellipse_semicircle(radius: float = 1.0) -> EllipseSolution:
     return rescale_ellipse(_closed_unit_ellipse(), radius)
 
 
+def _ellipse_semicircle_objective(b: float) -> float:
+    """Negated area pi*a*b along the frontier a = frontier_a(b)."""
+    return -math.pi * b * frontier_a(b)
+
+
 @cache
 def _solve_unit_ellipse_semicircle() -> EllipseSolution:
     # The top point (0, 2b) caps the feasible b at 1/2.  The search never
     # evaluates its ends, so the flat end b = 0 needs no clamp.
-    def neg_area(b: float) -> float:
-        return -math.pi * b * max_a_for_b(b)
-
-    b = golden_section_min(neg_area, 0.0, 0.5).argmin
-    return _unit_ellipse(max_a_for_b(b), b)
+    b = golden_section_min(_ellipse_semicircle_objective, 0.0, 0.5).argmin
+    return _unit_ellipse(frontier_a(b), b)
 
 
 def solve_ellipse_semicircle_numeric(radius: float = 1.0) -> EllipseSolution:
     """Same problem, solved by golden-section search over b along the
-    feasibility frontier a = max_a_for_b(b).  The search runs once, on the
+    feasibility frontier a = frontier_a(b).  The search runs once, on the
     unit semicircle, and its answer is rescaled."""
     _check_positive(radius, "radius")
     return rescale_ellipse(_solve_unit_ellipse_semicircle(), radius)

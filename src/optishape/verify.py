@@ -3,7 +3,8 @@
 Each suite re-derives a structural property of the problem catalog at
 runtime (the perimeter as the area's derivative, half-split fences,
 h = 2r cans, the volume/surface-area duality, a prism that shares the
-can's optimum, the ellipse/rectangle coincidence, brute-force agreement)
+can's optimum, the ellipse/rectangle coincidence and the ellipses'
+tangency to the arc, brute-force agreement)
 and reports the worst observed residual against a fixed tolerance.
 Output order and all randomness are fixed, so runs are reproducible.
 
@@ -170,7 +171,8 @@ def _suite_equivalence() -> list[CheckResult]:
 
 
 def _suite_coincidence() -> list[CheckResult]:
-    # The numeric path: the closed form would only be checked against itself.
+    # The contacts are the numeric path's: the closed form's would only be
+    # checked against itself.  Tangency is checked on both unit ellipses.
     ellipse = problems.solve_ellipse_semicircle_numeric(1.0)
     rect = problems.solve_rect_semicircle(1.0)
     contacts = ellipse.contacts
@@ -182,53 +184,21 @@ def _suite_coincidence() -> list[CheckResult]:
         _worst("coincidence", "contacts_match_rectangle_vertices",
                (gap for p, (ex, ey) in pairs for gap in (abs(p.x - ex), abs(p.y - ey))),
                ACCEPTANCE_TOL),
-        # only catcher of: numeric ellipse-semicircle lengths * (1 + 1e-7)
+        # only catcher of: numeric ellipse contacts moved out by 1e-7
         _worst("coincidence", "contacts_on_circle",
                (abs(p.x * p.x + p.y * p.y - 1.0) for p in contacts), 1e-9),
-        # only catcher of: max_a_for_b * (1 + 1e-9)
-        _worst("coincidence", "contacts_on_ellipse", (
-            abs(p.x**2 / ellipse.a**2 + (p.y - ellipse.b) ** 2 / ellipse.b**2 - 1.0)
-            for p in contacts
-        ), 1e-9),
+        # Each unit ellipse's largest squared distance from the center is 1,
+        # to rounding: it touches the arc and stays inside it.
+        # only catcher of: frontier_a * (1 + 1e-9)
+        _worst("coincidence", "ellipses_are_tangent", (
+            abs(problems.containment_max(e.a, e.b) - 1.0)
+            for e in (ellipse, problems.solve_ellipse_semicircle(1.0))
+        ), 4.0 * math.ulp(1.0)),
     ]
 
 
 # --------------------------------------------------------------------------
 # suite: oracle  (closed forms vs brute-force grid search)
-
-
-def frontier_a_analytic(b: float) -> float:
-    """Closed-form feasibility frontier of the inscribed-ellipse problem.
-
-    Setting the maximum of the arc-containment quadratic to one and solving
-    for a**2 - b**2 gives a(b)^2 = b^2 + ((1 - 2b^2) + sqrt(1 - 4b^2)) / 2.
-    Independent of the bisection-based max_a_for_b, hence usable as its
-    oracle.
-    """
-    u = ((1.0 - 2.0 * b * b) + math.sqrt(max(0.0, 1.0 - 4.0 * b * b))) / 2.0
-    return math.sqrt(b * b + u)
-
-
-def containment_max_theta_scan(a: float, b: float) -> float:
-    """Brute-force counterpart of problems.containment_max.
-
-    Scans the squared center distance of (a*cos(theta), b + b*sin(theta))
-    over one full turn of theta with the oracle; independent of the closed
-    form in sin(theta), hence usable as its oracle.  Falls short of the true
-    maximum by at most the curvature times the squared final cell, ~1e-13.
-    The distance has one maximum in sin(theta), so at most two in theta, at
-    theta and pi - theta with the same value: the oracle's 21-node first
-    round may refine either one.
-
-    No suite runs it.  A check would read it only at the ellipse's optimum,
-    and a containment_max that is wrong there also moves the frontier, which
-    ``contacts_on_ellipse`` sees at the same 1e-9.  The tests compare
-    containment_max with it over a range of (a, b).
-    """
-    _, neg_max = oracle.brute_min(
-        lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
-        (-math.pi / 2.0, 3.0 * math.pi / 2.0))
-    return -neg_max
 
 
 def _oracle_check(name: str, expected: tuple, objective: Callable[..., float],
@@ -274,7 +244,7 @@ def _suite_oracle() -> list[CheckResult]:
         _oracle_check("rect_semicircle_vs_brute_force", (closed["rect-semicircle"].x,),
                       problems._rect_semicircle_objective(1.0), (0.0, 1.0)),
         _oracle_check("ellipse_frontier_vs_brute_force", (ellipse.b,),
-                      lambda b: -math.pi * b * frontier_a_analytic(b), (1e-4, 0.5)),
+                      problems._ellipse_semicircle_objective, (1e-4, 0.5)),
         # Box: a 2-D scan with z eliminated by the volume constraint.
         _oracle_check("box_vs_brute_force", closed["box"][:2],
                       problems._box_objective(1000.0), (4.0, 20.0), (4.0, 20.0)),

@@ -515,12 +515,12 @@ class TestEllipseCrossCheck:
             return sol._replace(b=sol.b + 1e-5 * radius)
         monkeypatch.setattr(problems, solver, shifted)
 
-    # The contacts stay where the unshifted ellipse touches the arc, so they
-    # leave the shifted one (3.2e-5); the oracle suite reads b's shift itself.
+    # The shifted ellipse pokes out of the arc; the oracle suite reads b's
+    # shift itself.
     def test_coincidence_reads_the_numeric_path(self, capsys, monkeypatch):
         self.shift_b(monkeypatch, "solve_ellipse_semicircle_numeric")
         code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
-        assert "[FAIL] coincidence: contacts_on_ellipse" in out
+        assert "[FAIL] coincidence: ellipses_are_tangent" in out
         assert code == 1
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
@@ -534,9 +534,12 @@ class TestEllipseCrossCheck:
         assert doc["residuals"]["closed_numeric_gap"] == pytest.approx(1e-5, rel=1e-3)
         assert "closed_numeric_gap" in doc["diagnostic"]
         assert code == 1
-        # coincidence never reads the closed form; the oracle suite does
-        code, _, _ = run_cli(capsys, "verify", "--suite", "coincidence")
-        assert code == 0
+        # coincidence reads only the closed form's tangency; the oracle suite
+        # reads its b
+        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence")
+        assert [c["name"] for c in strict_json(out)["checks"] if not c["passed"]] == [
+            "ellipses_are_tangent"]
+        assert code == 1
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         assert checks["closed_matches_numeric_all_problems"]["passed"] is False
@@ -665,8 +668,7 @@ class TestVerifyCommand:
         assert code == 1
         code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
-        for name in ("contacts_match_rectangle_vertices", "contacts_on_circle",
-                     "contacts_on_ellipse"):
+        for name in ("contacts_match_rectangle_vertices", "contacts_on_circle"):
             assert checks[name]["residual"] is None and checks[name]["passed"] is False
         assert code == 1
 

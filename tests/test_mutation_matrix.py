@@ -128,6 +128,17 @@ def _along_arc(p: Point2, angle: float = 1e-8) -> Point2:
                   p.x * math.sin(angle) + p.y * math.cos(angle))
 
 
+def along_frontier(k: float) -> Callable:
+    """A solver whose unit ellipse has b scaled by k and a = frontier_a(b)."""
+    def wrap(solver):
+        def wrong(radius=1.0):
+            b = solver(1.0).b * k
+            return problems.rescale_ellipse(
+                problems._unit_ellipse(problems.frontier_a(b), b), radius)
+        return wrong
+    return wrap
+
+
 def low_end_of_bracket(search: Callable) -> Callable:
     def wrong(f, lo, hi):
         sol = search(f, lo, hi)
@@ -176,8 +187,11 @@ def _closed_form_rows() -> list[Row]:
         ("rect-semicircle", 1e-5): ("contacts_match_rectangle_vertices",
                                     "rect_semicircle_vs_brute_force",
                                     "closed_matches_numeric_all_problems"),
-        ("ellipse-semicircle", 8e-7): ("ellipse_frontier_vs_brute_force",),
-        ("ellipse-semicircle", 1e-5): ("ellipse_frontier_vs_brute_force",
+        ("ellipse-semicircle", EIGHT_ULPS): ("ellipses_are_tangent",),
+        ("ellipse-semicircle", 1e-9): ("ellipses_are_tangent",),
+        ("ellipse-semicircle", 1e-7): ("ellipses_are_tangent",),
+        ("ellipse-semicircle", 8e-7): ("ellipse_frontier_vs_brute_force", "ellipses_are_tangent"),
+        ("ellipse-semicircle", 1e-5): ("ellipse_frontier_vs_brute_force", "ellipses_are_tangent",
                                        "closed_matches_numeric_all_problems"),
     }
     rows = []
@@ -189,7 +203,7 @@ def _closed_form_rows() -> list[Row]:
             rows.append(row(f"closed {problem} lengths * (1 + {label})",
                             {stem: scaled(fields, 1.0 + k)}, *fails,
                             owner="" if fails else ITEM_8))
-    first = {"can": ("h_equals_2r_closed",)}
+    first = {"can": ("h_equals_2r_closed",), "ellipse-semicircle": ("ellipses_are_tangent",)}
     for problem, fields in LENGTHS.items():
         fails = first.get(problem, ())
         rows.append(row(f"closed {problem} {fields[0]} alone * (1 + 1e-7)",
@@ -200,7 +214,7 @@ def _closed_form_rows() -> list[Row]:
 
 def _numeric_rows() -> list[Row]:
     """Each numeric path with its length fields scaled together by 1 + 1e-7."""
-    caught = {"ellipse-semicircle": ("contacts_on_circle",)}
+    caught = {"ellipse-semicircle": ("contacts_on_circle", "ellipses_are_tangent")}
     return [row(f"numeric {problem} lengths * (1 + 1e-7)",
                 {problems.PROBLEMS[problem].stem + "_numeric": scaled(fields, 1.0 + 1e-7)},
                 *caught.get(problem, ()), owner="" if problem in caught else ITEM_9)
@@ -218,7 +232,7 @@ ROWS: list[Row] = [
     row("area_coefficient * (1 + 1e-9)", {"area_coefficient": times(1.0 + 1e-9)},
         "coefficient_matches_shoelace", "prism_optimum_is_the_cans"),
     row("containment_max * (1 + 1e-9)", {"containment_max": times(1.0 + 1e-9)},
-        "contacts_on_ellipse"),
+        "ellipses_are_tangent"),
     # structural faults
     row("area of degree 3", {"area": one_degree_higher},
         "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
@@ -248,7 +262,7 @@ ROWS: list[Row] = [
         {"area_coefficient": lambda f: lambda shape: 22.0 / 7.0 if shape.sides is None
          else f(shape)},
         "prism_optimum_is_the_cans", "can_circle_vs_brute_force", "can_dual_vs_brute_force"),
-    row("max_a_for_b * (1 + 1e-9)", {"max_a_for_b": times(1.0 + 1e-9)}, "contacts_on_ellipse"),
+    row("frontier_a * (1 + 1e-9)", {"frontier_a": times(1.0 + 1e-9)}, "ellipses_are_tangent"),
     row("closed fence ignores its layout", {"solve_fence": ignoring_layout},
         "closed_matches_numeric_all_problems"),
     row("numeric fence ignores its layout", {"solve_fence_numeric": ignoring_layout},
@@ -270,7 +284,12 @@ ROWS: list[Row] = [
     row("numeric ellipse contacts moved out by 1e-7",
         {"solve_ellipse_semicircle_numeric": contacts_moved(lambda p: Point2(
             p.x * (1.0 + 1e-7), p.y * (1.0 + 1e-7)))},
-        "contacts_on_circle", "contacts_on_ellipse"),
+        "contacts_on_circle"),
+    # The ellipse stays tangent and 6.5e-7 from the numeric one, under the
+    # closed-vs-numeric gap's 1e-6: only the brute-force scan sees b move.
+    row("closed ellipse moved 8e-7 along the frontier",
+        {"solve_ellipse_semicircle": along_frontier(1.0 + 8e-7)},
+        "ellipse_frontier_vs_brute_force"),
     row("numeric ellipse contacts moved 1e-8 along the arc",
         {"solve_ellipse_semicircle_numeric": contacts_moved(_along_arc)},
         owner="none: at a tangency both contact checks see only radial error, and 1e-8 "
@@ -295,7 +314,7 @@ ROWS: list[Row] = [
     Row("ellipse contacts taken with a and b swapped",
         {"intersect_ellipse_circle": swapped_axes},
         ValueError("a tangent ellipse has a > b, got a=0.4714045205704006, "
-                   "b=0.8164965813098704")),
+                   "b=0.8164965813098702")),
 ]
 
 

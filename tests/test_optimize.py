@@ -4,12 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from optishape.optimize import (
-    INV_PHI,
-    RESOLUTION,
-    bisect_boundary,
-    golden_section_min,
-)
+from optishape.optimize import INV_PHI, RESOLUTION, golden_section_min
 
 # independently verified against a 1e7-point brute-force grid before freezing
 CUBE_ROOT_500 = 7.937005259840997
@@ -117,13 +112,10 @@ class TestGoldenSection:
         assert sol.achieved_interval <= RESOLUTION
 
 
-@pytest.mark.parametrize(
-    "search",
-    [lambda lo, hi: golden_section_min(lambda x: x, lo, hi),
-     lambda lo, hi: bisect_boundary(lambda x: x <= 0.5, lo, hi)],
-    ids=["golden", "bisect"],
-)
-def test_searches_share_the_bracket_checks(search):
+def test_bracket_checks():
+    def search(lo, hi):
+        return golden_section_min(lambda x: x, lo, hi)
+
     with pytest.raises(ValueError, match=r"need finite lo < hi, got \[1.0, 1.0\]"):
         search(1.0, 1.0)
     with pytest.raises(ValueError, match=r"need finite lo < hi, got \[2.0, 1.0\]"):
@@ -136,43 +128,3 @@ def test_searches_share_the_bracket_checks(search):
         search(0.0, math.nan)
     with pytest.raises(ValueError, match=r"need finite lo < hi, got \[nan, 1.0\]"):
         search(math.nan, 1.0)
-
-
-class TestBisectBoundary:
-    def test_step_predicate(self):
-        assert bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0) == 1.0
-
-    def test_sqrt_two(self):
-        x = bisect_boundary(lambda v: v * v <= 2.0, 0.0, 2.0)
-        assert abs(x - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
-
-    # The bisection runs until the bracket spans adjacent floats and returns
-    # the lower one: x is the last true argument, and the float above it is
-    # false.
-    @given(
-        c=st.floats(min_value=1e-300, max_value=1e300),
-        lo=st.sampled_from([0.0, math.ulp(0.0), 1e-300]),
-    )
-    @example(c=1.0, lo=0.5)
-    @settings(max_examples=300, deadline=None)
-    def test_ends_on_adjacent_floats(self, c, lo):
-        pred = lambda v: v * v * v <= c
-        x = bisect_boundary(pred, lo, 2.0 * max(c, 1.0))
-        assert pred(x) and not pred(math.nextafter(x, math.inf))
-
-    def test_takes_no_tolerance(self):
-        with pytest.raises(TypeError):
-            bisect_boundary(lambda v: v <= 1.0, 0.0, 2.0, tol=1e-12)
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError, match=r"^pred\(0\.0\) must be true at the lower end$"):
-            bisect_boundary(lambda v: False, 0.0, 1.0)
-        with pytest.raises(ValueError, match=r"^pred\(1\.0\) must be false at the upper end$"):
-            bisect_boundary(lambda v: True, 0.0, 1.0)
-
-    @given(c=st.floats(min_value=0.1, max_value=1.9))
-    @settings(max_examples=100, deadline=None)
-    def test_monotone_crossing_bracketing(self, c):
-        assert bisect_boundary(lambda v: v <= c, 0.0, 2.0) == c
-
-

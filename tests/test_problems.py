@@ -2,21 +2,21 @@ import math
 import random
 import sys
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import optishape
-from optishape import problems
+from optishape import oracle, problems
 from optishape.geometry import Shape, area_coefficient, linspace
-from optishape.optimize import bisect_boundary
 from optishape.problems import (
     PROBLEMS,
     FenceLayout,
     InfeasibleError,
     containment_max,
     fence_area_curve,
+    frontier_a,
     intersect_ellipse_circle,
-    max_a_for_b,
     solve_box,
     solve_box_numeric,
     solve_can,
@@ -32,7 +32,6 @@ from optishape.problems import (
     solve_rectangle,
     solve_rectangle_numeric,
 )
-from optishape.verify import containment_max_theta_scan, frontier_a_analytic
 
 CIRCLE = Shape()
 SQUARE = Shape(4)
@@ -373,6 +372,23 @@ class TestContainmentMax:
         assert containment_max(a, b) > a * a
 
 
+def containment_max_theta_scan(a, b):
+    """Brute-force counterpart of containment_max, its reference here.
+
+    Scans the squared center distance of (a*cos(theta), b + b*sin(theta))
+    over one full turn of theta with the oracle; independent of the closed
+    form in sin(theta).  Falls short of the true maximum by at most the
+    curvature times the squared final cell, ~1e-13.  The distance has one
+    maximum in sin(theta), so at most two in theta, at theta and pi - theta
+    with the same value: the oracle's 21-node first round may refine either
+    one.
+    """
+    _, neg_max = oracle.brute_min(
+        lambda t: -((a * math.cos(t)) ** 2 + (b * (1.0 + math.sin(t))) ** 2),
+        (-math.pi / 2.0, 3.0 * math.pi / 2.0))
+    return -neg_max
+
+
 class TestEllipseFits:
     def test_optimal_ellipse_is_tangent(self):
         assert containment_max(SQRT6_3, SQRT2_3) <= 1.0
@@ -398,94 +414,47 @@ class TestEllipseFits:
             assert (containment_max(a, b) <= 1.0) == (scanned <= 1.0)
 
 
-class TestMaxAForB:
-    def test_golden_frontier_point(self):
-        assert max_a_for_b(SQRT2_3) == pytest.approx(SQRT6_3, abs=1e-9)
+def frontier_a_50_digits(b):
+    """frontier_a's formula, a^2 = b^2 + ((1 - 2b^2) + sqrt(1 - 4b^2)) / 2,
+    evaluated at 50 significant digits."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(b)
+        return mpmath.sqrt(b * b + ((1 - 2 * b * b) + mpmath.sqrt(1 - 4 * b * b)) / 2)
+
+
+class TestFrontierA:
+    # The radicand is taken as (1 - 2b)(1 + 2b): as 1 - 4b^2 it cancels near
+    # b = 1/2, 721 ulps off at b = 0.49999999628598163.
+    @given(b=st.one_of(st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+                       st.floats(min_value=0.5 - 1e-9, max_value=0.5)))
+    @example(b=5e-324)
+    @example(b=1e-310)
+    @example(b=1e-8)
+    @example(b=0.49999999628598163)
+    @example(b=math.nextafter(0.5, 0.0))
+    @settings(max_examples=500, deadline=None)
+    def test_within_2_ulps_of_50_digits(self, b):
+        want = frontier_a_50_digits(b)
+        assert abs(mpmath.mpf(frontier_a(b)) - want) <= 2.0 * math.ulp(float(want))
+
+    # On the frontier the ellipse touches the arc: its largest squared
+    # distance from the center is 1 to rounding.
+    @given(b=st.floats(min_value=0.0, max_value=0.49, exclude_min=True))
+    @example(b=5e-324)
+    @example(b=0.49)
+    @settings(max_examples=300, deadline=None)
+    def test_ellipse_on_the_frontier_is_tangent(self, b):
+        assert abs(containment_max(frontier_a(b), b) - 1.0) <= 2.0 * math.ulp(1.0)
 
     def test_half_height(self):
-        # theta-grid bisection oracle gave 0.7071071 before freezing; the
-        # containment crossing is quadratic here, hence the softer tolerance
-        assert max_a_for_b(0.5) == pytest.approx(SQRT2_2, abs=1e-6)
+        assert frontier_a(0.5) == math.sqrt(0.5)
 
-    def test_flat_sliver_spans_the_diameter(self):
-        assert max_a_for_b(1e-4) > 0.99
+    def test_golden_frontier_point(self):
+        assert frontier_a(SQRT2_3) == pytest.approx(SQRT6_3, abs=1e-15)
 
-    def test_too_tall_is_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            max_a_for_b(0.6)
-
-    def test_out_of_range_rejected(self):
-        for b in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="must be positive") as info:
-                max_a_for_b(b)
-            assert not isinstance(info.value, InfeasibleError)
-        assert issubclass(InfeasibleError, ValueError)
-        for b in (1.0, 0.6):
-            with pytest.raises(InfeasibleError):
-                max_a_for_b(b)
-
-    # The bracket's upper end lies above 1, so the frontier of a sliver so
-    # flat that a = 1 already fits is found, not refused: below b = 1e-8 or
-    # so it is 1.0 itself.
-    @pytest.mark.parametrize("b", [1e-8, 1e-9, 1e-200, 5e-324])
-    def test_flattest_slivers_reach_the_rim(self, b):
-        assert self.frontier(b) == 1.0
-
-    @given(b=st.floats(min_value=5e-324, max_value=1e-4))
-    @settings(max_examples=200, deadline=None)
-    def test_any_small_b_is_on_the_frontier(self, b):
-        self.frontier(b)
-
-    @staticmethod
-    def frontier(b):
-        """max_a_for_b(b), checked to be the last float that fits, as
-        bisect_boundary returns, and to lie on the analytic frontier."""
-        a = max_a_for_b(b)
-        assert 0.0 < a <= 1.0
-        assert containment_max(a, b) <= 1.0 < containment_max(math.nextafter(a, 2.0), b)
-        assert abs(a - frontier_a_analytic(b)) <= 1e-9
-        return a
-
-    # The bisection ends on the adjacent floats around the frontier and
-    # returns the lower one, so the answer fits and the float above it does
-    # not, over the whole domain, where the crossing turns quadratic too.
-    @given(b=st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
-    @settings(max_examples=300, deadline=None)
-    def test_returns_the_last_a_that_fits(self, b):
-        a = max_a_for_b(b)
-        assert containment_max(a, b) <= 1.0 < containment_max(math.nextafter(a, 2.0), b)
-
-    @given(b=st.floats(min_value=0.01, max_value=0.49))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_analytic_frontier_and_brackets_it(self, b):
-        a = max_a_for_b(b)
-        assert a == pytest.approx(frontier_a_analytic(b), abs=1e-6)
-        assert containment_max(a - 1e-4, b) <= 1.0
-        assert containment_max(a + 1e-4, b) > 1.0
-
-    # A bisection of a monotone predicate to adjacent floats ends on the
-    # same pair from any lower bracket, so the frontier's starts at the
-    # smallest positive float.  Above b = 0.495 the crossing turns quadratic
-    # (at b = 1/2 the vertex of containment_max meets the top point), its
-    # rounding is not monotone in a, and two brackets can stop on different
-    # flips: 7.0e-10 apart at worst over the 20 000 floats below 1/2.  The
-    # b search never probes there; its largest b is 0.483.
-    @given(b=st.floats(min_value=1e-4, max_value=0.495, exclude_min=True))
-    @settings(max_examples=200, deadline=None)
-    def test_lower_bracket_does_not_move_the_frontier(self, b):
-        assert max_a_for_b(b) == bisect_boundary(lambda a: containment_max(a, b) <= 1.0, 1e-9, 1.0)
-
-    @given(b=st.floats(min_value=0.495, max_value=0.5))
-    @settings(max_examples=200, deadline=None)
-    def test_lower_bracket_moves_the_flat_frontier_by_under_1e_9(self, b):
-        a = bisect_boundary(lambda a: containment_max(a, b) <= 1.0, 1e-9, 1.0)
-        assert abs(max_a_for_b(b) - a) <= 1e-9
-
-    def test_b_search_stays_below_the_flat_frontier(self, monkeypatch):
-        problems._solve_unit_ellipse_semicircle.cache_clear()
-        calls = count_calls(monkeypatch, "max_a_for_b")
-        solve_ellipse_semicircle_numeric()
-        assert max(b for (b,) in calls) < 0.495
+    def test_too_tall_raises(self):
+        with pytest.raises(ValueError):
+            frontier_a(math.nextafter(0.5, 1.0))
 
 
 class TestSolveEllipse:
@@ -581,7 +550,7 @@ class TestIntersectEllipseCircle:
         assert points[1].y == pytest.approx(SQRT2_2, abs=1e-9)
 
     def test_frontier_ellipse_contacts_lie_on_both_curves(self):
-        a, b = max_a_for_b(0.3), 0.3
+        a, b = frontier_a(0.3), 0.3
         points = intersect_ellipse_circle(a, b)
         assert [p.x for p in points] == [-points[1].x, points[1].x] and points[1].x > 0.0
         for p in points:
@@ -884,38 +853,26 @@ class TestUnitInstance:
         assert len(calls) == searches
 
     # What each unit search costs, as (golden-section searches, the
-    # evaluations they report, bisections, their predicate calls).  The box
-    # runs an inner search per evaluation of its outer one; the ellipse runs
-    # a frontier bisection per evaluation, and one more for its answer.
+    # evaluations they report).  The box runs an inner search per evaluation
+    # of its outer one.
     UNIT_SEARCH_COUNTS = {
-        "rectangle": (1, 42, 0, 0), "box": (49, 2313, 0, 0), "fence": (1, 42, 0, 0),
-        "can": (1, 49, 0, 0), "can-dual": (1, 42, 0, 0), "rect-semicircle": (1, 42, 0, 0),
-        "ellipse-semicircle": (1, 41, 42, 2310),
+        "rectangle": (1, 42), "box": (49, 2313), "fence": (1, 42), "can": (1, 49),
+        "can-dual": (1, 42), "rect-semicircle": (1, 42), "ellipse-semicircle": (1, 41),
     }
 
     @pytest.mark.parametrize("name", list(PROBLEMS))
     def test_unit_search_counts(self, monkeypatch, name):
         getattr(problems, "_solve_unit_" + name.replace("-", "_")).cache_clear()
-        evaluations, predicate_calls = [], []
-        golden, bisect = problems.golden_section_min, problems.bisect_boundary
+        evaluations = []
+        golden = problems.golden_section_min
 
         def counted_golden(*args, **kwargs):
             sol = golden(*args, **kwargs)
             evaluations.append(sol.evaluations)
             return sol
-
-        def counted_bisect(pred, *args, **kwargs):
-            predicate_calls.append(0)
-
-            def counted_pred(x):
-                predicate_calls[-1] += 1
-                return pred(x)
-            return bisect(counted_pred, *args, **kwargs)
         monkeypatch.setattr(problems, "golden_section_min", counted_golden)
-        monkeypatch.setattr(problems, "bisect_boundary", counted_bisect)
         _solvers(name)[1](1.0, *EXTRA_ARGS.get(name, ()))
-        assert (len(evaluations), sum(evaluations), len(predicate_calls),
-                sum(predicate_calls)) == self.UNIT_SEARCH_COUNTS[name]
+        assert (len(evaluations), sum(evaluations)) == self.UNIT_SEARCH_COUNTS[name]
 
     # Every unit search brackets its whole domain, whatever the answer: from
     # 0 to the domain's upper end, or to 20.0 where the domain (the box's
