@@ -676,9 +676,9 @@ UNIT_BITS = {
     ("can-dual", Shape(12)): (0.22767089934066465, 0.45534180642178007, 1.0,
                                               0.07589030021024659),
     ("rect-semicircle",): (0.7071067798427677, 0.7071067825303273, 1.0),
-    ("ellipse-semicircle",): (0.8164965813098704, 0.4714045205704006, 1.2091995761561454,
-                              ((-0.7071067821793874, 0.7071067801937077),
-                               (0.7071067821793874, 0.7071067801937077))),
+    ("ellipse-semicircle",): (0.8164965813098702, 0.4714045205704006, 1.2091995761561452,
+                              ((-0.7071067821793873, 0.7071067801937078),
+                               (0.7071067821793873, 0.7071067801937078))),
 }
 
 # The numeric solvers and the closed ellipse carry a unit answer to the
@@ -734,19 +734,19 @@ SCALED_BITS = {
                                                 INF),
     ("solve_rect_semicircle_numeric", 0.37): (0.26162950854182404, 0.2616295095362211, 0.1369),
     ("solve_ellipse_semicircle_numeric", 3.7): (
-        3.0210373508465205, 1.7441967261104823, 16.553942197577634,
-        ((-2.6162950940637333, 2.6162950867167183), (2.6162950940637333, 2.6162950867167183))),
+        3.02103735084652, 1.7441967261104823, 16.55394219757763,
+        ((-2.616295094063733, 2.6162950867167187), (2.616295094063733, 2.6162950867167187))),
     ("solve_ellipse_semicircle_numeric", 1e-300): (
-        8.164965813098704e-301, 4.7140452057040064e-301, 0.0,
-        ((-7.071067821793874e-301, 7.071067801937077e-301),
-         (7.071067821793874e-301, 7.071067801937077e-301))),
+        8.164965813098703e-301, 4.7140452057040064e-301, 0.0,
+        ((-7.071067821793873e-301, 7.071067801937078e-301),
+         (7.071067821793873e-301, 7.071067801937078e-301))),
     ("solve_ellipse_semicircle_numeric", 1e+300): (
-        8.164965813098704e+299, 4.714045205704006e+299, INF,
-        ((-7.071067821793874e+299, 7.071067801937077e+299),
-         (7.071067821793874e+299, 7.071067801937077e+299))),
+        8.164965813098703e+299, 4.714045205704006e+299, INF,
+        ((-7.071067821793873e+299, 7.071067801937077e+299),
+         (7.071067821793873e+299, 7.071067801937077e+299))),
     ("solve_ellipse_semicircle_numeric", 0.37): (
-        0.30210373508465205, 0.1744196726110482, 0.16553942197577629,
-        ((-0.2616295094063733, 0.26162950867167184), (0.2616295094063733, 0.26162950867167184))),
+        0.302103735084652, 0.1744196726110482, 0.16553942197577626,
+        ((-0.2616295094063733, 0.2616295086716719), (0.2616295094063733, 0.2616295086716719))),
     ("solve_ellipse_semicircle", 3.7): (
         3.021037349432586, 1.7441967269268175, 16.55394219757763,
         ((-2.616295090390225, 2.616295090390227), (2.616295090390225, 2.616295090390227))),
