@@ -382,10 +382,10 @@ def frontier_a(b: float) -> float:
 
     Setting containment_max's vertex value to 1 and solving for a^2 - b^2
     gives a^2 = b^2 + ((1 - 2b^2) + sqrt(1 - 4b^2)) / 2.  The radicand is
-    taken as (1 - 2b)(1 + 2b): each factor is exact near b = 1/2, where
-    1 - 4b^2 would cancel, and none is negative on the domain.  Above 1/2
-    even a sliver-thin ellipse pokes out of the disk at its top point
-    (0, 2b), and the square root raises ValueError.
+    taken as (1 - 2b)(1 + 2b): 1 - 2b is exact near b = 1/2, where
+    1 - 4b^2 would cancel, and neither factor is negative on the domain.
+    Above 1/2 even a sliver-thin ellipse pokes out of the disk at its top
+    point (0, 2b), and the square root raises ValueError.
     """
     u = ((1.0 - 2.0 * b * b) + math.sqrt((1.0 - 2.0 * b) * (1.0 + 2.0 * b))) / 2.0
     return math.sqrt(b * b + u)

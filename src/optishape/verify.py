@@ -230,9 +230,9 @@ def _suite_oracle() -> list[CheckResult]:
     sa = instances["can-dual"][0]
     ellipse = closed["ellipse-semicircle"]
 
-    # Each brute-force check is the only catcher of the row "closed <problem>
-    # lengths * (1 + 8e-7)".  The fence has none: randomized_half_split
-    # catches every fault a fence scan would.
+    # Each brute-force check but the ellipse's is the only catcher of the row
+    # "closed <problem> lengths * (1 + 8e-7)".  The fence has none:
+    # randomized_half_split catches every fault a fence scan would.
     return [
         _oracle_check("rectangle_vs_brute_force", (closed["rectangle"].x,),
                       problems._rectangle_objective(2400.0), (1.0, 1199.0)),
@@ -243,6 +243,7 @@ def _suite_oracle() -> list[CheckResult]:
                       (1e-3, math.sqrt(sa / (2.0 * math.pi)))),
         _oracle_check("rect_semicircle_vs_brute_force", (closed["rect-semicircle"].x,),
                       problems._rect_semicircle_objective(1.0), (0.0, 1.0)),
+        # only catcher of: closed ellipse moved 8e-7 along the frontier
         _oracle_check("ellipse_frontier_vs_brute_force", (ellipse.b,),
                       problems._ellipse_semicircle_objective, (1e-4, 0.5)),
         # Box: a 2-D scan with z eliminated by the volume constraint.

@@ -292,8 +292,8 @@ ROWS: list[Row] = [
         "ellipse_frontier_vs_brute_force"),
     row("numeric ellipse contacts moved 1e-8 along the arc",
         {"solve_ellipse_semicircle_numeric": contacts_moved(_along_arc)},
-        owner="none: at a tangency both contact checks see only radial error, and 1e-8 "
-              "is under contacts_match_rectangle_vertices's 1e-6"),
+        owner="none: contacts_on_circle sees only radial error, and 1e-8 is under "
+              "contacts_match_rectangle_vertices's 1e-6"),
     row("numeric ellipse contacts moved 1e-5 along the arc",
         {"solve_ellipse_semicircle_numeric": contacts_moved(lambda p: _along_arc(p, 1e-5))},
         "contacts_match_rectangle_vertices"),

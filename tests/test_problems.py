@@ -449,9 +449,6 @@ class TestFrontierA:
     def test_half_height(self):
         assert frontier_a(0.5) == math.sqrt(0.5)
 
-    def test_golden_frontier_point(self):
-        assert frontier_a(SQRT2_3) == pytest.approx(SQRT6_3, abs=1e-15)
-
     def test_too_tall_raises(self):
         with pytest.raises(ValueError):
             frontier_a(math.nextafter(0.5, 1.0))
