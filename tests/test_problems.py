@@ -453,6 +453,70 @@ class TestFrontierA:
         with pytest.raises(ValueError):
             frontier_a(math.nextafter(0.5, 1.0))
 
+    # Above b = 1/2 the top point (0, 2b) leaves the disk for any a.
+    @given(b=st.floats(min_value=0.5, exclude_min=True))
+    @example(b=math.inf)
+    @settings(max_examples=200, deadline=None)
+    def test_any_b_above_half_raises(self, b):
+        with pytest.raises(ValueError):
+            frontier_a(b)
+
+    def test_golden_frontier_point(self):
+        assert abs(frontier_a(SQRT2_3) - SQRT6_3) <= math.ulp(SQRT6_3)
+
+    def test_flat_sliver_spans_the_diameter(self):
+        assert frontier_a(1e-4) > 0.99
+
+    # Near b = 0 the frontier is 1 - b^2/2 - 5b^4/8 + ..., which rounds to
+    # 1.0 itself below b = 1e-8 or so.
+    @pytest.mark.parametrize("b", [1e-9, 1e-12, 1e-200, 5e-324])
+    def test_flattest_slivers_reach_the_rim(self, b):
+        assert frontier_a(b) == 1.0
+
+    @given(b=st.floats(min_value=5e-324, max_value=1e-4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_small_b_follows_the_flat_series(self, b):
+        assert abs(frontier_a(b) - (1.0 - b * b / 2.0 - 5.0 * b**4 / 8.0)) <= math.ulp(1.0)
+
+    # The frontier parts the ellipses that fit from those that do not.
+    @given(b=st.floats(min_value=0.01, max_value=0.49))
+    @settings(max_examples=200, deadline=None)
+    def test_brackets_the_fit(self, b):
+        a = frontier_a(b)
+        assert containment_max(a * (1.0 - 1e-9), b) <= 1.0 < containment_max(a * (1.0 + 1e-9), b)
+
+    # A taller ellipse must be narrower; a relative step of 1e-6 in b moves
+    # the frontier by far more than its rounding.
+    @given(b=st.floats(min_value=1e-4, max_value=0.49))
+    @settings(max_examples=200, deadline=None)
+    def test_decreasing_in_b(self, b):
+        assert frontier_a(b * (1.0 + 1e-6)) < frontier_a(b)
+
+    @given(b=st.floats(min_value=0.0, max_value=0.5, exclude_min=True))
+    @settings(max_examples=200, deadline=None)
+    def test_stays_between_the_half_height_and_the_radius(self, b):
+        assert math.sqrt(0.5) <= frontier_a(b) <= 1.0
+
+    # The b search reads the frontier once per evaluation it reports (41),
+    # and once more for its answer.
+    def test_b_search_evaluates_the_frontier_once_per_evaluation(self, monkeypatch):
+        problems._solve_unit_ellipse_semicircle.cache_clear()
+        calls = count_calls(monkeypatch, "frontier_a")
+        solve_ellipse_semicircle_numeric()
+        assert len(calls) == 42
+
+    # The search never evaluates its bracket's ends, so the flat end b = 0
+    # needs no clamp; its largest b is 0.483.
+    def test_b_search_never_evaluates_the_ends(self, monkeypatch):
+        problems._solve_unit_ellipse_semicircle.cache_clear()
+        calls = count_calls(monkeypatch, "frontier_a")
+        solve_ellipse_semicircle_numeric()
+        assert 0.0 < min(b for (b,) in calls) and max(b for (b,) in calls) < 0.49
+
+    def test_numeric_ellipse_lies_on_the_frontier(self):
+        sol = solve_ellipse_semicircle_numeric()
+        assert sol.a == frontier_a(sol.b)
+
 
 class TestSolveEllipse:
     def test_golden_axes(self):
@@ -553,6 +617,16 @@ class TestIntersectEllipseCircle:
         for p in points:
             assert abs(p.x**2 + p.y**2 - 1.0) <= 1e-12
             assert abs(p.x**2 / a**2 + (p.y - b) ** 2 / b**2 - 1.0) <= 1e-6
+
+    @given(b=st.floats(min_value=0.01, max_value=0.49))
+    @settings(max_examples=200, deadline=None)
+    def test_any_frontier_ellipse_contacts_lie_on_both_curves(self, b):
+        a = frontier_a(b)
+        points = intersect_ellipse_circle(a, b)
+        assert len(points) == 2 and points[0].x == -points[1].x < 0.0
+        for p in points:
+            assert abs(p.x**2 + p.y**2 - 1.0) <= 1e-12
+            assert abs(p.x**2 / a**2 + (p.y - b) ** 2 / b**2 - 1.0) <= 1e-12
 
     # The contact is the vertex of a quadratic whose leading term is
     # a^2 - b^2, so an ellipse that is not wider than tall has none.

@@ -127,3 +127,12 @@ def test_coincidence_fails_an_ellipse_off_the_frontier(monkeypatch, a_scale, b_s
     monkeypatch.setattr(problems, "_solve_unit_ellipse_semicircle", lambda: nudged)
     failed = [c.name for c in verify.run(["coincidence"]) if not c.passed]
     assert "ellipses_are_tangent" in failed
+
+
+# Both unit ellipses, the searched one and the closed one, lie on the
+# frontier so exactly that their largest squared distance from the center
+# rounds to 1.
+def test_ellipses_are_tangent_reads_exactly_zero():
+    checks = {c.name: c for c in verify.run(["coincidence"])}
+    assert checks["ellipses_are_tangent"].residual == 0.0
+    assert checks["ellipses_are_tangent"].passed
