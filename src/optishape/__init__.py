@@ -1,8 +1,8 @@
 """Closed-form and numeric solvers for classic geometric optimization
 problems, plus the machinery to verify their structural patterns.
 
-The package namespace holds the catalog: its solvers, their inputs, their
-results and their errors.  Every other name lives in its own module
+The package namespace holds the catalog: its solvers, their inputs and
+their results.  Every other name lives in its own module
 (``optishape.oracle.brute_min``, ``optishape.optimize.golden_section_min``).
 """
 
@@ -13,7 +13,6 @@ from .problems import (
     EllipseSolution,
     FenceLayout,
     FenceSolution,
-    InfeasibleError,
     RectangleSolution,
     SemicircleRectSolution,
     fence_area_curve,

@@ -2,8 +2,8 @@
 emit curve data for plotting.
 
 Exit status: 0 success, 1 a failed residual or verify check, 2 usage error,
-3 infeasible, or the answer does not fit in a float, 4 a write error: stdout
-or ``curve --out`` could not be written.  A write error prints ``error:
+3 the answer does not fit in a float, 4 a write error: stdout or ``curve
+--out`` could not be written.  A write error prints ``error:
 cannot write: ...`` on stderr, except a closed stdout pipe (the reader
 stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
 through the same path.  ``main`` returns the exit code, for ``--help`` and
@@ -26,7 +26,7 @@ import sys
 from typing import Any
 
 from . import problems
-from .problems import ACCEPTANCE_TOL, FenceLayout, InfeasibleError
+from .problems import ACCEPTANCE_TOL, FenceLayout
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,7 +160,9 @@ def cmd_curve(args) -> int:
     rows = problems.fence_area_curve(args.fence, layout, args.points)
     for i, (_, area) in enumerate(rows):
         if not math.isfinite(area):
-            raise InfeasibleError(f"the answer does not fit in a float: area at row {i}")
+            print(dumps({"problem": "curve",
+                         "diagnostic": f"the answer does not fit in a float: area at row {i}"}))
+            return EXIT_INFEASIBLE
     text = "L,area\n" + "".join([CSV_ROW % row for row in rows])
     if args.out is not None:  # a write error here takes main's one write-error path
         with open(args.out, "w") as handle:
@@ -242,10 +244,6 @@ def _run(argv: list[str] | None) -> int:
         return commands[args.command](args)
     except SystemExit as exc:  # argparse leaves --help and a usage error this way
         return exc.code
-    except InfeasibleError as exc:
-        print(dumps({"problem": getattr(args, "problem", args.command),
-                     "diagnostic": str(exc)}))
-        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

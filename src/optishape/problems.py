@@ -41,10 +41,6 @@ from .geometry import Point2, Shape, _check_positive, _count, area_coefficient, 
 from .optimize import golden_section_min
 
 
-class InfeasibleError(ValueError):
-    """No candidate in the search domain satisfies the constraints."""
-
-
 # --------------------------------------------------------------------------
 # fence with partitions
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from optishape import cli, problems
-from optishape.problems import PROBLEMS, FenceLayout, InfeasibleError
+from optishape.problems import PROBLEMS, FenceLayout
 from test_mutation_matrix import ROWS, mutate  # noqa: F401  (mutate is a fixture)
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -878,25 +878,7 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "error: points must be at most 5, got 6" in err
 
-    # The CLI looks solvers up on the problems module at call time, so a
-    # patched (or traced) module attribute is the one that runs.
-    @pytest.mark.parametrize(
-        "solver, argv",
-        [
-            ("solve_ellipse_semicircle", ("solve", "ellipse-semicircle")),
-            ("solve_rectangle", ("solve", "rectangle", "--fence", "40")),
-        ],
-        ids=["ellipse-semicircle", "rectangle"],
-    )
-    def test_infeasible_maps_to_3(self, capsys, monkeypatch, solver, argv):
-        def raiser(*args):
-            raise InfeasibleError("no solution fits")
-        monkeypatch.setattr(f"optishape.problems.{solver}", raiser)
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 3
-        assert "diagnostic" in json.loads(out)
-
-    # Any other ValueError that solve or curve raises is the library refusing
+    # A ValueError that solve or curve raises is the library refusing
     # an input, a usage error: its message on stderr, no report and no
     # traceback.  One raised inside a verify suite exits 1 (TestVerifyCommand).
     def test_value_error_maps_to_2(self, capsys, monkeypatch):

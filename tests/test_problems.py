@@ -12,7 +12,6 @@ from optishape.geometry import Shape, area_coefficient, linspace
 from optishape.problems import (
     PROBLEMS,
     FenceLayout,
-    InfeasibleError,
     containment_max,
     fence_area_curve,
     frontier_a,
