@@ -28,8 +28,9 @@ layout a caller passes (0.84 MB for all 2401 fence layouts with v, h in
 ``PROBLEMS`` lists the catalog as one table: each entry's CLI inputs and
 residuals drive the ``solve`` command and the ``verify`` oracle suite, and
 ``Problem.solve`` is the one closed-vs-numeric cross-check both of them run.
-Each ``_<stem>_objective`` is the function its unit search minimizes; the
-oracle suite scans the same function by brute force.
+Each ``_<stem>_objective`` is the function its unit search minimizes; each
+entry's ``oracle`` gives the oracle suite that same function on the unit
+instance, with the window it scans by brute force.
 """
 
 import math
@@ -505,7 +506,12 @@ class Problem(NamedTuple):
     the input values, in ``inputs`` order, into the solvers' arguments,
     building the records (``FenceLayout``, ``Shape``) that check the
     counts; ``residuals(closed, numeric, *solver_args)`` gives the
-    report's residuals.
+    report's residuals.  ``oracle(closed)`` takes the closed answer at the
+    unit instance (size 1, every other input at its default) and gives
+    what the oracle suite scans: the answer's coordinates that the unit
+    search covers, the unit objective it minimizes, and one ``(lo, hi)``
+    window per coordinate.  A problem without one (the fence) has no
+    brute-force check.
     """
 
     name: str
@@ -513,6 +519,7 @@ class Problem(NamedTuple):
     inputs: tuple[Input, ...]
     residuals: Callable[..., dict[str, float]]
     solver_args: Callable[..., tuple] = lambda *values: values
+    oracle: Callable[[Any], tuple] | None = None
 
     @property
     def stem(self) -> str:
@@ -591,7 +598,10 @@ def _ellipse_residuals(sol: EllipseSolution, _: EllipseSolution, radius: float) 
 _BASE = Input("--base", "base", base, "circle",
               help="'circle' or a polygon side count (default circle)")
 
-# In the order the CLI lists them.
+# In the order the CLI lists them.  The oracle evaluates the ends of each
+# window, so the box's and the can's, whose objectives divide by their
+# coordinates, start above 0.  The cans' scans take the circle base, its
+# coefficient written as pi, not looked up.
 PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     Problem(
         "rectangle", "largest rectangle with a given perimeter",
@@ -600,6 +610,7 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "square_gap": _relative(abs(sol.x - sol.y), sol.x),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), sol.x),
         },
+        oracle=lambda sol: ((sol.x,), _rectangle_objective(1.0), ((0.0, 0.5),)),
     ),
     Problem(
         "box", "smallest-surface box with a given volume",
@@ -608,6 +619,8 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "cube_gap": worst_residual((abs(sol.x - sol.y), abs(sol.y - sol.z))) / sol.x,
             "closed_numeric_gap": worst_residual(abs(a - b) for a, b in zip(sol[:3], num)) / sol.x,
         },
+        # A 2-D scan with z eliminated by the volume constraint.
+        oracle=lambda sol: (sol[:2], _box_objective(1.0), ((0.2, 2.0), (0.2, 2.0))),
     ),
     Problem(
         "fence", "partitioned rectangular field of maximal area",
@@ -625,12 +638,14 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         (Input("--volume", "volume", float), _BASE),
         _can_residuals,
         solver_args=_can_args,
+        oracle=lambda sol: ((sol.r,), _can_objective(1.0, math.pi), ((0.1, 1.0),)),
     ),
     Problem(
         "can-dual", "largest-volume can/prism with a given surface area",
         (Input("--surface-area", "surface_area", float), _BASE),
         _can_residuals,
         solver_args=_can_args,
+        oracle=lambda sol: ((sol.r,), _can_dual_objective(1.0, math.pi), ((0.01, 0.5),)),
     ),
     Problem(
         "rect-semicircle", "largest rectangle inscribed in a semicircle",
@@ -639,10 +654,12 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "xy_gap": _relative(abs(sol.x - sol.y), radius),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), radius),
         },
+        oracle=lambda sol: ((sol.x,), _rect_semicircle_objective(1.0), ((0.0, 1.0),)),
     ),
     Problem(
         "ellipse-semicircle", "largest ellipse inscribed in a semicircle",
         (Input("--radius", "radius", float, 1.0),),
         _ellipse_residuals,
+        oracle=lambda sol: ((sol.b,), _ellipse_semicircle_objective, ((1e-4, 0.5),)),
     ),
 )}

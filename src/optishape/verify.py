@@ -201,69 +201,43 @@ def _suite_coincidence() -> list[CheckResult]:
 # suite: oracle  (closed forms vs brute-force grid search)
 
 
-def _oracle_check(name: str, expected: tuple, objective: Callable[..., float],
-                  *bounds: tuple[float, float]) -> CheckResult:
-    """brute_min's argmin against the expected coordinates, one (lo, hi)
-    pair per coordinate, within four times the first pair's resolution."""
-    *found, _ = oracle.brute_min(objective, *bounds)
-    return _worst("oracle", name, (abs(x - e) for x, e in zip(found, expected)),
-                  4.0 * oracle.resolution(*bounds[0]))
-
-
-def _oracle_instances() -> dict[str, tuple]:
-    """One instance of each catalog problem, as its CLI input values.  The
-    can-dual one is the surface area of the circle can's answer: the largest
-    radius that area allows ends can-dual's brute-force interval, so another
-    value would change that interval and the check's tolerance."""
-    sa = problems.solve_can(1000.0, Shape()).surface_area
-    return {"rectangle": (2400.0,), "box": (1000.0,), "fence": (2400.0, 4, 2),
-            "can": (1000.0, "circle"), "can-dual": (sa, "circle"),
-            "rect-semicircle": (1.0,), "ellipse-semicircle": (1.0,)}
+def _solve_at(problem: problems.Problem, size: float) -> tuple:
+    """``problem.solve`` at the given size, every other input at its default."""
+    return problem.solve(size, *(spec.default for spec in problem.inputs[1:]))
 
 
 def _suite_oracle() -> list[CheckResult]:
-    instances = _oracle_instances()
-    # Indexed by every catalog name, so a problem missing here fails loudly.
-    solved = {name: problem.solve(*instances[name])
-              for name, problem in problems.PROBLEMS.items()}
-    closed = {name: sol for name, (sol, _) in solved.items()}
-    sa = instances["can-dual"][0]
-    ellipse = closed["ellipse-semicircle"]
-
-    # Each brute-force check but the ellipse's is the only catcher of the row
+    # Each brute-force check scans its problem's oracle window and checks
+    # the closed unit answer within four times the first window's
+    # resolution.  Each but the ellipse's is the only catcher of the row
     # "closed <problem> lengths * (1 + 8e-7)".  The fence has none:
     # randomized_half_split catches every fault a fence scan would.
-    return [
-        _oracle_check("rectangle_vs_brute_force", (closed["rectangle"].x,),
-                      problems._rectangle_objective(2400.0), (1.0, 1199.0)),
-        _oracle_check("can_circle_vs_brute_force", (closed["can"].r,),
-                      problems._can_objective(1000.0, math.pi), (1.0, 20.0)),
-        _oracle_check("can_dual_vs_brute_force", (closed["can-dual"].r,),
-                      problems._can_dual_objective(sa, math.pi),
-                      (1e-3, math.sqrt(sa / (2.0 * math.pi)))),
-        _oracle_check("rect_semicircle_vs_brute_force", (closed["rect-semicircle"].x,),
-                      problems._rect_semicircle_objective(1.0), (0.0, 1.0)),
-        # only catcher of: closed ellipse moved 8e-7 along the frontier
-        _oracle_check("ellipse_frontier_vs_brute_force", (ellipse.b,),
-                      problems._ellipse_semicircle_objective, (1e-4, 0.5)),
-        # Box: a 2-D scan with z eliminated by the volume constraint.
-        _oracle_check("box_vs_brute_force", closed["box"][:2],
-                      problems._box_objective(1000.0), (4.0, 20.0), (4.0, 20.0)),
-        # Each closed form against its golden-section path, by the residual
-        # `solve` reports: on each catalog instance, on the first ten fences of
-        # the half-split sweep, and on the can and can-dual on every base.
-        # only catcher of: numeric box rescaled by volume ** (1/2)
-        # only catcher of: closed fence ignores its layout
-        # only catcher of: numeric can ignores its base
-        _worst("oracle", "closed_matches_numeric_all_problems", (
-            residuals["closed_numeric_gap"] for _, residuals in (
-                *solved.values(),
-                *(problems.PROBLEMS["fence"].solve(fence, *layout)
-                  for fence, layout in _random_fence_instances(10)),
-                *(problems.PROBLEMS[name].solve(1.0, base.sides or "circle")
-                  for name in ("can", "can-dual") for base in VERIFY_BASES))
-        ), ACCEPTANCE_TOL),
-    ]
+    # only catcher of: closed ellipse moved 8e-7 along the frontier
+    checks = []
+    for problem in problems.PROBLEMS.values():
+        if problem.oracle is not None:
+            expected, objective, windows = problem.oracle(_solve_at(problem, 1.0)[0])
+            *found, _ = oracle.brute_min(objective, *windows)
+            checks.append(_worst(
+                "oracle", problem.name.replace("-", "_") + "_vs_brute_force",
+                (abs(x - e) for x, e in zip(found, expected)),
+                4.0 * oracle.resolution(*windows[0])))
+    # Each closed form against its golden-section path, by the residual
+    # `solve` reports: on each catalog problem at size 1000 (at size 1 a
+    # numeric path that rescales by the wrong power would not show), on the
+    # first ten fences of the half-split sweep, and on the can and can-dual
+    # on every base.
+    # only catcher of: numeric box rescaled by volume ** (1/2)
+    # only catcher of: closed fence ignores its layout
+    # only catcher of: numeric can ignores its base
+    return [*checks, _worst("oracle", "closed_matches_numeric_all_problems", (
+        residuals["closed_numeric_gap"] for _, residuals in (
+            *(_solve_at(problem, 1000.0) for problem in problems.PROBLEMS.values()),
+            *(problems.PROBLEMS["fence"].solve(fence, *layout)
+              for fence, layout in _random_fence_instances(10)),
+            *(problems.PROBLEMS[name].solve(1.0, base.sides or "circle")
+              for name in ("can", "can-dual") for base in VERIFY_BASES))
+    ), ACCEPTANCE_TOL)]
 
 
 # --------------------------------------------------------------------------

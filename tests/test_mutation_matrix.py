@@ -179,8 +179,8 @@ def _closed_form_rows() -> list[Row]:
         ("fence", 1e-7): ("randomized_half_split",),
         ("fence", 8e-7): ("randomized_half_split",),
         ("fence", 1e-5): ("randomized_half_split", "closed_matches_numeric_all_problems"),
-        ("can", 8e-7): ("can_circle_vs_brute_force",),
-        ("can", 1e-5): ("can_circle_vs_brute_force", "closed_matches_numeric_all_problems"),
+        ("can", 8e-7): ("can_vs_brute_force",),
+        ("can", 1e-5): ("can_vs_brute_force", "closed_matches_numeric_all_problems"),
         ("can-dual", 8e-7): ("can_dual_vs_brute_force",),
         ("can-dual", 1e-5): ("can_dual_vs_brute_force", "closed_matches_numeric_all_problems"),
         ("rect-semicircle", 8e-7): ("rect_semicircle_vs_brute_force",),
@@ -190,8 +190,8 @@ def _closed_form_rows() -> list[Row]:
         ("ellipse-semicircle", EIGHT_ULPS): ("ellipses_are_tangent",),
         ("ellipse-semicircle", 1e-9): ("ellipses_are_tangent",),
         ("ellipse-semicircle", 1e-7): ("ellipses_are_tangent",),
-        ("ellipse-semicircle", 8e-7): ("ellipse_frontier_vs_brute_force", "ellipses_are_tangent"),
-        ("ellipse-semicircle", 1e-5): ("ellipse_frontier_vs_brute_force", "ellipses_are_tangent",
+        ("ellipse-semicircle", 8e-7): ("ellipse_semicircle_vs_brute_force", "ellipses_are_tangent"),
+        ("ellipse-semicircle", 1e-5): ("ellipse_semicircle_vs_brute_force", "ellipses_are_tangent",
                                        "closed_matches_numeric_all_problems"),
     }
     rows = []
@@ -261,7 +261,7 @@ ROWS: list[Row] = [
     row("circle coefficient 22/7",
         {"area_coefficient": lambda f: lambda shape: 22.0 / 7.0 if shape.sides is None
          else f(shape)},
-        "prism_optimum_is_the_cans", "can_circle_vs_brute_force", "can_dual_vs_brute_force"),
+        "prism_optimum_is_the_cans", "can_vs_brute_force", "can_dual_vs_brute_force"),
     row("frontier_a * (1 + 1e-9)", {"frontier_a": times(1.0 + 1e-9)}, "ellipses_are_tangent"),
     row("closed fence ignores its layout", {"solve_fence": ignoring_layout},
         "closed_matches_numeric_all_problems"),
@@ -289,7 +289,7 @@ ROWS: list[Row] = [
     # closed-vs-numeric gap's 1e-6: only the brute-force scan sees b move.
     row("closed ellipse moved 8e-7 along the frontier",
         {"solve_ellipse_semicircle": along_frontier(1.0 + 8e-7)},
-        "ellipse_frontier_vs_brute_force"),
+        "ellipse_semicircle_vs_brute_force"),
     row("numeric ellipse contacts moved 1e-8 along the arc",
         {"solve_ellipse_semicircle_numeric": contacts_moved(_along_arc)},
         owner="none: contacts_on_circle sees only radial error, and 1e-8 is under "

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -38,18 +39,48 @@ def test_every_suite_returns_a_list():
         assert type(checks) is list and {check.suite for check in checks} == {name}
 
 
-# The oracle suite solves one instance of every catalog problem.
-def test_oracle_instances_cover_the_catalog():
-    assert list(verify._oracle_instances()) == list(PROBLEMS)
+ORACLES = [name for name, problem in PROBLEMS.items() if problem.oracle is not None]
 
 
-@pytest.mark.parametrize("name", list(PROBLEMS))
-def test_problem_missing_from_the_oracle_fails_loudly(monkeypatch, name):
-    instances = verify._oracle_instances
-    monkeypatch.setattr(verify, "_oracle_instances",
-                        lambda: {k: v for k, v in instances().items() if k != name})
-    with pytest.raises(KeyError, match=name):
-        verify.run(["oracle"])
+def _unit_oracle(name):
+    """The problem's oracle entry on its closed answer at the unit instance:
+    (coordinates, objective, windows)."""
+    problem = PROBLEMS[name]
+    return problem.oracle(verify._solve_at(problem, 1.0)[0])
+
+
+# Every catalog problem but the fence has a brute-force window, and the
+# oracle suite holds one check per window, in catalog order.
+def test_every_problem_but_the_fence_has_an_oracle():
+    assert ORACLES == [name for name in PROBLEMS if name != "fence"]
+    names = [c.name for c in verify.run(["oracle"])]
+    assert names == [n.replace("-", "_") + "_vs_brute_force" for n in ORACLES] + [
+        "closed_matches_numeric_all_problems"]
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_window_contains_the_closed_unit_answer(name):
+    coordinates, _, windows = _unit_oracle(name)
+    assert len(windows) == len(coordinates)
+    assert all(lo < x < hi for x, (lo, hi) in zip(coordinates, windows))
+
+
+# The oracle evaluates the ends of each window: a can or box window from 0
+# would raise ZeroDivisionError there.
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_objective_is_finite_at_the_window_ends(name):
+    _, objective, windows = _unit_oracle(name)
+    for corner in itertools.product(*windows):
+        assert math.isfinite(objective(*corner)), corner
+
+
+# The check's tolerance stays under 8e-7 of each answer coordinate, so the
+# mutation-matrix row "closed <problem> lengths * (1 + 8e-7)" stays caught.
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_tolerance_is_under_8e_7_of_the_answer(name):
+    coordinates, _, windows = _unit_oracle(name)
+    tolerance = 4.0 * oracle.resolution(*windows[0])
+    assert all(tolerance < 8e-7 * abs(x) for x in coordinates)
 
 
 # The oracle scans the objective the solver's unit search minimizes, looked
@@ -82,15 +113,16 @@ def test_oracle_suite_evaluation_count(monkeypatch):
     assert sum(evaluations.values()) == 4368
 
 
-# The one closed-vs-numeric check reads the worst gap over three sets: one
-# instance per catalog problem, the first ten fences of the half-split sweep
-# and the can and can-dual at size 1 on every verify base.
+# The one closed-vs-numeric check reads the worst gap over three sets: each
+# catalog problem at size 1000 with its other inputs at their defaults, the
+# first ten fences of the half-split sweep and the can and can-dual at size 1
+# on every verify base.
 def test_closed_numeric_check_is_the_worst_over_its_three_sets():
     def worst_gap(solved):
         return max(residuals["closed_numeric_gap"] for _, residuals in solved)
 
-    catalog = worst_gap(PROBLEMS[name].solve(*args)
-                        for name, args in verify._oracle_instances().items())
+    catalog = worst_gap(problem.solve(1000.0, *(spec.default for spec in problem.inputs[1:]))
+                        for problem in PROBLEMS.values())
     fences = worst_gap(PROBLEMS["fence"].solve(fence, *layout)
                        for fence, layout in verify._random_fence_instances(200)[:10])
     cans = worst_gap(PROBLEMS[name].solve(1.0, base.sides or "circle")
