@@ -601,7 +601,8 @@ _BASE = Input("--base", "base", base, "circle",
 # In the order the CLI lists them.  The oracle evaluates the ends of each
 # window, so the box's and the can's, whose objectives divide by their
 # coordinates, start above 0.  The cans' scans take the circle base, its
-# coefficient written as pi, not looked up.
+# coefficient written as pi rather than looked up, so that a wrong circle
+# coefficient fails them.
 PROBLEMS: dict[str, Problem] = {p.name: p for p in (
     Problem(
         "rectangle", "largest rectangle with a given perimeter",
