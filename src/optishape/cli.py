@@ -2,8 +2,8 @@
 emit curve data for plotting.
 
 Exit status: 0 success, 1 a failed residual or verify check, 2 usage error,
-3 the answer does not fit in a float, 4 a write error: stdout or ``curve
---out`` could not be written.  A write error prints ``error:
+3 the answer does not fit in a float, 4 a write error: stdout, where every
+command writes, could not be written.  A write error prints ``error:
 cannot write: ...`` on stderr, except a closed stdout pipe (the reader
 stopped reading), which exits 4 with nothing on stderr.  ``--help`` writes
 through the same path.  ``main`` returns the exit code, for ``--help`` and
@@ -119,13 +119,10 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    suites = None if args.suite is None else [args.suite]
     try:
-        results = verify.run(suites)
-    except Exception as exc:
-        if args.suite not in (None, *verify.SUITES):
-            raise  # verify.run refused the name before any suite ran: a usage error
-        print(f"error: {exc}", file=sys.stderr)  # a fault inside a suite
+        results = verify.run()
+    except Exception as exc:  # a fault inside a suite
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -163,12 +160,7 @@ def cmd_curve(args) -> int:
             print(dumps({"problem": "curve",
                          "diagnostic": f"the answer does not fit in a float: area at row {i}"}))
             return EXIT_INFEASIBLE
-    text = "L,area\n" + "".join([CSV_ROW % row for row in rows])
-    if args.out is not None:  # a write error here takes main's one write-error path
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("L,area\n" + "".join([CSV_ROW % row for row in rows]))
     return EXIT_OK
 
 
@@ -224,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the invariant verification suites")
     ver.add_argument("--format", choices=("json", "text"), default="json")
-    ver.add_argument("--suite", default=None, help="run only this suite (default all)")
 
     curve = commands.add_parser("curve", help="emit curve data as CSV")
     curve_sub = curve.add_subparsers(dest="curve_kind", required=True)
@@ -232,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, problems.PROBLEMS["fence"].inputs)
     p.add_argument("--points", type=int, default=101,
                    help=f"sample count, 2 to {MAX_CURVE_POINTS} (default 101)")
-    p.add_argument("--out", default=None)
 
     return parser
 
@@ -256,10 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _run(argv)
         sys.stdout.flush()
     except OSError as exc:
-        if exc.filename is None:  # an error on stdout names no file
-            # Whatever stdout still holds goes to devnull, so that the
-            # interpreter's flush at exit does not fail a second time.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # Whatever stdout still holds goes to devnull, so that the
+        # interpreter's flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):  # a reader that left needs no message
             print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_IO

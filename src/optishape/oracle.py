@@ -29,10 +29,6 @@ _NODES = 21
 _DIVISOR = 5000 * 5001
 
 
-class EvaluationError(ValueError):
-    """The objective returned a non-finite value."""
-
-
 def resolution(lo: float, hi: float) -> float:
     """Final cell size brute_min refines [lo, hi] to, at most.  Raises
     ValueError unless lo < hi and the cell is a positive finite float."""
@@ -61,7 +57,7 @@ def _scan(f: Callable[..., float], xs: Sequence[float], *rest: Sequence[float],
     for x in xs:
         y = float(f(x))
         if not math.isfinite(y):
-            raise EvaluationError(f"objective returned {y!r} at {(*at, x)}")
+            raise ValueError(f"objective returned {y!r} at {(*at, x)}")
         if y < best_y:
             best_x, best_y = x, y
     return best_x, best_y

@@ -138,7 +138,7 @@ def test_criterion_09_coincidence():
 
 
 def test_criterion_10_oracle_equivalence():
-    results = verify.run(["oracle"])
+    results = verify.SUITES["oracle"]()
     for check in results:
         assert check.passed, (
             f"{check.name}: residual {check.residual:.3e} > 4x resolution "

@@ -186,6 +186,24 @@ class TestExtremeScales:
         assert all(math.isfinite(v) for v in doc["solution"].values())
         assert all(v <= 1e-6 for v in doc["residuals"].values())
 
+    # Too small for the answer's digits, and still an answer: the 2x2 fence
+    # at 1.5e-323 (three steps of 5e-324) rounds x up to one step and y down
+    # to 0, each within one step of the exact 3/4 step, and both residuals
+    # read 0.
+    def test_subnormal_fence_rounds_y_to_zero(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "fence", "--fence", "1.5e-323",
+                                 "--v-segments", "2", "--h-segments", "2")
+        step = math.ulp(0.0)
+        assert (code, err) == (0, "")
+        assert strict_json(out) == {
+            "problem": "fence",
+            "inputs": {"fence": 3 * step, "v_segments": 2, "h_segments": 2},
+            "solution": {"x": step, "y": 0, "vertical_total": 2 * step,
+                         "horizontal_total": step, "area": 0},
+            "method": "closed_form",
+            "residuals": {"half_split_deficit": 0, "closed_numeric_gap": 0},
+        }
+
     def test_overflowing_solution_field_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "rectangle", "--fence", "1e308")
         doc = strict_json(out)
@@ -259,14 +277,12 @@ class TestExtremeScales:
         code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1", "--points", str(n))
         assert (code, out, counts) == (0, "L,area\n", [n])
 
-    def test_overflowing_curve_writes_no_csv(self, capsys, tmp_path):
-        target = tmp_path / "curve.csv"
-        code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1e308", "--out", str(target))
+    def test_overflowing_curve_writes_no_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "curve", "fence", "--fence", "1e308")
         assert strict_json(out) == {
             "problem": "curve", "diagnostic": "the answer does not fit in a float: area at row 1",
         }
         assert code == 3
-        assert not target.exists()
 
 
 class TestGolden:
@@ -287,7 +303,7 @@ class TestJsonContract:
             ("solve", "fence", "--fence", "2400"),
             ("solve", "can", "--volume", "1000"),
             ("solve", "ellipse-semicircle"),
-            ("verify", "--suite", "equivalence"),
+            ("verify",),
             # every other problem, its required inputs set to 7.5
             *(
                 ("solve", name, *(arg for spec in problem.inputs if spec.default is None
@@ -367,32 +383,6 @@ class TestCurve:
         with expected:
             assert out == expected.read()
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "curve.csv"
-        code, out, _ = run_cli(
-            capsys, "curve", "fence", "--fence", "2400", "--points", "3",
-            "--out", str(target),
-        )
-        assert code == 0
-        assert out == ""
-        assert target.read_text() == "L,area\n0,0\n1200,180000\n2400,0\n"
-
-    def test_unwritable_path_exits_4(self, capsys):
-        code, _, err = run_cli(
-            capsys, "curve", "fence", "--fence", "2400",
-            "--out", "/nonexistent-dir/curve.csv",
-        )
-        assert code == 4
-        assert "cannot write" in err
-
-    # An empty --out still names a file: it fails to open, and nothing falls
-    # through to stdout.
-    def test_empty_out_path_exits_4(self, capsys):
-        code, out, err = run_cli(capsys, "curve", "fence", "--fence", "2400", "--out", "")
-        assert code == 4
-        assert out == ""
-        assert err == "error: cannot write: [Errno 2] No such file or directory: ''\n"
-
     # Each row prints with one CSV_ROW format and the bytes of format_number.
     # Every L lies in [0, fence], subnormal steps included, so no area is
     # -0.0.  A fence whose area overflows exits 3 and writes no CSV.
@@ -433,7 +423,7 @@ class TestWriteErrors:
 
     ARGVS = [
         ("solve", "box", "--volume", "1"),
-        ("verify", "--suite", "h2r"),
+        ("verify", "--format", "json"),
         ("curve", "fence", "--fence", "2400", "--points", "10"),
         # far more than a pipe or stdout buffer holds: the write fails mid-command
         ("curve", "fence", "--fence", "2400", "--points", "100000"),
@@ -474,14 +464,6 @@ class TestWriteErrors:
         assert proc.returncode == 4
         assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
 
-    # The file opens, and its write fails when it is closed.
-    @needs_dev_full
-    def test_curve_out_to_a_full_device_exits_4(self):
-        proc = self.run(("curve", "fence", "--fence", "2400", "--out", "/dev/full"),
-                        subprocess.DEVNULL, False)
-        assert proc.returncode == 4
-        assert proc.stderr == "error: cannot write: [Errno 28] No space left on device\n"
-
     # --help takes the same path: the parser writes stdout's messages itself,
     # so that argparse (from Python 3.11) cannot discard their write error.
     HELP_ARGVS = [("solve", "box", "--help"), ("--help",)]
@@ -519,10 +501,10 @@ class TestEllipseCrossCheck:
     # shift itself.
     def test_coincidence_reads_the_numeric_path(self, capsys, monkeypatch):
         self.shift_b(monkeypatch, "solve_ellipse_semicircle_numeric")
-        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
+        code, out, _ = run_cli(capsys, "verify", "--format", "text")
         assert "[FAIL] coincidence: ellipses_are_tangent" in out
         assert code == 1
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        code, out, _ = run_cli(capsys, "verify")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         assert checks["closed_matches_numeric_all_problems"]["passed"] is False
         assert code == 1
@@ -536,13 +518,12 @@ class TestEllipseCrossCheck:
         assert code == 1
         # coincidence reads only the closed form's tangency; the oracle suite
         # reads its b
-        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence")
-        assert [c["name"] for c in strict_json(out)["checks"] if not c["passed"]] == [
-            "ellipses_are_tangent"]
-        assert code == 1
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
-        checks = {c["name"]: c for c in strict_json(out)["checks"]}
-        assert checks["closed_matches_numeric_all_problems"]["passed"] is False
+        code, out, _ = run_cli(capsys, "verify")
+        checks = strict_json(out)["checks"]
+        assert [c["name"] for c in checks
+                if c["suite"] == "coincidence" and not c["passed"]] == ["ellipses_are_tangent"]
+        assert {c["name"]: c for c in checks}[
+            "closed_matches_numeric_all_problems"]["passed"] is False
         assert code == 1
 
 
@@ -592,43 +573,32 @@ class TestFenceCrossCheck:
         assert code == 1
 
     def test_verify_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle")
+        code, out, _ = run_cli(capsys, "verify")
         failed = [c["name"] for c in strict_json(out)["checks"] if not c["passed"]]
         assert failed == ["closed_matches_numeric_all_problems"]
         assert code == 1
 
 
 class TestVerifyCommand:
-    def test_single_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "h2r", "--format", "text")
+    def test_text_format(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "text")
         assert code == 0
         assert "[PASS] h2r: h_equals_2r_numeric" in out
         assert "0 failed" in out
 
     def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "equivalence")
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] is True
         assert all(check["passed"] for check in doc["checks"])
 
-    # The parser holds no copy of the suite names: verify.run refuses an
-    # unknown one, the empty name too, listing the suites it has.
-    def test_unknown_suite_is_usage_error(self, capsys):
-        from optishape import verify
-
-        for name in ("bogus", ""):
-            code, out, err = run_cli(capsys, "verify", "--suite", name)
-            assert code == 2
-            assert out == ""
-            assert all(suite in err for suite in verify.SUITES)
-
-    # A ValueError raised inside a suite is a fault of the program, not a
-    # usage error: exit 1, its message on stderr and no report.  The fault is
+    # A ValueError raised inside a suite is a fault of the program, not of
+    # its input: exit 1, its message on stderr and no report.  The fault is
     # the mutation matrix's row whose run raises.
     @pytest.mark.parametrize("argv", [
-        ("verify",), ("verify", "--suite", "coincidence", "--format", "text"),
-    ], ids=["all", "one-suite"])
+        ("verify",), ("verify", "--format", "text"),
+    ], ids=["json", "text"])
     def test_value_error_inside_a_suite_exits_1(self, capsys, mutate, argv):
         entry = next(r for r in ROWS if r.name == "ellipse contacts taken with a and b swapped")
         mutate(entry.wraps)
@@ -637,8 +607,8 @@ class TestVerifyCommand:
     # So is any other exception: a suite that divides by zero exits 1 the
     # same way, not with a traceback.
     @pytest.mark.parametrize("argv", [
-        ("verify",), ("verify", "--suite", "duality", "--format", "text"),
-    ], ids=["all", "one-suite"])
+        ("verify",), ("verify", "--format", "text"),
+    ], ids=["json", "text"])
     def test_any_error_inside_a_suite_exits_1(self, capsys, monkeypatch, argv):
         from optishape import verify
 
@@ -651,10 +621,10 @@ class TestVerifyCommand:
         solve_can = problems.solve_can
         monkeypatch.setattr(problems, "solve_can",
                             lambda *args: solve_can(*args)._replace(h=math.nan))
-        code, out, _ = run_cli(capsys, "verify", "--suite", "h2r", "--format", "text")
+        code, out, _ = run_cli(capsys, "verify", "--format", "text")
         assert "[FAIL] h2r: h_equals_2r_closed  worst=nan" in out
         assert code == 1
-        code, out, _ = run_cli(capsys, "verify", "--suite", "h2r")
+        code, out, _ = run_cli(capsys, "verify")
         check = {c["name"]: c for c in strict_json(out)["checks"]}["h_equals_2r_closed"]
         assert check["residual"] is None and check["passed"] is False
         assert code == 1
@@ -663,10 +633,10 @@ class TestVerifyCommand:
         unit = problems.solve_ellipse_semicircle_numeric()
         monkeypatch.setattr(problems, "solve_ellipse_semicircle_numeric",
                             lambda radius=1.0: unit._replace(contacts=()))
-        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence", "--format", "text")
+        code, out, _ = run_cli(capsys, "verify", "--format", "text")
         assert "[FAIL] coincidence: contacts_on_circle  worst=inf" in out
         assert code == 1
-        code, out, _ = run_cli(capsys, "verify", "--suite", "coincidence")
+        code, out, _ = run_cli(capsys, "verify")
         checks = {c["name"]: c for c in strict_json(out)["checks"]}
         for name in ("contacts_match_rectangle_vertices", "contacts_on_circle"):
             assert checks[name]["residual"] is None and checks[name]["passed"] is False
@@ -775,6 +745,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "unrecognized arguments: --tol" in err
+
+    # verify runs every suite, and curve writes to stdout only: neither
+    # takes a flag to narrow or redirect it, and neither writes a file.
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "h2r"),
+        ("curve", "fence", "--fence", "2400", "--out", "c.csv"),
+    ], ids=["verify-suite", "curve-out"])
+    def test_removed_option_is_refused(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert list(tmp_path.iterdir()) == []
 
     # solve prints JSON only; verify keeps --format for its text lines.
     @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -891,6 +875,24 @@ class TestExitCodes:
         assert err == "error: boom\n"
 
 
+def readme_cli_lines():
+    """The command lines of README's `## CLI` block, each without its
+    `optishape` prefix, `# comment` and `> file`."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split(">", 1)[0].split() for line in block.splitlines()]
+    assert all(words[0] == "optishape" for words in lines if words)
+    return [tuple(words[1:]) for words in lines if words]
+
+
+# Every command the README shows runs: a flag that is gone cannot stay in
+# the docs.
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_line_exits_0(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 class TestRuntimeDependencies:
     RUN_CLI = (
         "import runpy, sys\n"
@@ -925,8 +927,8 @@ class TestRuntimeDependencies:
 
     @pytest.mark.parametrize(
         "argv",
-        [("solve", "ellipse-semicircle"), ("verify", "--suite", "oracle")],
-        ids=["solve-ellipse-semicircle", "verify-oracle"],
+        [("solve", "ellipse-semicircle"), ("verify",)],
+        ids=["solve-ellipse-semicircle", "verify"],
     )
     def test_cli_does_not_load_dataclasses(self, argv):
         assert self.probe(self.RUN_CLI + "print('dataclasses' in sys.modules)\n", *argv) == "False"
@@ -948,7 +950,7 @@ class TestRuntimeDependencies:
         "argv, loaded",
         [(("solve", "rectangle", "--fence", "2400"), "False"),
          (("curve", "fence", "--fence", "2400", "--points", "3"), "False"),
-         (("verify", "--suite", "equivalence"), "True")],
+         (("verify",), "True")],
         ids=["solve", "curve", "verify"],
     )
     def test_only_verify_loads_verify(self, argv, loaded):

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,6 +13,7 @@ from optishape.geometry import Shape, area_coefficient, linspace
 from optishape.problems import (
     PROBLEMS,
     FenceLayout,
+    FenceSolution,
     containment_max,
     fence_area_curve,
     frontier_a,
@@ -181,6 +183,26 @@ class TestFence:
     @settings(max_examples=200, deadline=None)
     def test_half_split_is_exact(self, fence, v, h):
         assert solve_fence(fence, FenceLayout(v, h)).vertical_total.hex() == (fence / 2).hex()
+
+    # Below the normal range a field has too few digits to hold the exact
+    # answer: each lies within one step of 5e-324 of it.  The fence halves
+    # the length twice, once into the runs and once into x or y, so the
+    # worst case is 0.75 steps (y = 0 at fence 1.5e-323 on the 2x2 layout).
+    @given(k=st.integers(1, 2**52 - 1), v=st.integers(2, 60), h=st.integers(2, 60))
+    @example(k=3, v=2, h=2)
+    @example(k=1, v=2, h=2)
+    @example(k=2**52 - 1, v=60, h=60)
+    @settings(max_examples=300, deadline=None)
+    def test_subnormal_fence_is_within_one_step(self, k, v, h):
+        fence = k * math.ulp(0.0)
+        assert fence < sys.float_info.min
+        exact_fence = Fraction(fence)
+        exact = FenceSolution(exact_fence / (2 * v), exact_fence / (2 * h),
+                              exact_fence / 2, exact_fence / 2, exact_fence**2 / (4 * v * h))
+        sol = solve_fence(fence, FenceLayout(v, h))
+        step = Fraction(math.ulp(0.0))
+        for field, got, want in zip(sol._fields, sol, exact):
+            assert abs(Fraction(got) - want) <= step, field
 
     # 2**500 - 2**447 is the largest float below 2**500.
     @given(v=st.integers(2, 2**500 - 2**447), h=st.integers(2, 2**500 - 2**447),

@@ -53,7 +53,7 @@ def _unit_oracle(name):
 # oracle suite holds one check per window, in catalog order.
 def test_every_problem_but_the_fence_has_an_oracle():
     assert ORACLES == [name for name in PROBLEMS if name != "fence"]
-    names = [c.name for c in verify.run(["oracle"])]
+    names = [c.name for c in verify.SUITES["oracle"]()]
     assert names == [n.replace("-", "_") + "_vs_brute_force" for n in ORACLES] + [
         "closed_matches_numeric_all_problems"]
 
@@ -89,7 +89,7 @@ def test_oracle_scans_the_solvers_own_objective(monkeypatch):
     problems.solve_rectangle_numeric(1.0)  # the unit search's cache stays as it is
     monkeypatch.setattr(problems, "_rectangle_objective",
                         lambda perimeter: lambda x: (x - perimeter / 3.0) ** 2)
-    failed = [c.name for c in verify.run(["oracle"]) if not c.passed]
+    failed = [c.name for c in verify.SUITES["oracle"]() if not c.passed]
     assert failed == ["rectangle_vs_brute_force"]
 
 
@@ -133,18 +133,16 @@ def test_closed_numeric_check_is_the_worst_over_its_three_sets():
     assert check.passed
 
 
-def test_unknown_suite_lists_the_suites():
-    listed = ", ".join(verify.SUITES)
-    with pytest.raises(ValueError, match=f"unknown suite 'nope'; choose from {listed}$"):
-        verify.run(["nope"])
+# run concatenates the suites' results in SUITES order, reading each suite
+# from SUITES when it runs, so a suite replaced in place is the one that runs.
+def test_run_concatenates_the_suites_in_order(monkeypatch):
+    def stub(name, count):
+        return lambda: [verify.CheckResult(name, f"check_{k}", 0.0, 1.0) for k in range(count)]
 
-
-def test_every_name_is_checked_before_any_suite_runs(monkeypatch):
-    calls = []
-    monkeypatch.setitem(verify.SUITES, "h2r", lambda: calls.append("h2r") or [])
-    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
-        verify.run(["h2r", "bogus"])
-    assert calls == []
+    for i, name in enumerate(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, stub(name, i % 3))
+    assert verify.run() == [verify.CheckResult(name, f"check_{k}", 0.0, 1.0)
+                            for i, name in enumerate(verify.SUITES) for k in range(i % 3)]
 
 
 # An ellipse off the frontier is not tangent to the arc: the coincidence
@@ -157,7 +155,7 @@ def test_coincidence_fails_an_ellipse_off_the_frontier(monkeypatch, a_scale, b_s
     unit = problems._solve_unit_ellipse_semicircle()
     nudged = problems._unit_ellipse(unit.a * a_scale, unit.b * b_scale)
     monkeypatch.setattr(problems, "_solve_unit_ellipse_semicircle", lambda: nudged)
-    failed = [c.name for c in verify.run(["coincidence"]) if not c.passed]
+    failed = [c.name for c in verify.SUITES["coincidence"]() if not c.passed]
     assert "ellipses_are_tangent" in failed
 
 
@@ -165,6 +163,6 @@ def test_coincidence_fails_an_ellipse_off_the_frontier(monkeypatch, a_scale, b_s
 # frontier so exactly that their largest squared distance from the center
 # rounds to 1.
 def test_ellipses_are_tangent_reads_exactly_zero():
-    checks = {c.name: c for c in verify.run(["coincidence"])}
+    checks = {c.name: c for c in verify.SUITES["coincidence"]()}
     assert checks["ellipses_are_tangent"].residual == 0.0
     assert checks["ellipses_are_tangent"].passed
