@@ -50,6 +50,7 @@ EIGHT_ULPS = 8.0 * math.ulp(1.0)
 
 ITEM_8 = "item 8: no check meets each answer's own constraint to a few ulps"
 ITEM_9 = "item 9: closed_numeric_gap is bounded by ACCEPTANCE_TOL, not the search's bracket"
+ITEM_15 = "item 15: no verify sweep reaches the ends of the range the CLI accepts"
 
 
 def _scale(sol: Any, fields: tuple[str, ...], k: float) -> Any:
@@ -106,6 +107,35 @@ def can_dual_on(factor: float) -> Callable:
             return problems._can_solution(c, r, surface_area / (2.0 * c * r) - r)
         return wrong
     return wrap
+
+
+def can_roots_joined(_: Callable) -> Callable:
+    """The closed can with r = (volume/(2c)) ** (1/3), one cube root: r
+    underflows to 0 at volume 5e-324."""
+    def wrong(volume, base):
+        c = geometry.area_coefficient(base)
+        r = (volume / (2.0 * c)) ** (1.0 / 3.0)
+        return problems._can_solution(c, r, volume / (c * r * r))
+    return wrong
+
+
+def can_dual_roots_joined(_: Callable) -> Callable:
+    """The closed can-dual with r = sqrt(SA/(6c)), one square root: r
+    underflows to 0 at surface area 5e-324."""
+    def wrong(surface_area, base):
+        c = geometry.area_coefficient(base)
+        r = math.sqrt(surface_area / (6.0 * c))
+        return problems._can_solution(c, r, surface_area / (2.0 * c * r) - r)
+    return wrong
+
+
+def unrescaled_fence_objective(_: Callable) -> Callable:
+    """The fence objective on its counts as they are: at counts of 10**200
+    the area underflows to 0 and the search has nothing to minimize."""
+    def objective(total_fence, layout):
+        v, h = map(float, layout)
+        return lambda L: -(L / v) * ((total_fence - L) / h)
+    return objective
 
 
 def volume_off(rel: float) -> Callable:
@@ -309,6 +339,13 @@ ROWS: list[Row] = [
         "closed_matches_numeric_all_problems"),
     row("numeric can-dual ignores its base", {"solve_can_dual_numeric": ignoring_base},
         "closed_matches_numeric_all_problems"),
+    # Each breaks `solve` only at an end of the range the CLI accepts.
+    row("closed can with its cube roots joined", {"solve_can": can_roots_joined},
+        owner=ITEM_15),
+    row("closed can-dual with its square roots joined",
+        {"solve_can_dual": can_dual_roots_joined}, owner=ITEM_15),
+    row("fence objective without its rescale past 2**500",
+        {"_fence_objective": unrescaled_fence_objective}, owner=ITEM_15),
     row("golden search returns the low end of its bracket",
         {"golden_section_min": low_end_of_bracket}, owner=ITEM_9),
     Row("ellipse contacts taken with a and b swapped",
