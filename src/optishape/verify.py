@@ -15,7 +15,9 @@ dA/dr = 2*A/r, so perimeter = dA/dr is the statement area/perimeter = r/2.
 
 Each check earns its place in the mutation matrix
 (``tests/test_mutation_matrix.py``): the comment above it names a matrix
-row, a fault put in on purpose, that fails that check and no other.
+row, a fault put in on purpose, that fails that check and no other.  Each
+sweep's breadth earns its place the same way: the comment over it names
+the rows that some of its instances are needed to catch.
 """
 
 import math
@@ -65,27 +67,32 @@ def _half_r_ulps(shape: Shape, r: float) -> float:
 
 
 def _suite_derivative() -> list[CheckResult]:
-    radii = [10.0**e for e in geometry.linspace(-3.0, 3.0, 25)]
-    sweep = [(shape, r) for shape in VERIFY_BASES for r in radii]
-    scaled = [(shape, r, k) for shape in VERIFY_BASES
-              for r in (1e-3, 0.7, 1.0, 13.0, 1e3) for k in (0.5, 2.0, 10.0)]
+    # Every base at one radius r; the scaling check takes the same sweep at
+    # one factor, 2.  Each base: "geometry.area ignores its shape" and
+    # "geometry.perimeter ignores its shape".  A radius and a factor other
+    # than 1, where a wrong power of r reads exact: "area of degree 3",
+    # "perimeter of degree 2" and "area of degree 3 and perimeter of
+    # degree 2".
+    r = 0.7
     return [
         # only catcher of: geometry.area * (1 + 1e-9)
         _worst("derivative", "area_over_perimeter_is_half_r_ulps",
-               (_half_r_ulps(shape, r) for shape, r in sweep), 4.0),
+               (_half_r_ulps(shape, r) for shape in VERIFY_BASES), 4.0),
+        # Each polygon of VERIFY_BASES, the bases the other sweeps solve on;
+        # the 100-gon: "polygon coefficients * (1 + 1e-9) past 12 sides".
         # only catcher of: polygon coefficients * (1 + 1e-9), the circle's kept
         _worst("derivative", "coefficient_matches_shoelace", (
-            abs(geometry.area_coefficient(Shape(n))
-                - geometry.shoelace_area(geometry.polygon_vertices(n, 1.0)))
-            for n in range(3, 65)
+            abs(geometry.area_coefficient(shape)
+                - geometry.shoelace_area(geometry.polygon_vertices(shape.sides, 1.0)))
+            for shape in VERIFY_BASES if shape.sides is not None
         ), 1e-12),
         # only catcher of: area of degree 3 and perimeter of degree 2
         _worst("derivative", "area_perimeter_scaling", (
-            gap for shape, r, k in scaled for gap in (
-                abs(geometry.area(shape, k * r) - k * k * geometry.area(shape, r))
-                / geometry.area(shape, k * r),
-                abs(geometry.perimeter(shape, k * r) - k * geometry.perimeter(shape, r))
-                / geometry.perimeter(shape, k * r),
+            gap for shape in VERIFY_BASES for gap in (
+                abs(geometry.area(shape, 2.0 * r) - 4.0 * geometry.area(shape, r))
+                / geometry.area(shape, 2.0 * r),
+                abs(geometry.perimeter(shape, 2.0 * r) - 2.0 * geometry.perimeter(shape, r))
+                / geometry.perimeter(shape, 2.0 * r),
             )
         ), 1e-12),
     ]
@@ -95,10 +102,13 @@ def _suite_derivative() -> list[CheckResult]:
 # suite: half-split  (fence problem)
 
 
-def _random_fence_instances(count: int) -> list[tuple[float, problems.FenceLayout]]:
+def _random_fence_instances() -> list[tuple[float, problems.FenceLayout]]:
+    """The ten fences both fence sweeps take: the half-split check and the
+    closed-vs-numeric one.  Layouts other than the catalog's default 4x2:
+    "closed fence ignores its layout" and "numeric fence ignores its layout"."""
     rng = random.Random(_SEED)
     out = []
-    for _ in range(count):
+    for _ in range(10):
         fence = rng.uniform(1.0, 1e6)
         layout = problems.FenceLayout(rng.randint(2, 50), rng.randint(2, 50))
         out.append((fence, layout))
@@ -109,7 +119,7 @@ def _suite_half_split() -> list[CheckResult]:
     # only catcher of: closed fence lengths * (1 + 1e-7)
     return [_worst("half-split", "randomized_half_split", (
         abs(problems.solve_fence(fence, layout).vertical_total - fence / 2.0) / fence
-        for fence, layout in _random_fence_instances(200)
+        for fence, layout in _random_fence_instances()
     ), 1e-9)]
 
 
@@ -225,7 +235,7 @@ def _suite_oracle() -> list[CheckResult]:
     # Each closed form against its golden-section path, by the residual
     # `solve` reports: on each catalog problem at size 1000 (at size 1 a
     # numeric path that rescales by the wrong power would not show), on the
-    # first ten fences of the half-split sweep, and on the can and can-dual
+    # ten fences of the half-split sweep, and on the can and can-dual
     # on every base.
     # only catcher of: numeric box rescaled by volume ** (1/2)
     # only catcher of: closed fence ignores its layout
@@ -234,7 +244,7 @@ def _suite_oracle() -> list[CheckResult]:
         residuals["closed_numeric_gap"] for _, residuals in (
             *(_solve_at(problem, 1000.0) for problem in problems.PROBLEMS.values()),
             *(problems.PROBLEMS["fence"].solve(fence, *layout)
-              for fence, layout in _random_fence_instances(10)),
+              for fence, layout in _random_fence_instances()),
             *(problems.PROBLEMS[name].solve(1.0, base.sides or "circle")
               for name in ("can", "can-dual") for base in VERIFY_BASES))
     ), ACCEPTANCE_TOL)]

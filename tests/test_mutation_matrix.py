@@ -74,6 +74,10 @@ def one_degree_higher(f: Callable) -> Callable:
     return lambda shape, r: f(shape, r) * r
 
 
+def ignoring_shape(f: Callable) -> Callable:
+    return lambda shape, r: f(Shape(), r)
+
+
 def ignoring_base(solver: Callable) -> Callable:
     return lambda size, base: solver(size, Shape())
 
@@ -268,6 +272,10 @@ ROWS: list[Row] = [
         "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
     row("perimeter of degree 2", {"perimeter": one_degree_higher},
         "area_over_perimeter_is_half_r_ulps", "area_perimeter_scaling"),
+    row("geometry.area ignores its shape", {"area": ignoring_shape},
+        "area_over_perimeter_is_half_r_ulps"),
+    row("geometry.perimeter ignores its shape", {"perimeter": ignoring_shape},
+        "area_over_perimeter_is_half_r_ulps"),
     row("area of degree 3 and perimeter of degree 2",
         {"area": one_degree_higher, "perimeter": one_degree_higher},
         "area_perimeter_scaling"),
@@ -283,6 +291,10 @@ ROWS: list[Row] = [
     row("polygon coefficients * (1 + 1e-9), the circle's kept",
         {"area_coefficient": lambda f: lambda shape: f(shape) if shape.sides is None
          else f(shape) * (1.0 + 1e-9)},
+        "coefficient_matches_shoelace"),
+    row("polygon coefficients * (1 + 1e-9) past 12 sides",
+        {"area_coefficient": lambda f: lambda shape: f(shape) * (1.0 + 1e-9)
+         if shape.sides is not None and shape.sides > 12 else f(shape)},
         "coefficient_matches_shoelace"),
     row("circle coefficient alone * (1 + 1e-9)",
         {"area_coefficient": lambda f: lambda shape: f(shape) * (1.0 + 1e-9)
