@@ -153,15 +153,14 @@ def solve_rectangle(perimeter: float) -> RectangleSolution:
     return RectangleSolution(side, side, side * side)
 
 
-def _rectangle_objective(perimeter: float) -> Callable[[float], float]:
-    """Negated area as a function of the side x."""
-    half = perimeter / 2.0
-    return lambda x: -x * (half - x)
+def _rectangle_objective(x: float) -> float:
+    """Negated area as a function of the side x, at perimeter 1."""
+    return -x * (0.5 - x)
 
 
 @cache
 def _solve_unit_rectangle() -> RectangleSolution:
-    x = golden_section_min(_rectangle_objective(1.0), 0.0, 0.5).argmin
+    x = golden_section_min(_rectangle_objective, 0.0, 0.5).argmin
     return RectangleSolution(x, 0.5 - x, x * (0.5 - x))
 
 
@@ -187,19 +186,18 @@ def solve_box(volume: float) -> BoxSolution:
     return BoxSolution(edge, edge, edge, 6.0 * edge * edge)
 
 
-def _box_objective(volume: float) -> Callable[[float, float], float]:
-    """Surface area 2*(x*y + x*z + y*z) with z = volume/(x*y) eliminated."""
-    return lambda x, y: 2.0 * (x * y + volume / y + volume / x)
+def _box_objective(x: float, y: float) -> float:
+    """Surface area 2*(x*y + x*z + y*z) with z = 1/(x*y) eliminated, at
+    volume 1."""
+    return 2.0 * (x * y + 1.0 / y + 1.0 / x)
 
 
 @cache
 def _solve_unit_box() -> BoxSolution:
-    sa_for = _box_objective(1.0)
-
     # Both searches bracket an edge's domain from 0.  It has no upper end;
     # 20.0, far past the unit cube's edge 1, stands in for one.
     def best_y(x: float):
-        return golden_section_min(lambda y: sa_for(x, y), 0.0, 20.0)
+        return golden_section_min(lambda y: _box_objective(x, y), 0.0, 20.0)
 
     x = golden_section_min(lambda x: best_y(x).value, 0.0, 20.0).argmin
     y = best_y(x).argmin
@@ -248,10 +246,10 @@ def solve_can(volume: float, base: Shape) -> CanSolution:
     return _can_solution(c, r, h)
 
 
-def _can_objective(volume: float, c: float) -> Callable[[float], float]:
-    """Surface area 2*c*r^2 + 2*volume/r at base coefficient c, with the
-    height eliminated."""
-    return lambda r: 2.0 * c * r * r + 2.0 * volume / r
+def _can_objective(c: float) -> Callable[[float], float]:
+    """Surface area 2*c*r^2 + 2/r at base coefficient c and volume 1, with
+    the height eliminated."""
+    return lambda r: 2.0 * c * r * r + 2.0 / r
 
 
 @cache
@@ -259,7 +257,7 @@ def _solve_unit_can(base: Shape) -> CanSolution:
     c = area_coefficient(base)
     # As for the box, 20.0 stands in for the unbounded end: every base's
     # unit radius is at most the circle's, about 0.54.
-    r = golden_section_min(_can_objective(1.0, c), 0.0, 20.0).argmin
+    r = golden_section_min(_can_objective(c), 0.0, 20.0).argmin
     return _can_solution(c, r, 1.0 / (c * r * r))
 
 
@@ -284,17 +282,17 @@ def solve_can_dual(surface_area: float, base: Shape) -> CanSolution:
     return _can_solution(c, r, h)
 
 
-def _can_dual_objective(surface_area: float, c: float) -> Callable[[float], float]:
-    """Negated volume r*(SA - 2*c*r^2)/2 at base coefficient c, as a
-    function of r alone."""
-    return lambda r: -r * (surface_area - 2.0 * c * r * r) / 2.0
+def _can_dual_objective(c: float) -> Callable[[float], float]:
+    """Negated volume r*(1 - 2*c*r^2)/2 at base coefficient c and surface
+    area 1, as a function of r alone."""
+    return lambda r: -r * (1.0 - 2.0 * c * r * r) / 2.0
 
 
 @cache
 def _solve_unit_can_dual(base: Shape) -> CanSolution:
     c = area_coefficient(base)
     r_max = math.sqrt(1.0 / (2.0 * c))  # the two bases alone use up the area: h = 0
-    r = golden_section_min(_can_dual_objective(1.0, c), 0.0, r_max).argmin
+    r = golden_section_min(_can_dual_objective(c), 0.0, r_max).argmin
     return _can_solution(c, r, (1.0 - 2.0 * c * r * r) / (2.0 * c * r))
 
 
@@ -327,15 +325,15 @@ def solve_rect_semicircle(radius: float) -> SemicircleRectSolution:
     return SemicircleRectSolution(half, half, 2.0 * half * half)
 
 
-def _rect_semicircle_objective(radius: float) -> Callable[[float], float]:
-    """Negated area 2*x*y as a function of the half-width x, with y on the arc."""
-    r2 = radius * radius
-    return lambda x: -2.0 * x * math.sqrt(r2 - x * x)
+def _rect_semicircle_objective(x: float) -> float:
+    """Negated area 2*x*y as a function of the half-width x, with y on the
+    unit arc."""
+    return -2.0 * x * math.sqrt(1.0 - x * x)
 
 
 @cache
 def _solve_unit_rect_semicircle() -> SemicircleRectSolution:
-    x = golden_section_min(_rect_semicircle_objective(1.0), 0.0, 1.0).argmin
+    x = golden_section_min(_rect_semicircle_objective, 0.0, 1.0).argmin
     y = math.sqrt(1.0 - x * x)
     return SemicircleRectSolution(x, y, 2.0 * x * y)
 
@@ -611,7 +609,7 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "square_gap": _relative(abs(sol.x - sol.y), sol.x),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), sol.x),
         },
-        oracle=lambda sol: ((sol.x,), _rectangle_objective(1.0), ((0.0, 0.5),)),
+        oracle=lambda sol: ((sol.x,), _rectangle_objective, ((0.0, 0.5),)),
     ),
     Problem(
         "box", "smallest-surface box with a given volume",
@@ -621,7 +619,7 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "closed_numeric_gap": worst_residual(abs(a - b) for a, b in zip(sol[:3], num)) / sol.x,
         },
         # A 2-D scan with z eliminated by the volume constraint.
-        oracle=lambda sol: (sol[:2], _box_objective(1.0), ((0.2, 2.0), (0.2, 2.0))),
+        oracle=lambda sol: (sol[:2], _box_objective, ((0.2, 2.0), (0.2, 2.0))),
     ),
     Problem(
         "fence", "partitioned rectangular field of maximal area",
@@ -639,14 +637,14 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
         (Input("--volume", "volume", float), _BASE),
         _can_residuals,
         solver_args=_can_args,
-        oracle=lambda sol: ((sol.r,), _can_objective(1.0, math.pi), ((0.1, 1.0),)),
+        oracle=lambda sol: ((sol.r,), _can_objective(math.pi), ((0.1, 1.0),)),
     ),
     Problem(
         "can-dual", "largest-volume can/prism with a given surface area",
         (Input("--surface-area", "surface_area", float), _BASE),
         _can_residuals,
         solver_args=_can_args,
-        oracle=lambda sol: ((sol.r,), _can_dual_objective(1.0, math.pi), ((0.01, 0.5),)),
+        oracle=lambda sol: ((sol.r,), _can_dual_objective(math.pi), ((0.01, 0.5),)),
     ),
     Problem(
         "rect-semicircle", "largest rectangle inscribed in a semicircle",
@@ -655,7 +653,7 @@ PROBLEMS: dict[str, Problem] = {p.name: p for p in (
             "xy_gap": _relative(abs(sol.x - sol.y), radius),
             "closed_numeric_gap": _relative(abs(sol.x - num.x), radius),
         },
-        oracle=lambda sol: ((sol.x,), _rect_semicircle_objective(1.0), ((0.0, 1.0),)),
+        oracle=lambda sol: ((sol.x,), _rect_semicircle_objective, ((0.0, 1.0),)),
     ),
     Problem(
         "ellipse-semicircle", "largest ellipse inscribed in a semicircle",

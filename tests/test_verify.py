@@ -87,8 +87,7 @@ def test_oracle_tolerance_is_under_8e_7_of_the_answer(name):
 # up in problems when the suite runs: moving its minimum fails the check.
 def test_oracle_scans_the_solvers_own_objective(monkeypatch):
     problems.solve_rectangle_numeric(1.0)  # the unit search's cache stays as it is
-    monkeypatch.setattr(problems, "_rectangle_objective",
-                        lambda perimeter: lambda x: (x - perimeter / 3.0) ** 2)
+    monkeypatch.setattr(problems, "_rectangle_objective", lambda x: (x - 1.0 / 3.0) ** 2)
     failed = [c.name for c in verify.SUITES["oracle"]() if not c.passed]
     assert failed == ["rectangle_vs_brute_force"]
 
