@@ -875,20 +875,24 @@ class TestExitCodes:
         assert err == "error: boom\n"
 
 
-def readme_cli_lines():
-    """The command lines of README's `## CLI` block, each without its
+def cli_doc_lines(doc):
+    """The command lines of the doc's `## CLI` block, each without its
     `optishape` prefix, `# comment` and `> file`."""
-    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    text = (pathlib.Path(__file__).parent.parent / doc).read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].split(">", 1)[0].split() for line in block.splitlines()]
     assert all(words[0] == "optishape" for words in lines if words)
     return [tuple(words[1:]) for words in lines if words]
 
 
-# Every command the README shows runs: a flag that is gone cannot stay in
-# the docs.
-@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
-def test_readme_cli_line_exits_0(capsys, argv):
+CLI_DOC_LINES = [(doc, argv) for doc in ("README.md", "PAPER.md") for argv in cli_doc_lines(doc)]
+
+
+# Every command README and PAPER show runs: a flag that is gone cannot stay
+# in either doc.
+@pytest.mark.parametrize("doc, argv", CLI_DOC_LINES,
+                         ids=[f"{doc}: {' '.join(argv)}" for doc, argv in CLI_DOC_LINES])
+def test_cli_doc_line_exits_0(capsys, doc, argv):
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
 
